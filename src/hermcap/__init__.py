@@ -31,7 +31,6 @@ from .hermitian import (
     hermitian_inner,
     is_cap,
     normalize_point,
-    tangent_set,
 )
 from .rng import SplitMix64, mix64
 from .search import (
@@ -91,6 +90,5 @@ __all__ = [
     "run_strategy",
     "sample_subcap",
     "select_forward",
-    "tangent_set",
     "thin_ovoid",
 ]

@@ -15,6 +15,22 @@ relevance + coverage_intersect is identically the tangent-section size.  The
 two coverage notions differ: the multiplicity drives the weight, while the
 intersection count complements relevance.
 
+Relevance is read from a vector kept next to the counters, with the invariant
+
+    _rel[x] == #{y in tangent(x) : cmult[y] == 0}    for every point x.
+
+Conjugacy is symmetric (x in tangent(y) exactly when y in tangent(x)), so
+_rel[x] also counts the uncovered points whose tangent section holds x, which
+is ``bincount`` of the uncovered points' tangent rows.  A mutation therefore
+only has to visit the rows of the points whose coverage it flips: adding a
+member subtracts the bincount of the rows of the points it newly covers,
+removing one adds the bincount of the rows of the points it newly uncovers.
+
+The vector is lazy.  It is built on the first relevance read, from whichever
+of the covered and uncovered sets is smaller (free on an empty cap), and
+until then ``add_point`` and ``remove_point`` only count coverage changes, so
+states that never read relevance pay nothing for it.
+
 Weight is exposed both as an exact Fraction (identity checks) and as a float
 (search heuristics; comparisons there use a 1e-9 tolerance).
 """
@@ -31,13 +47,14 @@ from .hermitian import SurfaceModel
 
 
 class CapState:
-    __slots__ = ("model", "members", "cmult", "covered_count")
+    __slots__ = ("model", "members", "cmult", "covered_count", "_rel")
 
     def __init__(self, model: SurfaceModel):
         self.model = model
         self.members: set[int] = set()
         self.cmult = np.zeros(model.num_points, dtype=np.int32)
         self.covered_count = 0
+        self._rel: np.ndarray | None = None  # relevance of every point, once read
 
     @classmethod
     def from_ids(cls, model: SurfaceModel, ids) -> "CapState":
@@ -62,7 +79,12 @@ class CapState:
             raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
         row = self.model.tangent_set(x)
         vals = self.cmult[row]
-        self.covered_count += int(np.count_nonzero(vals == 0))
+        if self._rel is None:
+            self.covered_count += int(np.count_nonzero(vals == 0))
+        else:
+            newly_covered = row[vals == 0]
+            self.covered_count += len(newly_covered)
+            self._rel -= self._row_counts(newly_covered)
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -73,20 +95,41 @@ class CapState:
         row = self.model.tangent_set(x)
         vals = self.cmult[row] - 1
         self.cmult[row] = vals
-        self.covered_count -= int(np.count_nonzero(vals == 0))
+        if self._rel is None:
+            self.covered_count -= int(np.count_nonzero(vals == 0))
+        else:
+            newly_uncovered = row[vals == 0]
+            self.covered_count -= len(newly_uncovered)
+            self._rel += self._row_counts(newly_uncovered)
         self.members.remove(x)
+
+    # -- relevance vector ----------------------------------------------------
+
+    def _row_counts(self, ids: np.ndarray) -> np.ndarray:
+        """How many of the tangent sections of ids contain each point."""
+        n = self.model.num_points
+        if len(ids) == 0:  # the on-demand tangent path cannot stack zero rows
+            return np.zeros(n, dtype=np.int64)
+        return np.bincount(self.model.tangent_rows(ids).ravel(), minlength=n)
+
+    def _relevance(self) -> np.ndarray:
+        if self._rel is None:
+            uncovered = np.flatnonzero(self.cmult == 0)
+            if 2 * len(uncovered) <= self.model.num_points:
+                self._rel = self._row_counts(uncovered)
+            else:
+                covered = np.flatnonzero(self.cmult)
+                self._rel = self.model.gx_size - self._row_counts(covered)
+        return self._rel
 
     # -- queries -------------------------------------------------------------
 
     def relevance(self, x: int) -> int:
         """Number of points newly covered if x joined the cap (0 for members)."""
-        return int(np.count_nonzero(self.cmult[self.model.tangent_set(int(x))] == 0))
+        return int(self._relevance()[int(x)])
 
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        if len(ids) == 0:
-            return np.zeros(0, dtype=np.int64)
-        rows = self.model.tangent_rows(np.asarray(ids))
-        return np.count_nonzero(self.cmult[rows] == 0, axis=1)
+        return self._relevance()[np.asarray(ids, dtype=np.intp)]
 
     def removal_relevance(self, x: int) -> int:
         """relevance(x) with respect to the cap minus x; x must be a member."""

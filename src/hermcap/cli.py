@@ -100,6 +100,13 @@ def cmd_complete(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.runs < 1:
+        raise ConfigurationError(f"--runs must be at least 1, got {args.runs}")
+    ovoid_size = args.q**3 + 1
+    if args.seed_size is not None and not 0 <= args.seed_size <= ovoid_size:
+        raise ConfigurationError(
+            f"--seed-size must lie in [0, {ovoid_size}] for q={args.q}, got {args.seed_size}"
+        )
     model = _build_model(args.q)
     if args.empty:
         spec = SeedSpec.empty()

@@ -256,10 +256,6 @@ def enumerate_surface(
     return SurfaceModel(field, memory_budget=memory_budget)
 
 
-def tangent_set(model: SurfaceModel, pid: int) -> np.ndarray:
-    return model.tangent_set(pid)
-
-
 def enumerate_generators(model: SurfaceModel) -> list[GeneratorLine]:
     """All generator lines, each listed once; cached on the model.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .capstate import CapState
 from .errors import CapCompleteError, HermcapError
-from .hermitian import SurfaceModel, classical_ovoid, is_cap
+from .hermitian import SurfaceModel, is_cap
 from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
@@ -84,56 +84,36 @@ def _outcome(model: SurfaceModel, cap: CapState, iterations: int, trace) -> Sear
     )
 
 
-def _complete_random_inplace(model, cap: CapState, rng: SplitMix64, trace) -> int:
-    target = model.q**3 + 1
+def _complete(cap: CapState, select, rng: SplitMix64, trace) -> int:
+    """Add select(cap, uncovered, rng) until the cap is complete; returns the count.
+
+    ``uncovered`` is the sorted array of uncovered points, filtered in place
+    of a fresh scan after every addition.
+    """
     m = cap.uncovered()
     iterations = 0
     while m.size:
-        x = _pick(rng, m)
+        x = select(cap, m, rng)
         if trace is not None:
             trace.append((x, cap.relevance(x)))
         cap.add_point(x)
         iterations += 1
-        if len(cap) == target:
-            break
         m = m[cap.cmult[m] == 0]
     return iterations
 
 
-def complete_random(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
-    """Uniformly random completion of a seed cap."""
-    rng = SplitMix64(config.rng_seed)
-    cap = CapState.from_ids(model, seed_cap)
-    trace = [] if config.keep_trace else None
-    iterations = _complete_random_inplace(model, cap, rng, trace)
-    return _outcome(model, cap, iterations, trace)
+def _select_random(cap: CapState, m: np.ndarray, rng: SplitMix64) -> int:
+    return _pick(rng, m)
 
 
-def complete_min_relevance(
-    model: SurfaceModel, seed_cap, config: SearchConfig
-) -> SearchOutcome:
-    """Completion adding an uncovered point of minimal relevance each step."""
-    rng = SplitMix64(config.rng_seed)
-    cap = CapState.from_ids(model, seed_cap)
-    trace = [] if config.keep_trace else None
-    m = cap.uncovered()
-    iterations = 0
-    while m.size:
-        rel = cap.relevance_many(m)
-        ties = m[rel == rel.min()]
-        x = _pick(rng, ties)
-        if trace is not None:
-            trace.append((x, cap.relevance(x)))
-        cap.add_point(x)
-        iterations += 1
-        m = m[cap.cmult[m] == 0]
-    return _outcome(model, cap, iterations, trace)
+def _select_min_relevance(cap: CapState, m: np.ndarray, rng: SplitMix64) -> int:
+    rel = cap.relevance_many(m)
+    return _pick(rng, m[rel == rel.min()])
 
 
-def _select_forward(model, cap: CapState, config: SearchConfig, rng: SplitMix64) -> int:
-    m = cap.uncovered()
-    if m.size == 0:
-        raise CapCompleteError("cap is complete; nothing to select")
+def _select_forward(
+    cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig
+) -> int:
     rel = cap.relevance_many(m)
     rmin = int(rel.min())
     if rmin == 1:
@@ -164,22 +144,39 @@ def _select_forward(model, cap: CapState, config: SearchConfig, rng: SplitMix64)
 
 def select_forward(model: SurfaceModel, cap: CapState, config: SearchConfig) -> int:
     """One forward-search point selection for an incomplete cap."""
-    return _select_forward(model, cap, config, SplitMix64(config.rng_seed))
+    m = cap.uncovered()
+    if m.size == 0:
+        raise CapCompleteError("cap is complete; nothing to select")
+    return _select_forward(cap, m, SplitMix64(config.rng_seed), config)
+
+
+def _run_completion(
+    model: SurfaceModel, seed_cap, config: SearchConfig, select
+) -> SearchOutcome:
+    rng = SplitMix64(config.rng_seed)
+    cap = CapState.from_ids(model, seed_cap)
+    trace = [] if config.keep_trace else None
+    iterations = _complete(cap, select, rng, trace)
+    return _outcome(model, cap, iterations, trace)
+
+
+def complete_random(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
+    """Uniformly random completion of a seed cap."""
+    return _run_completion(model, seed_cap, config, _select_random)
+
+
+def complete_min_relevance(
+    model: SurfaceModel, seed_cap, config: SearchConfig
+) -> SearchOutcome:
+    """Completion adding an uncovered point of minimal relevance each step."""
+    return _run_completion(model, seed_cap, config, _select_min_relevance)
 
 
 def complete_forward(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
     """Completion driven by the forward-looking selection rule."""
-    rng = SplitMix64(config.rng_seed)
-    cap = CapState.from_ids(model, seed_cap)
-    trace = [] if config.keep_trace else None
-    iterations = 0
-    while not cap.is_complete():
-        x = _select_forward(model, cap, config, rng)
-        if trace is not None:
-            trace.append((x, cap.relevance(x)))
-        cap.add_point(x)
-        iterations += 1
-    return _outcome(model, cap, iterations, trace)
+    return _run_completion(
+        model, seed_cap, config, lambda cap, m, rng: _select_forward(cap, m, rng, config)
+    )
 
 
 def _extend_min_weight(cap: CapState, rng: SplitMix64) -> int:
@@ -259,7 +256,7 @@ def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchO
         rng = SplitMix64(config.rng_seed)
         cap = CapState.from_ids(model, seed_cap)
         trace = [] if config.keep_trace else None
-        base_iters = _complete_random_inplace(model, cap, rng, trace)
+        base_iters = _complete(cap, _select_random, rng, trace)
         base = cap.members_sorted()
         inner = SearchConfig(
             strategy=StrategyKind.BACKTRACK,
@@ -343,8 +340,3 @@ def sample_subcap(points, n: int, rng: SplitMix64) -> np.ndarray:
     if n > len(ids):
         raise ValueError(f"cannot sample {n} points from {len(ids)}")
     return np.array(sorted(rng.sample(ids, n)), dtype=np.int32)
-
-
-def canonical_ovoid(model: SurfaceModel) -> np.ndarray:
-    """The classical ovoid at the canonical pole (used for seeded experiments)."""
-    return classical_ovoid(model)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermcap import CapState, SplitMix64, classical_ovoid
 from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
@@ -86,6 +88,49 @@ def test_incremental_matches_recomputation(q):
         fresh = CapState.from_ids(model, cap.members)
         assert np.array_equal(fresh.cmult, cap.cmult)
         assert fresh.covered_count == cap.covered_count
+
+
+# (operation, index): the index picks among the points the operation accepts
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "read"]), st.integers(0, 2**16)),
+    max_size=30,
+)
+
+
+@pytest.fixture(scope="module")
+def tsets_q2(model_q2):
+    return tangent_sets_by_pairs(model_q2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(deadline=None)
+@given(steps=MUTATIONS)
+def test_relevance_vector_tracks_mutations(q, steps, tsets_q2):
+    # reads fall at random positions, so the lazily built vector starts at
+    # different cap states; once it exists every later mutation must keep it
+    model = get_model(q)
+    n, gx = model.num_points, model.gx_size
+    rows = model.tangent_rows(np.arange(n))
+    cap = CapState(model)
+    read = False
+    for op, i in steps + [("read", 0)]:
+        if op == "add":
+            m = cap.uncovered()
+            if m.size:
+                cap.add_point(int(m[i % m.size]))
+        elif op == "remove" and cap.members:
+            cap.remove_point(sorted(cap.members)[i % len(cap.members)])
+        read = read or op == "read"
+        assert cap.covered_count == np.count_nonzero(cap.cmult)
+        if not read:
+            continue
+        rel = cap.relevance_many(np.arange(n))
+        assert np.array_equal(rel, np.count_nonzero(cap.cmult[rows] == 0, axis=1))
+        if op == "read":
+            for x in range(n):
+                assert rel[x] + cap.coverage_intersect(x) == gx
+                if q == 2:
+                    assert rel[x] == relevance_by_sets(tsets_q2, cap.members, x)
 
 
 def test_relevance_against_set_oracle_q2(model_q2):

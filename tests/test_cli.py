@@ -7,6 +7,7 @@ import pytest
 
 from hermcap import classical_ovoid
 from hermcap.capfile import load_cap_ids, read_cap, resolve_cap, serialize_cap, write_cap
+from hermcap import cli
 from hermcap.cli import main
 from hermcap.errors import CapFileError
 
@@ -35,6 +36,24 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("spectrum", "--q", "2", "--runs", "5")  # seed group missing
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--runs", "0", "--empty"],
+        ["--runs", "5", "--seed-size", "-1"],
+        ["--runs", "5", "--seed-size", "345"],  # q^3 + 1 = 344 at q = 7
+    ],
+    ids=["runs-0", "seed-size-negative", "seed-size-above-ovoid"],
+)
+def test_spectrum_bad_config_exits_2_before_model_build(bad, monkeypatch, capsys):
+    def no_build(q):
+        raise AssertionError("model built before the arguments were validated")
+
+    monkeypatch.setattr(cli, "_build_model", no_build)
+    assert run_cli("spectrum", "--q", "7", "--master", "1", *bad) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_passes(capsys):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hermcap import (
+    SearchConfig,
     SplitMix64,
+    StrategyKind,
     canonical_pole,
     classical_ovoid,
     enumerate_generators,
@@ -10,6 +12,7 @@ from hermcap import (
     hermitian_inner,
     is_cap,
     normalize_point,
+    run_strategy,
 )
 from hermcap.errors import TangentPlaneError
 from hermcap.hermitian import plane_pole, polar_plane
@@ -204,3 +207,8 @@ def test_lazy_tangent_mode_matches_dense(model_q2):
     assert lazy.tangent_dense is None
     for x in range(lazy.num_points):
         assert np.array_equal(lazy.tangent_set(x), model_q2.tangent_set(x))
+    # the relevance vector is built and updated from on-demand rows too
+    config = SearchConfig(strategy=StrategyKind.MIN_RELEVANCE, rng_seed=3)
+    assert np.array_equal(
+        run_strategy(lazy, [], config).final_cap, run_strategy(model_q2, [], config).final_cap
+    )

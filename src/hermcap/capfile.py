@@ -42,15 +42,32 @@ def write_cap(path, model: SurfaceModel, ids) -> None:
     Path(path).write_bytes(serialize_cap(model, ids))
 
 
-def read_cap(path) -> dict:
+def parse_cap(data: bytes) -> dict:
+    """Decode cap-file bytes and check their shape; raises CapFileError."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(data)
+    except ValueError as exc:
         raise CapFileError(f"capfile-unreadable: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CapFileError(f"capfile-not-an-object: top level is {type(payload).__name__}")
     for key in ("q", "p", "k", "modulus", "form", "points"):
         if key not in payload:
             raise CapFileError(f"capfile-missing-field: {key}")
+    for key in ("modulus", "points"):
+        if not isinstance(payload[key], list):
+            raise CapFileError(f"capfile-bad-field: {key} must be a list")
+    for raw in payload["points"]:
+        if not isinstance(raw, list):
+            raise CapFileError(f"capfile-bad-coordinates: {raw}")
     return payload
+
+
+def read_cap(path) -> dict:
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CapFileError(f"capfile-unreadable: {exc}") from exc
+    return parse_cap(data)
 
 
 def resolve_cap(model: SurfaceModel, payload: dict) -> np.ndarray:

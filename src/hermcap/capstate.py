@@ -107,10 +107,7 @@ class CapState:
 
     def _row_counts(self, ids: np.ndarray) -> np.ndarray:
         """How many of the tangent sections of ids contain each point."""
-        n = self.model.num_points
-        if len(ids) == 0:  # the on-demand tangent path cannot stack zero rows
-            return np.zeros(n, dtype=np.int64)
-        return np.bincount(self.model.tangent_rows(ids).ravel(), minlength=n)
+        return np.bincount(self.model.tangent_rows(ids).ravel(), minlength=self.model.num_points)
 
     def _relevance(self) -> np.ndarray:
         if self._rel is None:

@@ -18,7 +18,7 @@ from .capstate import CapState
 from .errors import CapFileError, ConfigurationError, HermcapError
 from .galois import FieldSpec, build_field
 from .harness import SeedSpec, emit_histogram, emit_runlog, gap_check, run_spectrum
-from .hermitian import enumerate_generators, enumerate_surface
+from .hermitian import enumerate_generators, enumerate_surface, generators_through
 from .rng import SplitMix64
 from .search import SearchConfig, StrategyKind, TieMode, run_strategy, thin_ovoid
 from .verify import run_checks
@@ -57,7 +57,7 @@ def cmd_surface_info(args) -> int:
     model = _build_model(args.q)
     q = model.q
     gens = enumerate_generators(model)
-    per_point = len(model._gens_by_point[0])
+    per_point = len(generators_through(model, 0))
     ovoid = len(model.classical_ovoid_ids())
     print(
         f"points={model.num_points} gx={model.gx_size} generators={len(gens)} "

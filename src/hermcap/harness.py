@@ -178,8 +178,6 @@ def run_spectrum(
         from .capfile import load_cap_ids
 
         fixed_ids = load_cap_ids(model, seed_spec.path)
-    if seed_spec.kind == "subovoid":
-        model.classical_ovoid_ids()  # cache before any fork
     args = (model, seed_spec, strategy, master_seed, fixed_ids, config_kw)
     if jobs <= 1:
         records = [_execute_run(model, seed_spec, strategy, master_seed, i, fixed_ids, config_kw) for i in range(n_runs)]

@@ -12,11 +12,14 @@ conjugate when H vanishes on the pair; conjugate surface points span a line
 fully contained in the surface (a generator), and the tangent section of a
 point x is the union of the q+1 generators through x, of size q^3 + q^2 + 1.
 
-Tangent sections are precomputed densely (one sorted id row per point) when
-they fit the memory budget; the pairwise conjugacy test is evaluated as a
-GF(p)-bilinear form via blocked matrix products, which keeps the build fast
-enough for q = 7 and beyond.  Generators are derived lazily from the identity
-"the generator through conjugate points x, y is tangent(x) & tangent(y)".
+The model is built generators first.  The classical ovoid meets every
+generator exactly once, so walking its q^3 + 1 points and spanning the q + 1
+generators through each yields every generator exactly once, in O(N q)
+field operations and with no pairwise conjugacy test.  A tangent row is then
+assembled as the sorted union of the q + 1 generators through the point.
+Rows are stored densely (one sorted id row per point) when the table takes
+at most DENSE_LIMIT_BYTES; above that (q >= 13) the same assembly runs on
+demand for each requested row.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, TangentPlaneError
 from .galois import FieldTables
 
-DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of dense tangent storage allowed
+DENSE_LIMIT_BYTES = 1 << 30  # largest dense tangent table built up front
 
 ProjPoint = tuple[int, int, int, int]
 
@@ -74,6 +77,15 @@ class GeneratorLine:
         return len(self.points)
 
 
+def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """H(x, y) over the last axis of coordinate arrays, broadcast elsewhere."""
+    acc = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), dtype=np.int32)
+    cy = field.conj[y]
+    for i in range(4):
+        acc = field.add2[acc, field.mul2[x[..., i], cy[..., i]]]
+    return acc
+
+
 def _pg3_point_families(q2: int):
     """Normalized coordinate arrays of PG(3, q^2), ascending encoding order."""
     r = np.arange(q2, dtype=np.int32)
@@ -92,38 +104,29 @@ def _pg3_point_families(q2: int):
 
 
 class SurfaceModel:
-    """Enumerated Hermitian surface with conjugacy and generator access.
+    """Enumerated Hermitian surface with its generators and tangent sections.
 
-    Immutable after construction apart from the lazily built generator cache,
-    so it is safe to share read-only across workers.
+    Points, classical ovoid, generators and (when they fit) the dense tangent
+    table are all built in the constructor, and nothing changes afterwards,
+    so a model is safe to share read-only across workers.
     """
 
-    def __init__(self, field: FieldTables, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    def __init__(self, field: FieldTables):
         self.field = field
         self.q = field.q
         self.q2 = field.order2
         self.gx_size = self.q**3 + self.q**2 + 1
         self._build_points()
-        self._build_bilinear()
-        dense_bytes = 4 * self.num_points * self.gx_size
+        self._classical_ovoid = classical_ovoid(self)
+        self._build_generators()
         self.tangent_dense: np.ndarray | None = None
-        if dense_bytes <= memory_budget:
+        if 4 * self.num_points * self.gx_size <= DENSE_LIMIT_BYTES:
             self._build_tangent_dense()
-        self._generators: list[GeneratorLine] | None = None
-        self._gens_by_point: list[list[int]] | None = None
-        self._canonical_ovoid: np.ndarray | None = None
 
     # -- construction -------------------------------------------------------
 
     def _build_points(self) -> None:
-        field = self.field
-        rows = []
-        for fam in _pg3_point_families(self.q2):
-            s = field.add2[
-                field.add2[field.norm[fam[:, 0]], field.norm[fam[:, 1]]],
-                field.add2[field.norm[fam[:, 2]], field.norm[fam[:, 3]]],
-            ]
-            rows.append(fam[s == 0])
+        rows = [fam[_form(self.field, fam, fam) == 0] for fam in _pg3_point_families(self.q2)]
         coords = np.concatenate(rows, axis=0)
         keys = self._encode_coords(coords)
         order = np.argsort(keys, kind="stable")
@@ -137,65 +140,67 @@ class SurfaceModel:
             )
 
     def _encode_coords(self, coords: np.ndarray) -> np.ndarray:
-        k = coords[:, 0].astype(np.int64)
+        k = coords[..., 0].astype(np.int64)
         for i in (1, 2, 3):
-            k = k * self.q2 + coords[:, i]
+            k = k * self.q2 + coords[..., i]
         return k
 
-    def _build_bilinear(self) -> None:
-        """H as 2k GF(p)-bilinear components of digit vectors.
+    def _build_generators(self) -> None:
+        """Every generator once, from the ovoid point it meets.
 
-        Components come in pairs packed into a single matrix product with
-        radix R > max component value, so a conjugacy block costs k float32
-        matmuls plus one table gather per pair (no slow float remainders):
-        H(x, y) == 0 iff every packed value has both digits divisible by p.
+        An ovoid point o with leading coordinate j (o_j = 1) lies off the
+        plane {y_j = 0}, which meets each of the q + 1 generators through o
+        in one point y, conjugate to o; the generator is {y} and o + lam*y.
         """
-        field = self.field
-        p, d = field.p, 2 * field.spec.k
-        pw = p ** np.arange(d, dtype=np.int64)
-        # mul tensor: T[t, s, u] = digit t of (basis_s * basis_u)
-        basis = (pw % field.order2).astype(np.int64)  # encodings of x^j
-        prod = field.mul2[np.ix_(basis, basis)]
-        T = field.digits[prod].astype(np.int64).transpose(2, 0, 1)  # (d, d, d)
-        conj_digits = field.digits[field.conj[self.coords]].astype(np.int64)  # (N,4,d)
-        # B_t[n, (i,s)] = sum_u T[t,s,u] * conj_digits[n,i,u]  (mod p)
-        bcomp = [
-            (np.einsum("su,niu->nis", T[t], conj_digits) % p).reshape(self.num_points, 4 * d)
-            for t in range(d)
-        ]
-        self._A = (
-            field.digits[self.coords].astype(np.float32).reshape(self.num_points, 4 * d)
-        )
-        radix = 4 * d * (p - 1) ** 2 + 1
-        if radix * radix > 1 << 24:
-            raise ConfigurationError("packed bilinear form exceeds float32 range")
-        v = np.arange(radix * radix)
-        zero_pair = ((v % radix) % p == 0) & ((v // radix) % p == 0)
-        self._B = [
-            (bcomp[t] + radix * bcomp[t + 1]).astype(np.float32) for t in range(0, d, 2)
-        ]
-        self._zero_pair = zero_pair
+        field, q, q2 = self.field, self.q, self.q2
+        ovoid = self.coords[self._classical_ovoid]
+        lead = np.argmax(ovoid != 0, axis=1)
+        lam = np.arange(q2, dtype=np.int32)[:, None]
+        parts = []
+        for j in range(4):
+            o = ovoid[lead == j]
+            plane = self.coords[self.coords[:, j] == 0]
+            hit = _form(field, o[:, None, :], plane[None, :, :]) == 0
+            if not (hit.sum(axis=1) == q + 1).all():
+                raise ConfigurationError("an ovoid point does not meet q + 1 generators")
+            y = plane[np.nonzero(hit)[1]].reshape(len(o), q + 1, 1, 4)
+            span = field.add2[o[:, None, None, :], field.mul2[lam, y]]
+            parts.append(np.concatenate([y, span], axis=2).reshape(-1, 4))
+        pts = np.concatenate(parts)
+        first = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
+        keys = self._encode_coords(field.mul2[field.inv[first][:, None], pts])
+        ids = np.minimum(np.searchsorted(self.keys, keys), self.num_points - 1)
+        if not (self.keys[ids] == keys).all():
+            raise ConfigurationError("a generated point is off the surface")
+        lines = np.sort(ids.astype(np.int32).reshape(-1, q2 + 1), axis=1)
+        lines = lines[np.lexsort((lines[:, 1], lines[:, 0]))]
+        flat = lines.ravel()
+        if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
+            raise ConfigurationError("a point is not on exactly q + 1 generators")
+        by_point = np.argsort(flat, kind="stable") // (q2 + 1)
+        self._gen_points = lines
+        self._gens_by_point = by_point.astype(np.int32).reshape(self.num_points, q + 1)
+        self._generators = [GeneratorLine(id=g, points=lines[g]) for g in range(len(lines))]
 
-    def _conjugacy_block(self, row_ids: np.ndarray) -> np.ndarray:
-        """Boolean (len(row_ids), N) matrix of H(x, y) == 0."""
-        a = self._A[row_ids]
-        mask = None
-        for bpair in self._B:
-            zp = self._zero_pair[(a @ bpair.T).astype(np.int32)]
-            mask = zp if mask is None else mask & zp
-        return mask
+    def _assemble_rows(self, pids: np.ndarray) -> np.ndarray:
+        """Tangent rows as sorted unions of the q + 1 generators through each point."""
+        pids = np.asarray(pids, dtype=np.intp)
+        width = (self.q + 1) * (self.q2 + 1)
+        members = self._gen_points[self._gens_by_point[pids]].reshape(len(pids), width)
+        block = np.sort(members, axis=1)
+        keep = np.ones(block.shape, dtype=bool)
+        keep[:, 1:] = block[:, 1:] != block[:, :-1]
+        if not (keep.sum(axis=1) == self.gx_size).all():
+            raise ConfigurationError("an assembled tangent row does not hold gx distinct ids")
+        return block[keep].reshape(len(pids), self.gx_size)
 
     def _build_tangent_dense(self) -> None:
-        n, gx = self.num_points, self.gx_size
-        out = np.empty((n, gx), dtype=np.int32)
-        block = max(1, min(n, (1 << 27) // max(1, 4 * n)))
-        for lo in range(0, n, block):
-            ids = np.arange(lo, min(lo + block, n))
-            mask = self._conjugacy_block(ids)
-            counts = mask.sum(axis=1)
-            if not (counts == gx).all():
-                raise ConfigurationError("tangent section size mismatch")
-            out[lo : lo + len(ids)] = np.nonzero(mask)[1].reshape(len(ids), gx)
+        n = self.num_points
+        out = np.empty((n, self.gx_size), dtype=np.int32)
+        step = max(1, (1 << 22) // ((self.q + 1) * (self.q2 + 1)))  # 16 MiB of ids a block
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            out[lo:hi] = self._assemble_rows(np.arange(lo, hi))
         self.tangent_dense = out
 
     # -- point access --------------------------------------------------------
@@ -222,20 +227,13 @@ class SurfaceModel:
         """Sorted ids of the tangent section of pid (includes pid itself)."""
         if self.tangent_dense is not None:
             return self.tangent_dense[pid]
-        return self._tangent_lazy(pid)
-
-    def _tangent_lazy(self, pid: int) -> np.ndarray:
-        mask = self._conjugacy_block(np.array([pid]))[0]
-        row = np.flatnonzero(mask).astype(np.int32)
-        if len(row) != self.gx_size:
-            raise ConfigurationError("tangent section size mismatch")
-        return row
+        return self._assemble_rows(np.array([pid]))[0]
 
     def tangent_rows(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), gx_size) id matrix; rows sorted ascending."""
         if self.tangent_dense is not None:
             return self.tangent_dense[pids]
-        return np.stack([self._tangent_lazy(int(x)) for x in pids])
+        return self._assemble_rows(pids)
 
     def is_conjugate(self, a: int, b: int) -> bool:
         row = self.tangent_set(a)
@@ -243,66 +241,30 @@ class SurfaceModel:
         return i < len(row) and row[i] == b
 
     def classical_ovoid_ids(self) -> np.ndarray:
-        """Cached classical ovoid at the canonical pole."""
-        if self._canonical_ovoid is None:
-            self._canonical_ovoid = classical_ovoid(self)
-        return self._canonical_ovoid
+        """Classical ovoid at the canonical pole."""
+        return self._classical_ovoid
 
 
-def enumerate_surface(
-    field: FieldTables, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> SurfaceModel:
-    """Enumerate the surface and its conjugacy structure for a built field."""
-    return SurfaceModel(field, memory_budget=memory_budget)
+def enumerate_surface(field: FieldTables) -> SurfaceModel:
+    """Enumerate the surface, its generators and tangent sections for a built field."""
+    return SurfaceModel(field)
 
 
 def enumerate_generators(model: SurfaceModel) -> list[GeneratorLine]:
-    """All generator lines, each listed once; cached on the model.
-
-    Processing points in id order, every generator is emitted exactly once
-    at its minimal member: the generator through conjugate x < y is
-    tangent(x) & tangent(y), and once a line is known its block is excluded
-    from the later members' pending sets.
-    """
-    if model._generators is not None:
-        return model._generators
-    gens: list[GeneratorLine] = []
-    by_point: list[list[int]] = [[] for _ in range(model.num_points)]
-    for x in range(model.num_points):
-        row = model.tangent_set(x)
-        pending = row[row != x]
-        if by_point[x]:
-            known = np.concatenate([gens[g].points for g in by_point[x]])
-            pending = np.setdiff1d(pending, known, assume_unique=False)
-        while pending.size:
-            y = int(pending[0])
-            line = np.intersect1d(row, model.tangent_set(y), assume_unique=True)
-            if line[0] != x or len(line) != model.q**2 + 1:
-                raise ConfigurationError("generator enumeration inconsistency")
-            gid = len(gens)
-            gens.append(GeneratorLine(id=gid, points=line.astype(np.int32)))
-            for m in line:
-                by_point[int(m)].append(gid)
-            pending = np.setdiff1d(pending, line, assume_unique=True)
-    model._generators = gens
-    model._gens_by_point = by_point
-    return gens
+    """All generator lines, each listed once, ordered by their two least points."""
+    return model._generators
 
 
 def generators_through(model: SurfaceModel, pid: int) -> list[int]:
-    enumerate_generators(model)
-    return model._gens_by_point[pid]
+    """Ids of the q + 1 generators through pid, ascending."""
+    return model._gens_by_point[pid].tolist()
 
 
 def canonical_pole(model: SurfaceModel) -> ProjPoint:
     """First normalized point of PG(3, q^2), in encoding order, off the surface."""
     field = model.field
     for fam in _pg3_point_families(model.q2):
-        s = field.add2[
-            field.add2[field.norm[fam[:, 0]], field.norm[fam[:, 1]]],
-            field.add2[field.norm[fam[:, 2]], field.norm[fam[:, 3]]],
-        ]
-        off = np.flatnonzero(s != 0)
+        off = np.flatnonzero(_form(field, fam, fam) != 0)
         if off.size:
             keys = model._encode_coords(fam[off])
             return tuple(int(c) for c in fam[off[np.argmin(keys)]])
@@ -320,12 +282,7 @@ def classical_ovoid(model: SurfaceModel, pole: ProjPoint | None = None) -> np.nd
     pole = normalize_point(field, pole)
     if hermitian_inner(field, pole, pole) == 0:
         raise TangentPlaneError(f"pole {pole} lies on the surface; its plane is tangent")
-    acc = np.zeros(model.num_points, dtype=np.int32)
-    for i in range(4):
-        term = field.mul2[model.coords[:, i], field.conj_of(pole[i])]
-        acc = field.add2[acc, term]
-    ids = np.flatnonzero(acc == 0).astype(np.int32)
-    return ids
+    return np.flatnonzero(_form(field, model.coords, np.array(pole)) == 0).astype(np.int32)
 
 
 def is_cap(model: SurfaceModel, points) -> bool:

@@ -206,21 +206,26 @@ def _brute_force_small_q_checks() -> list[CheckResult]:
             for i, a in enumerate(pts):
                 for b in pts[i + 1 :]:
                     pair_on_line.add((a, b))
+        # the same pairs against the scalar form, independent of the construction
         rng = SplitMix64(5)
-        agree = True
+        agree = form_agrees = True
         for _ in range(1000):
             a, b = rng.randbelow(model.num_points), rng.randbelow(model.num_points)
             if a == b:
                 continue
             lo, hi = min(a, b), max(a, b)
-            if model.is_conjugate(a, b) != ((lo, hi) in pair_on_line):
+            conj = model.is_conjugate(a, b)
+            if conj != ((lo, hi) in pair_on_line):
                 agree = False
+            if conj != (hermitian_inner(field, model.coords_of(a), model.coords_of(b)) == 0):
+                form_agrees = False
         out.append(CheckResult(f"oracle-conjugacy-generators-q{q}", agree))
+        out.append(CheckResult(f"oracle-conjugacy-form-q{q}", form_agrees))
     return out
 
 
 def _capfile_checks(model: SurfaceModel, path) -> list[CheckResult]:
-    from .capfile import read_cap, resolve_cap, serialize_cap
+    from .capfile import parse_cap, read_cap, resolve_cap, serialize_cap
 
     try:
         payload = read_cap(path)
@@ -229,19 +234,9 @@ def _capfile_checks(model: SurfaceModel, path) -> list[CheckResult]:
         return [CheckResult("capfile-valid", False, str(exc))]
     out = [CheckResult("capfile-valid", True, f"{len(ids)} points")]
     data = serialize_cap(model, ids)
-    reparsed = resolve_cap(model, read_cap_bytes(data))
+    reparsed = resolve_cap(model, parse_cap(data))
     out.append(CheckResult("capfile-roundtrip", bool(np.array_equal(ids, reparsed))))
     return out
-
-
-def read_cap_bytes(data: bytes) -> dict:
-    import json
-
-    payload = json.loads(data.decode())
-    for key in ("q", "p", "k", "modulus", "form", "points"):
-        if key not in payload:
-            raise CapFileError(f"capfile-missing-field: {key}")
-    return payload
 
 
 def run_checks(model: SurfaceModel, deep: bool = False, cap_path=None) -> list[CheckResult]:

@@ -1,9 +1,11 @@
 """Independent brute-force recomputations used as test oracles.
 
 Everything here is plain set algebra over scalar evaluations of the
-sesquilinear form; none of it touches the incremental counters, dense
-tangent storage, or the line-intersection generator construction that the
-package uses internally.
+sesquilinear form; none of it touches the incremental counters, the
+generators-first construction or the tangent rows assembled from it that
+the package uses internally.  In particular ``tangent_sets_by_pairs`` tests
+conjugacy pair by pair, the way the package no longer does, so it checks
+the assembled rows independently.
 """
 
 from itertools import combinations

@@ -121,6 +121,31 @@ def test_verify_names_capfile_failure(tmp_path, capsys):
     assert "first failing invariant: capfile-valid" in out.err
 
 
+def _malformed_cap(kind, model):
+    if kind == "top-level-number":
+        return "5"
+    payload = json.loads(serialize_cap(model, classical_ovoid(model)))
+    if kind == "modulus-number":
+        payload["modulus"] = 5
+    else:
+        payload["points"] = [7]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("kind", ["top-level-number", "modulus-number", "point-number"])
+def test_malformed_cap_file_exits_1_without_traceback(kind, tmp_path, model_q2, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed_cap(kind, model_q2))
+    assert run_cli("complete", "--q", "2", "--input", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: capfile-") and "Traceback" not in err
+    assert run_cli("verify", "--q", "2", "--cap", str(bad)) == 1
+    out = capsys.readouterr()
+    assert "FAIL capfile-valid (capfile-" in out.out
+    assert "first failing invariant: capfile-valid" in out.err
+    assert "Traceback" not in out.out + out.err
+
+
 def test_complete_with_ovoid_input(tmp_path, model_q2, capsys):
     ov = classical_ovoid(model_q2)
     inp = tmp_path / "in.json"

@@ -6,11 +6,17 @@ RNG draws or trace entries still shows.  The spectrum digest covers the
 runlog and CSV histogram bytes of one q = 3 sweep, which must be identical
 for every ``jobs`` value.  A digest may only change in a change that says why
 in ``CHANGES.md``.
+
+The construction digests cover the surface's incidence structure itself:
+the dense tangent table, the generator point arrays in id order and the
+generator ids through every point.  q = 4 is the one surface here over a
+field GF(p^k) with k > 1.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from hermcap import (
@@ -19,7 +25,9 @@ from hermcap import (
     SplitMix64,
     StrategyKind,
     emit_histogram,
+    enumerate_generators,
     emit_runlog,
+    generators_through,
     run_spectrum,
     run_strategy,
     sample_subcap,
@@ -49,6 +57,35 @@ RUN_DIGESTS = {
 
 SPECTRUM_DIGEST = "4c12caddf90ae9122899a4ded20684afc80de47de867dc7c33b4b9fc7875ee61"
 
+# q -> (tangent_dense, generator points in id order, generators through each point)
+CONSTRUCTION_DIGESTS = {
+    2: (
+        "8da3f5e1980eed3030b0a654c8ac69c095e0bfd6b6e1f7a689484717188f09ac",
+        "812344c1b5ce2836fc801a837a8432c5e04fc253268b8a69eb4c560f4e6597f3",
+        "187eebb689f02b70956f338bdd7a5355a49545f9038054ca21f66252cda70658",
+    ),
+    3: (
+        "a9e1faa2ee753a80e3836c1c266cfc94873adceb6ad45278b92fd780d18ed467",
+        "57204bd338dea43e86ff4ed34b2736d23be9d8472f976c1a346e4123dbfa866b",
+        "f0e1d140c4ace8fca2c4cbfad0b5aa1555ff669e0741ed67cf110ce42adaa0dd",
+    ),
+    4: (
+        "e1f89f7d4c04740ddc36b377020fc3f9528f0f9f30be3de459becf3eec441fea",
+        "0f49879393d879b1061b847b547ef82682f67f75b5f8213edbb39fba6d6f8319",
+        "9cc7940330e689dbba14b95503c00227155235849b7119d848af1a795295c4bb",
+    ),
+    5: (
+        "0520b7f360367c79c520d330a0e8876fcbba8dfc386d987b3f7dc9610268dd14",
+        "b93a7d1f6f200b38fe40f296d0bfcee4dc366e587a5c757fda8cc80169815f9a",
+        "7625a758ed856bdd30c3437ec7a4263522f9e8501e65d4fa5029dcd9fa385402",
+    ),
+    7: (
+        "d2337ef26c0dd89abaa5ec56c6a25bbf66b1ebbe168bbcbcadddded7d1baeaeb",
+        "127b218f00cdeb0d6cf46d92fe91d50969d0c029ae2d07a86ec509e67026d1e6",
+        "9adbf0dfe0e3e7aef96a969f1a246c72edb4e2339e1d7fbeebb5a24178cc2dc6",
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -69,6 +106,22 @@ def run_digest(q, seed_size, strategy, seed):
     return sha256(json.dumps(payload, separators=(",", ":")).encode())
 
 
+def construction_digests(q):
+    model = get_model(q)
+    gens = enumerate_generators(model)
+    assert [g.id for g in gens] == list(range(len(gens)))
+    points = np.concatenate([np.asarray(g.points, dtype=np.int32) for g in gens])
+    through = np.array(
+        [np.asarray(generators_through(model, x), dtype=np.int32) for x in range(model.num_points)],
+        dtype=np.int32,
+    )
+    return (
+        sha256(model.tangent_dense.tobytes()),
+        sha256(points.tobytes()),
+        sha256(through.tobytes()),
+    )
+
+
 def spectrum_digest(jobs):
     hist, records = run_spectrum(
         get_model(3), SeedSpec.subovoid(6), StrategyKind.BACKTRACK,
@@ -85,3 +138,8 @@ def test_run_digest(case):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_spectrum_digest(jobs):
     assert spectrum_digest(jobs) == SPECTRUM_DIGEST
+
+
+@pytest.mark.parametrize("q", sorted(CONSTRUCTION_DIGESTS))
+def test_construction_digests(q):
+    assert construction_digests(q) == CONSTRUCTION_DIGESTS[q]

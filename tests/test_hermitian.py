@@ -61,10 +61,26 @@ def test_tangent_sections(q):
         assert x in row
 
 
-def test_tangent_sets_match_pairwise_oracle_q2(model_q2):
-    oracle = tangent_sets_by_pairs(model_q2)
-    for x in range(model_q2.num_points):
-        assert set(map(int, model_q2.tangent_set(x))) == oracle[x]
+@pytest.mark.parametrize("q", [2, 3])
+def test_tangent_sets_match_pairwise_oracle(q):
+    model = get_model(q)
+    oracle = tangent_sets_by_pairs(model)
+    for x in range(model.num_points):
+        assert set(map(int, model.tangent_set(x))) == oracle[x]
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_tangent_rows_satisfy_scalar_form(q):
+    # gx distinct ids that are all conjugate to x pin the row down exactly
+    model = get_model(q)
+    f = model.field
+    rng = SplitMix64(40 + q)
+    for _ in range(12):
+        x = rng.randbelow(model.num_points)
+        row = model.tangent_set(x)
+        assert len(row) == model.gx_size and (np.diff(row) > 0).all()
+        cx = model.coords_of(x)
+        assert all(hermitian_inner(f, cx, model.coords_of(int(y))) == 0 for y in row)
 
 
 def test_conjugacy_symmetric(model_q5):
@@ -200,13 +216,17 @@ def test_point_on_surface_from_norm_equation(model_q5):
         model_q5.point_id((1, 0, 0, a))  # resolvable to a PointId
 
 
-def test_lazy_tangent_mode_matches_dense(model_q2):
-    from hermcap import enumerate_surface
+def test_lazy_tangent_mode_matches_dense(model_q2, monkeypatch):
+    from hermcap import enumerate_surface, hermitian
 
-    lazy = enumerate_surface(model_q2.field, memory_budget=0)
+    monkeypatch.setattr(hermitian, "DENSE_LIMIT_BYTES", 0)
+    lazy = enumerate_surface(model_q2.field)
     assert lazy.tangent_dense is None
     for x in range(lazy.num_points):
         assert np.array_equal(lazy.tangent_set(x), model_q2.tangent_set(x))
+    ids = np.arange(lazy.num_points)
+    assert np.array_equal(lazy.tangent_rows(ids), model_q2.tangent_dense)
+    assert lazy.tangent_rows(ids[:0]).shape == (0, lazy.gx_size)
     # the relevance vector is built and updated from on-demand rows too
     config = SearchConfig(strategy=StrategyKind.MIN_RELEVANCE, rng_seed=3)
     assert np.array_equal(

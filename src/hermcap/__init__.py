@@ -39,12 +39,8 @@ from .search import (
     StrategyKind,
     TieMode,
     backtrack_enlarge,
-    complete_forward,
-    complete_min_relevance,
-    complete_random,
     run_strategy,
     sample_subcap,
-    select_forward,
     thin_ovoid,
 )
 
@@ -69,9 +65,6 @@ __all__ = [
     "build_field",
     "canonical_pole",
     "classical_ovoid",
-    "complete_forward",
-    "complete_min_relevance",
-    "complete_random",
     "derive_seed",
     "emit_histogram",
     "emit_runlog",
@@ -89,6 +82,5 @@ __all__ = [
     "run_spectrum",
     "run_strategy",
     "sample_subcap",
-    "select_forward",
     "thin_ovoid",
 ]

@@ -79,12 +79,10 @@ class CapState:
             raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
         row = self.model.tangent_set(x)
         vals = self.cmult[row]
-        if self._rel is None:
-            self.covered_count += int(np.count_nonzero(vals == 0))
-        else:
-            newly_covered = row[vals == 0]
-            self.covered_count += len(newly_covered)
-            self._rel -= self._row_counts(newly_covered)
+        newly_covered = vals == 0
+        self.covered_count += int(np.count_nonzero(newly_covered))
+        if self._rel is not None:
+            self._rel -= self._row_counts(row[newly_covered])
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -95,12 +93,10 @@ class CapState:
         row = self.model.tangent_set(x)
         vals = self.cmult[row] - 1
         self.cmult[row] = vals
-        if self._rel is None:
-            self.covered_count -= int(np.count_nonzero(vals == 0))
-        else:
-            newly_uncovered = row[vals == 0]
-            self.covered_count -= len(newly_uncovered)
-            self._rel += self._row_counts(newly_uncovered)
+        newly_uncovered = vals == 0
+        self.covered_count -= int(np.count_nonzero(newly_uncovered))
+        if self._rel is not None:
+            self._rel += self._row_counts(row[newly_uncovered])
         self.members.remove(x)
 
     # -- relevance vector ----------------------------------------------------
@@ -159,11 +155,8 @@ class CapState:
             raise MemberNotFoundError(f"weight is defined for members only, not {x}")
         return float(np.sum(1.0 / self.cmult[self.model.tangent_set(x)]))
 
-    def weight_after_add(self, x: int) -> float:
-        """Weight x would have right after joining the cap."""
-        return float(np.sum(1.0 / (self.cmult[self.model.tangent_set(int(x))] + 1.0)))
-
     def weight_after_add_many(self, ids: np.ndarray) -> np.ndarray:
+        """Weight each of ids would have right after joining the cap."""
         rows = self.model.tangent_rows(np.asarray(ids))
         return np.sum(1.0 / (self.cmult[rows] + 1.0), axis=1)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .hermitian import SurfaceModel, classical_ovoid
 from .rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
-from .search import SearchConfig, SearchOutcome, StrategyKind, TieMode, run_strategy, sample_subcap
+from .search import SearchConfig, SearchOutcome, StrategyKind, run_strategy, sample_subcap
 
 
 def derive_seed(master: int, run_index: int) -> int:
@@ -131,12 +131,11 @@ def _execute_run(
     master_seed: int,
     run_index: int,
     fixed_ids,
-    config_kw: dict,
 ) -> RunRecord:
     derived = derive_seed(master_seed, run_index)
     rng = SplitMix64(derived)
     seed_ids = _seed_ids(model, spec, rng, fixed_ids)
-    config = SearchConfig(strategy=strategy, rng_seed=rng.next_u64(), **config_kw)
+    config = SearchConfig(strategy=strategy, rng_seed=rng.next_u64())
     t0 = time.perf_counter()
     outcome: SearchOutcome = run_strategy(model, seed_ids, config)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -157,8 +156,8 @@ _POOL_CTX = None
 
 
 def _pool_run(run_index: int) -> RunRecord:
-    model, spec, strategy, master_seed, fixed_ids, config_kw = _POOL_CTX
-    return _execute_run(model, spec, strategy, master_seed, run_index, fixed_ids, config_kw)
+    model, spec, strategy, master_seed, fixed_ids = _POOL_CTX
+    return _execute_run(model, spec, strategy, master_seed, run_index, fixed_ids)
 
 
 def run_spectrum(
@@ -168,7 +167,6 @@ def run_spectrum(
     n_runs: int,
     master_seed: int,
     jobs: int = 1,
-    **config_kw,
 ) -> tuple[Histogram, list[RunRecord]]:
     """n_runs seeded runs; identical records for any jobs value."""
     if n_runs < 1:
@@ -178,9 +176,9 @@ def run_spectrum(
         from .capfile import load_cap_ids
 
         fixed_ids = load_cap_ids(model, seed_spec.path)
-    args = (model, seed_spec, strategy, master_seed, fixed_ids, config_kw)
+    args = (model, seed_spec, strategy, master_seed, fixed_ids)
     if jobs <= 1:
-        records = [_execute_run(model, seed_spec, strategy, master_seed, i, fixed_ids, config_kw) for i in range(n_runs)]
+        records = [_execute_run(model, seed_spec, strategy, master_seed, i, fixed_ids) for i in range(n_runs)]
     else:
         global _POOL_CTX
         _POOL_CTX = args

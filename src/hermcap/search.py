@@ -1,16 +1,20 @@
 """Cap construction strategies.
 
-Four ways to produce a complete cap:
+``run_strategy`` is the one driver.  It seeds a ``CapState`` with the input
+cap and runs ``_complete``, which adds one uncovered point per step until the
+cap is complete.  The point comes from the strategy's selection rule in
+``_SELECT``; every rule is called as ``rule(cap, uncovered, rng, config)``:
 
-* random completion: repeatedly add a uniformly random uncovered point;
-* minimal-relevance completion: always add an uncovered point whose
-  relevance is minimal (locally covers the fewest new points);
-* forward-looking completion: evaluate each uncovered candidate t by the
-  number of minimal-relevance points the cap would have after adding t, and
-  add the candidate scoring best under the configured tie mode;
-* backtracking enlargement: starting from a complete cap, remove members of
-  maximal relevance-after-removal and replace them with lower-relevance
-  points, then extend back to completeness by minimal weight-after-addition.
+* RANDOM: a uniformly random uncovered point;
+* MIN_RELEVANCE: an uncovered point of minimal relevance (it locally covers
+  the fewest new points);
+* FORWARD: each uncovered candidate t is scored by the number of
+  minimal-relevance points the cap would have after adding t, and a
+  candidate scoring best under the configured tie mode is added;
+* BACKTRACK: random completion, after which ``backtrack_enlarge`` removes
+  members of maximal relevance-after-removal, replaces them with
+  lower-relevance points and completes the cap again through ``_complete``
+  with the minimal weight-after-addition rule.
 
 All tie-breaking is uniform over the tied candidates under the run's own
 deterministic RNG stream, so a (model, seed cap, config) triple fully
@@ -20,12 +24,12 @@ determines the outcome.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .capstate import CapState
-from .errors import CapCompleteError, HermcapError
+from .errors import HermcapError
 from .hermitian import SurfaceModel, is_cap
 from .rng import SplitMix64
 
@@ -50,7 +54,6 @@ class SearchConfig:
     rng_seed: int = 0
     forward_tie_mode: TieMode = TieMode.MAX_COUNT
     backtrack_max_depth: int | None = None  # default: q, resolved at run time
-    candidate_cap: int | None = None  # forward search candidate subsampling
     keep_trace: bool = False
 
     def __post_init__(self) -> None:
@@ -74,8 +77,7 @@ def _pick(rng: SplitMix64, arr: np.ndarray) -> int:
     return int(arr[rng.randbelow(len(arr))])
 
 
-def _outcome(model: SurfaceModel, cap: CapState, iterations: int, trace) -> SearchOutcome:
-    final = cap.members_sorted()
+def _outcome(model: SurfaceModel, final: np.ndarray, iterations: int, trace) -> SearchOutcome:
     return SearchOutcome(
         final_cap=final,
         is_ovoid=len(final) == model.q**3 + 1,
@@ -84,8 +86,8 @@ def _outcome(model: SurfaceModel, cap: CapState, iterations: int, trace) -> Sear
     )
 
 
-def _complete(cap: CapState, select, rng: SplitMix64, trace) -> int:
-    """Add select(cap, uncovered, rng) until the cap is complete; returns the count.
+def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trace) -> int:
+    """Add select(cap, uncovered, rng, config) until the cap is complete; returns the count.
 
     ``uncovered`` is the sorted array of uncovered points, filtered in place
     of a fresh scan after every addition.
@@ -93,7 +95,7 @@ def _complete(cap: CapState, select, rng: SplitMix64, trace) -> int:
     m = cap.uncovered()
     iterations = 0
     while m.size:
-        x = select(cap, m, rng)
+        x = select(cap, m, rng, config)
         if trace is not None:
             trace.append((x, cap.relevance(x)))
         cap.add_point(x)
@@ -102,31 +104,24 @@ def _complete(cap: CapState, select, rng: SplitMix64, trace) -> int:
     return iterations
 
 
-def _select_random(cap: CapState, m: np.ndarray, rng: SplitMix64) -> int:
+def _select_random(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
     return _pick(rng, m)
 
 
-def _select_min_relevance(cap: CapState, m: np.ndarray, rng: SplitMix64) -> int:
+def _select_min_relevance(
+    cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig
+) -> int:
     rel = cap.relevance_many(m)
     return _pick(rng, m[rel == rel.min()])
 
 
-def _select_forward(
-    cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig
-) -> int:
+def _select_lookahead(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
     rel = cap.relevance_many(m)
-    rmin = int(rel.min())
-    if rmin == 1:
+    if int(rel.min()) == 1:
         # a relevance-1 point covers only itself; adding one is always safe
         return _pick(rng, m[rel == 1])
-    cands = m
-    if config.candidate_cap is not None and cands.size > config.candidate_cap:
-        cands = np.array(
-            sorted(rng.sample([int(c) for c in cands], config.candidate_cap)),
-            dtype=m.dtype,
-        )
-    rho = np.empty(cands.size, dtype=np.int64)
-    for i, t in enumerate(cands):
+    rho = np.empty(m.size, dtype=np.int64)
+    for i, t in enumerate(m):
         cap.add_point(int(t))
         m2 = m[cap.cmult[m] == 0]
         if m2.size == 0:
@@ -136,65 +131,31 @@ def _select_forward(
             rho[i] = int(np.count_nonzero(r2 == r2.min()))
         cap.remove_point(int(t))
     if config.forward_tie_mode is TieMode.MAX_COUNT:
-        ties = cands[rho == rho.max()]
-    else:
-        ties = cands[rho == rho.min()]
-    return _pick(rng, ties)
+        return _pick(rng, m[rho == rho.max()])
+    return _pick(rng, m[rho == rho.min()])
 
 
-def select_forward(model: SurfaceModel, cap: CapState, config: SearchConfig) -> int:
-    """One forward-search point selection for an incomplete cap."""
-    m = cap.uncovered()
-    if m.size == 0:
-        raise CapCompleteError("cap is complete; nothing to select")
-    return _select_forward(cap, m, SplitMix64(config.rng_seed), config)
+def _select_min_weight(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
+    w = cap.weight_after_add_many(m)
+    return _pick(rng, m[w <= w.min() + WEIGHT_TOL])
 
 
-def _run_completion(
-    model: SurfaceModel, seed_cap, config: SearchConfig, select
-) -> SearchOutcome:
-    rng = SplitMix64(config.rng_seed)
-    cap = CapState.from_ids(model, seed_cap)
-    trace = [] if config.keep_trace else None
-    iterations = _complete(cap, select, rng, trace)
-    return _outcome(model, cap, iterations, trace)
+# the completion rule of each strategy; BACKTRACK then enlarges its result
+_SELECT = {
+    StrategyKind.RANDOM: _select_random,
+    StrategyKind.MIN_RELEVANCE: _select_min_relevance,
+    StrategyKind.FORWARD: _select_lookahead,
+    StrategyKind.BACKTRACK: _select_random,
+}
 
 
-def complete_random(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
-    """Uniformly random completion of a seed cap."""
-    return _run_completion(model, seed_cap, config, _select_random)
-
-
-def complete_min_relevance(
-    model: SurfaceModel, seed_cap, config: SearchConfig
-) -> SearchOutcome:
-    """Completion adding an uncovered point of minimal relevance each step."""
-    return _run_completion(model, seed_cap, config, _select_min_relevance)
-
-
-def complete_forward(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
-    """Completion driven by the forward-looking selection rule."""
-    return _run_completion(
-        model, seed_cap, config, lambda cap, m, rng: _select_forward(cap, m, rng, config)
-    )
-
-
-def _extend_min_weight(cap: CapState, rng: SplitMix64) -> int:
-    added = 0
-    while not cap.is_complete():
-        m = cap.uncovered()
-        w = cap.weight_after_add_many(m)
-        ties = m[w <= w.min() + WEIGHT_TOL]
-        cap.add_point(_pick(rng, ties))
-        added += 1
-    return added
-
-
-def _backtrack_step(cap: CapState, protected: frozenset, depth: int, rng, counter) -> bool:
-    """One removal level; restores the state exactly when it fails."""
+def _backtrack_step(
+    cap: CapState, protected: frozenset, depth: int, rng: SplitMix64, config: SearchConfig
+) -> int | None:
+    """One removal level; returns the points added, or None after restoring the state."""
     removable = np.array(sorted(cap.members - protected), dtype=np.int64)
     if removable.size == 0 or depth <= 0:
-        return False
+        return None
     rvals = cap.removal_relevance_many(removable)
     worst = int(rvals.max())
     p = _pick(rng, removable[rvals == worst])
@@ -203,15 +164,13 @@ def _backtrack_step(cap: CapState, protected: frozenset, depth: int, rng, counte
     better = m[cap.relevance_many(m) < worst]
     if better.size:
         cap.add_point(_pick(rng, better))
-        counter[0] += 1
-        ok = True
+        added = 1
     else:
-        ok = _backtrack_step(cap, protected, depth - 1, rng, counter)
-    if not ok:
-        cap.add_point(p)
-        return False
-    counter[0] += _extend_min_weight(cap, rng)
-    return True
+        added = _backtrack_step(cap, protected, depth - 1, rng, config)
+        if added is None:
+            cap.add_point(p)
+            return None
+    return added + _complete(cap, _select_min_weight, rng, config, None)
 
 
 def backtrack_enlarge(
@@ -232,45 +191,26 @@ def backtrack_enlarge(
         raise ValueError("backtracking expects a complete cap as input")
     input_ids = cap.members_sorted()
     depth = config.backtrack_max_depth if config.backtrack_max_depth else model.q
-    counter = [0]
-    ok = _backtrack_step(cap, protected, depth, rng, counter)
-    if not ok or len(cap) < len(input_ids):
-        return SearchOutcome(
-            final_cap=input_ids,
-            is_ovoid=len(input_ids) == model.q**3 + 1,
-            iterations=0,
-            trace=None,
-        )
-    return _outcome(model, cap, counter[0], None)
+    added = _backtrack_step(cap, protected, depth, rng, config)
+    if added is None or len(cap) < len(input_ids):
+        return _outcome(model, input_ids, 0, None)
+    return _outcome(model, cap.members_sorted(), added, None)
 
 
 def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
-    """Dispatch on config.strategy; BACKTRACK first random-completes the seed."""
-    if config.strategy is StrategyKind.RANDOM:
-        return complete_random(model, seed_cap, config)
-    if config.strategy is StrategyKind.MIN_RELEVANCE:
-        return complete_min_relevance(model, seed_cap, config)
-    if config.strategy is StrategyKind.FORWARD:
-        return complete_forward(model, seed_cap, config)
-    if config.strategy is StrategyKind.BACKTRACK:
-        rng = SplitMix64(config.rng_seed)
-        cap = CapState.from_ids(model, seed_cap)
-        trace = [] if config.keep_trace else None
-        base_iters = _complete(cap, _select_random, rng, trace)
-        base = cap.members_sorted()
-        inner = SearchConfig(
-            strategy=StrategyKind.BACKTRACK,
-            rng_seed=rng.next_u64(),
-            backtrack_max_depth=config.backtrack_max_depth,
-        )
-        out = backtrack_enlarge(model, seed_cap, base, inner)
-        return SearchOutcome(
-            final_cap=out.final_cap,
-            is_ovoid=out.is_ovoid,
-            iterations=base_iters + out.iterations,
-            trace=trace,
-        )
-    raise HermcapError(f"unknown strategy {config.strategy!r}")
+    """Complete the seed cap by config.strategy's rule; BACKTRACK then enlarges the result."""
+    select = _SELECT.get(config.strategy)
+    if select is None:
+        raise HermcapError(f"unknown strategy {config.strategy!r}")
+    rng = SplitMix64(config.rng_seed)
+    cap = CapState.from_ids(model, seed_cap)
+    trace = [] if config.keep_trace else None
+    iterations = _complete(cap, select, rng, config, trace)
+    if config.strategy is not StrategyKind.BACKTRACK:
+        return _outcome(model, cap.members_sorted(), iterations, trace)
+    inner = replace(config, rng_seed=rng.next_u64())
+    out = backtrack_enlarge(model, seed_cap, cap.members_sorted(), inner)
+    return _outcome(model, out.final_cap, iterations + out.iterations, trace)
 
 
 def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
@@ -315,7 +255,7 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
                     break
                 # removing z must not orphan an off-ovoid point: the only
                 # multiplicity-1 point in tangent(z) may be z itself
-                if np.count_nonzero(cs.cmult[model.tangent_set(z)] == 1) == 1:
+                if cs.removal_relevance(z) == 1:
                     cs.remove_point(z)
                     omega.append(z)
             if len(omega) == need:

@@ -1,7 +1,10 @@
 """Invariant suites behind the `verify` subcommand.
 
 Each check returns (name, ok, detail); the CLI prints one line per check and
-exits nonzero on the first failure.  The deep suite adds generator
+exits nonzero on the first failure.  A check group that raises (a corrupted
+model can break the cap state it builds) reports one failing
+``<group>-checks-raised`` result carrying the exception text, and the
+remaining groups still run.  The deep suite adds generator
 enumeration and small-q brute-force oracles (set-algebra recomputations
 independent of the incremental counters).
 """
@@ -27,7 +30,7 @@ from .hermitian import (
     polar_plane,
 )
 from .rng import SplitMix64
-from .search import SearchConfig, complete_random
+from .search import SearchConfig, run_strategy
 
 
 @dataclass
@@ -149,12 +152,12 @@ def _search_checks(model: SurfaceModel) -> list[CheckResult]:
     q = model.q
     sizes_ok = True
     for i in range(5):
-        o = complete_random(model, [], SearchConfig(rng_seed=500 + i))
+        o = run_strategy(model, [], SearchConfig(rng_seed=500 + i))
         cs = CapState.from_ids(model, o.final_cap)
         sizes_ok = sizes_ok and cs.is_complete() and q**2 + 1 <= o.size <= q**3 + 1
     out.append(CheckResult("search-random-complete-in-bounds", sizes_ok))
-    a = complete_random(model, [], SearchConfig(rng_seed=321))
-    b = complete_random(model, [], SearchConfig(rng_seed=321))
+    a = run_strategy(model, [], SearchConfig(rng_seed=321))
+    b = run_strategy(model, [], SearchConfig(rng_seed=321))
     out.append(CheckResult("search-deterministic", bool(np.array_equal(a.final_cap, b.final_cap))))
     return out
 
@@ -239,15 +242,25 @@ def _capfile_checks(model: SurfaceModel, path) -> list[CheckResult]:
     return out
 
 
+def _run_group(group: str, check, *args) -> list[CheckResult]:
+    try:
+        return check(*args)
+    except Exception as exc:  # a raising check is a failed invariant, not a crash
+        return [CheckResult(f"{group}-checks-raised", False, f"{type(exc).__name__}: {exc}")]
+
+
 def run_checks(model: SurfaceModel, deep: bool = False, cap_path=None) -> list[CheckResult]:
-    results = []
-    results += _field_checks(model.field)
-    results += _surface_checks(model)
-    results += _capstate_checks(model)
-    results += _search_checks(model)
+    groups = [
+        ("field", _field_checks, model.field),
+        ("surface", _surface_checks, model),
+        ("capstate", _capstate_checks, model),
+        ("search", _search_checks, model),
+    ]
     if deep:
-        results += _generator_checks(model)
-        results += _brute_force_small_q_checks()
+        groups += [("generators", _generator_checks, model), ("oracle", _brute_force_small_q_checks)]
     if cap_path is not None:
-        results += _capfile_checks(model, cap_path)
+        groups.append(("capfile", _capfile_checks, model, cap_path))
+    results = []
+    for group, check, *args in groups:
+        results += _run_group(group, check, *args)
     return results

@@ -219,11 +219,11 @@ def test_ovoid_member_weights_exact(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_complete_cap_weights_sum_to_surface_size(q):
-    from hermcap import SearchConfig, complete_random
+    from hermcap import SearchConfig, run_strategy
 
     model = get_model(q)
     for i in range(10):
-        out = complete_random(model, [], SearchConfig(rng_seed=900 + i))
+        out = run_strategy(model, [], SearchConfig(rng_seed=900 + i))
         cap = CapState.from_ids(model, out.final_cap)
         total = sum((cap.weight(int(x)) for x in out.final_cap), Fraction(0))
         assert total == Fraction((q**3 + 1) * (q**2 + 1))

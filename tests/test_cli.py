@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hermcap
 from hermcap import classical_ovoid
 from hermcap.capfile import load_cap_ids, read_cap, resolve_cap, serialize_cap, write_cap
 from hermcap import cli
@@ -119,6 +122,20 @@ def test_verify_names_capfile_failure(tmp_path, capsys):
     assert "FAIL capfile-valid" in out.out
     assert "capfile-point-off-surface" in out.out
     assert "first failing invariant: capfile-valid" in out.err
+
+
+def test_verify_reports_raising_check_as_failure(monkeypatch, capsys):
+    # a fresh model, not the shared cache: with two tangent rows swapped the
+    # search checks' random completion adds a covered point and raises
+    model = cli._build_model(2)
+    model.tangent_dense[[0, 1]] = model.tangent_dense[[1, 0]]
+    monkeypatch.setattr(cli, "_build_model", lambda q: model)
+    assert run_cli("verify", "--q", "2", "--deep") == 1
+    out = capsys.readouterr()
+    assert "FAIL search-checks-raised (CapViolationError: point " in out.out
+    assert "ok   oracle-conjugacy-form-q3" in out.out  # later groups still run
+    assert "first failing invariant: " in out.err
+    assert "Traceback" not in out.out + out.err
 
 
 def _malformed_cap(kind, model):
@@ -251,10 +268,14 @@ def test_ovoid_and_thin_commands(tmp_path, model_q2, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(hermcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hermcap.cli", "surface-info", "--q", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "points=280 gx=37 generators=112 per_point=4 ovoid=28"

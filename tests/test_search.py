@@ -9,20 +9,25 @@ from hermcap import (
     TieMode,
     backtrack_enlarge,
     classical_ovoid,
-    complete_forward,
-    complete_min_relevance,
-    complete_random,
     is_cap,
     run_strategy,
     sample_subcap,
-    select_forward,
     thin_ovoid,
 )
-from hermcap.errors import CapCompleteError, CapViolationError
+from hermcap.errors import CapViolationError
 
 from .conftest import get_model
 
-ALL_COMPLETIONS = (complete_random, complete_min_relevance, complete_forward)
+# BACKTRACK enlarges after completing, so only the pure completions add
+# exactly one point per iteration
+PURE_COMPLETIONS = (StrategyKind.RANDOM, StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD)
+by_strategy = pytest.mark.parametrize(
+    "strategy", list(StrategyKind), ids=lambda s: "complete_" + s.value.replace("-", "_")
+)
+
+
+def complete(model, seed, strategy, **config):
+    return run_strategy(model, seed, SearchConfig(strategy=strategy, **config))
 
 
 def assert_complete_cap(model, outcome, seed):
@@ -35,41 +40,43 @@ def assert_complete_cap(model, outcome, seed):
     assert outcome.is_ovoid == (outcome.size == q**3 + 1)
 
 
-@pytest.mark.parametrize("fn", ALL_COMPLETIONS)
+@by_strategy
 @pytest.mark.parametrize("q", [2, 3])
-def test_completions_from_empty(fn, q):
+def test_completions_from_empty(strategy, q):
     model = get_model(q)
     for seed in range(5):
-        out = fn(model, [], SearchConfig(rng_seed=seed))
+        out = complete(model, [], strategy, rng_seed=seed)
         assert_complete_cap(model, out, [])
-        assert out.iterations == out.size
+        if strategy in PURE_COMPLETIONS:
+            assert out.iterations == out.size
 
 
-@pytest.mark.parametrize("fn", ALL_COMPLETIONS)
-def test_determinism(fn, model_q3):
-    a = fn(model_q3, [], SearchConfig(rng_seed=77))
-    b = fn(model_q3, [], SearchConfig(rng_seed=77))
+@by_strategy
+def test_determinism(strategy, model_q3):
+    a = complete(model_q3, [], strategy, rng_seed=77)
+    b = complete(model_q3, [], strategy, rng_seed=77)
     assert np.array_equal(a.final_cap, b.final_cap)
     assert a.iterations == b.iterations
 
 
 def test_random_completion_bound_on_iterations(model_q5):
-    out = complete_random(model_q5, [], SearchConfig(rng_seed=5))
+    out = complete(model_q5, [], StrategyKind.RANDOM, rng_seed=5)
     assert out.iterations <= model_q5.q**3 + 1
 
 
 def test_non_cap_seed_rejected(model_q2):
     pair = model_q2.tangent_set(0)[:2]
     with pytest.raises(CapViolationError):
-        complete_random(model_q2, pair, SearchConfig(rng_seed=0))
+        complete(model_q2, pair, StrategyKind.RANDOM, rng_seed=0)
 
 
 def test_ovoid_seed_returned_unchanged(model_q5):
     ov = classical_ovoid(model_q5)
-    for fn in ALL_COMPLETIONS:
-        out = fn(model_q5, ov, SearchConfig(rng_seed=1))
+    for strategy in StrategyKind:
+        out = complete(model_q5, ov, strategy, rng_seed=1)
         assert np.array_equal(out.final_cap, ov)
-        assert out.iterations == 0
+        if strategy in PURE_COMPLETIONS:
+            assert out.iterations == 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -77,16 +84,17 @@ def test_ovoid_minus_few_points_recovers_uniquely(model_q5, k):
     ov = classical_ovoid(model_q5)
     rng = SplitMix64(300 + k)
     sub = sample_subcap(ov, len(ov) - k, rng)
-    for fn in ALL_COMPLETIONS:
-        out = fn(model_q5, sub, SearchConfig(rng_seed=k))
+    for strategy in StrategyKind:
+        out = complete(model_q5, sub, strategy, rng_seed=k)
         assert np.array_equal(out.final_cap, ov)
-        assert out.iterations == k
+        if strategy in PURE_COMPLETIONS:
+            assert out.iterations == k
 
 
 def test_min_relevance_single_hole_one_step(model_q3):
     ov = classical_ovoid(model_q3)
     sub = ov[1:]
-    out = complete_min_relevance(model_q3, sub, SearchConfig(rng_seed=4))
+    out = complete(model_q3, sub, StrategyKind.MIN_RELEVANCE, rng_seed=4)
     assert out.iterations == 1
     assert np.array_equal(out.final_cap, ov)
 
@@ -99,54 +107,26 @@ def test_unique_completion_when_max_relevance_is_one(model_q3):
     cap = CapState.from_ids(model_q3, sub)
     assert cap.r_extrema() == (1, 1)
     expected = np.array(sorted(set(map(int, sub)) | set(map(int, cap.uncovered()))))
-    for fn in ALL_COMPLETIONS:
-        out = fn(model_q3, sub, SearchConfig(rng_seed=9))
+    for strategy in StrategyKind:
+        out = complete(model_q3, sub, strategy, rng_seed=9)
         assert np.array_equal(out.final_cap, expected)
-
-
-def test_select_forward_on_two_hole_ovoid(model_q2):
-    ov = classical_ovoid(model_q2)
-    holes = {int(ov[2]), int(ov[6])}
-    cap = CapState.from_ids(model_q2, sorted(set(map(int, ov)) - holes))
-    pick = select_forward(model_q2, cap, SearchConfig(rng_seed=12))
-    assert pick in holes
-
-
-def test_select_forward_complete_signals(model_q2):
-    ov = classical_ovoid(model_q2)
-    cap = CapState.from_ids(model_q2, ov)
-    with pytest.raises(CapCompleteError):
-        select_forward(model_q2, cap, SearchConfig(rng_seed=0))
 
 
 @pytest.mark.parametrize("mode", [TieMode.MAX_COUNT, TieMode.MIN_COUNT])
 def test_forward_tie_modes_complete(model_q2, mode):
-    out = complete_forward(
-        model_q2, [], SearchConfig(rng_seed=3, forward_tie_mode=mode)
-    )
+    out = complete(model_q2, [], StrategyKind.FORWARD, rng_seed=3, forward_tie_mode=mode)
     assert 5 <= out.size <= 9
-
-
-def test_forward_candidate_cap_still_completes(model_q3):
-    out = complete_forward(model_q3, [], SearchConfig(rng_seed=8, candidate_cap=12))
-    assert_complete_cap(model_q3, out, [])
 
 
 def test_relevance_one_implies_cap_size_bound(model_q3):
     # on any trace, choosing a relevance-1 point certifies |C| >= q^2 already
     q = model_q3.q
-    for seed in range(8):
-        out = complete_random(model_q3, [], SearchConfig(rng_seed=seed, keep_trace=True))
-        for step, (_, rel) in enumerate(out.trace):
-            if rel == 1:
-                assert step >= q * q
-    for seed in range(8):
-        out = complete_min_relevance(
-            model_q3, [], SearchConfig(rng_seed=seed, keep_trace=True)
-        )
-        for step, (_, rel) in enumerate(out.trace):
-            if rel == 1:
-                assert step >= q * q
+    for strategy in (StrategyKind.RANDOM, StrategyKind.MIN_RELEVANCE):
+        for seed in range(8):
+            out = complete(model_q3, [], strategy, rng_seed=seed, keep_trace=True)
+            for step, (_, rel) in enumerate(out.trace):
+                if rel == 1:
+                    assert step >= q * q
 
 
 def test_backtrack_requires_complete_input(model_q2):
@@ -155,7 +135,7 @@ def test_backtrack_requires_complete_input(model_q2):
 
 
 def test_backtrack_requires_seed_inside_cap(model_q2):
-    out = complete_random(model_q2, [], SearchConfig(rng_seed=0))
+    out = complete(model_q2, [], StrategyKind.RANDOM, rng_seed=0)
     outside = [x for x in range(model_q2.num_points) if x not in set(map(int, out.final_cap))]
     with pytest.raises(ValueError):
         backtrack_enlarge(model_q2, [outside[0]], out.final_cap, SearchConfig(rng_seed=0))
@@ -168,7 +148,7 @@ def test_backtrack_on_ovoid_returns_it(model_q3):
 
 
 def test_backtrack_contract_and_growth(model_q5):
-    base = complete_random(model_q5, [], SearchConfig(rng_seed=11))
+    base = complete(model_q5, [], StrategyKind.RANDOM, rng_seed=11)
     assert base.size <= 91
     protected = [int(x) for x in base.final_cap[:3]]
     grew = 0
@@ -188,13 +168,9 @@ def test_backtrack_depth_validation():
 
 
 def test_run_strategy_backtrack_dispatch(model_q3):
-    out = run_strategy(
-        model_q3, [], SearchConfig(strategy=StrategyKind.BACKTRACK, rng_seed=21)
-    )
+    out = complete(model_q3, [], StrategyKind.BACKTRACK, rng_seed=21)
     assert_complete_cap(model_q3, out, [])
-    again = run_strategy(
-        model_q3, [], SearchConfig(strategy=StrategyKind.BACKTRACK, rng_seed=21)
-    )
+    again = complete(model_q3, [], StrategyKind.BACKTRACK, rng_seed=21)
     assert np.array_equal(out.final_cap, again.final_cap)
 
 
@@ -210,13 +186,13 @@ def test_thin_ovoid_sizes_and_rigidity(q):
     # off-ovoid points all stay covered, so completions cannot escape the ovoid
     cap = CapState.from_ids(model, kept)
     assert np.array_equal(cap.uncovered(), removed)
-    for fn in ALL_COMPLETIONS:
-        out = fn(model, kept, SearchConfig(rng_seed=23))
+    for strategy in StrategyKind:
+        out = complete(model, kept, strategy, rng_seed=23)
         assert np.array_equal(out.final_cap, ov)
 
 
 def test_thin_ovoid_rejects_non_ovoid(model_q3):
-    out = complete_random(model_q3, [], SearchConfig(rng_seed=2))
+    out = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=2)
     if not out.is_ovoid:
         with pytest.raises(ValueError):
             thin_ovoid(model_q3, out.final_cap, SplitMix64(0))
@@ -249,7 +225,7 @@ def test_distinct_ovoids_differ_enough(model_q2):
     q = model_q2.q
     ovoids = {tuple(map(int, classical_ovoid(model_q2)))}
     for seed in range(200):
-        out = complete_random(model_q2, [], SearchConfig(rng_seed=seed))
+        out = complete(model_q2, [], StrategyKind.RANDOM, rng_seed=seed)
         if out.is_ovoid:
             ovoids.add(tuple(map(int, out.final_cap)))
     ovoids = [set(o) for o in ovoids]

@@ -6,7 +6,7 @@ experiment harness for spectrum statistics.
 """
 
 from .capstate import CapState
-from .galois import FieldSpec, FieldTables, build_field, norm
+from .galois import FieldSpec, FieldTables, build_field
 from .harness import (
     GapReport,
     Histogram,
@@ -21,9 +21,8 @@ from .harness import (
     run_spectrum,
 )
 from .hermitian import (
-    GeneratorLine,
+    CANONICAL_POLE,
     SurfaceModel,
-    canonical_pole,
     classical_ovoid,
     enumerate_generators,
     enumerate_surface,
@@ -47,11 +46,11 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CANONICAL_POLE",
     "CapState",
     "FieldSpec",
     "FieldTables",
     "GapReport",
-    "GeneratorLine",
     "Histogram",
     "RunRecord",
     "SearchConfig",
@@ -63,7 +62,6 @@ __all__ = [
     "TieMode",
     "backtrack_enlarge",
     "build_field",
-    "canonical_pole",
     "classical_ovoid",
     "derive_seed",
     "emit_histogram",
@@ -76,7 +74,6 @@ __all__ = [
     "is_cap",
     "make_histogram",
     "mix64",
-    "norm",
     "normalize_point",
     "parse_histogram_csv",
     "run_spectrum",

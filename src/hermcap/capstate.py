@@ -28,11 +28,12 @@ removing one adds the bincount of the rows of the points it newly uncovers.
 
 The vector is lazy.  It is built on the first relevance read, from whichever
 of the covered and uncovered sets is smaller (free on an empty cap), and
-until then ``add_point`` and ``remove_point`` only count coverage changes, so
+until then ``add_point`` and ``remove_point`` only update the counters, so
 states that never read relevance pay nothing for it.
 
-Weight is exposed both as an exact Fraction (identity checks) and as a float
-(search heuristics; comparisons there use a 1e-9 tolerance).
+A member's weight is an exact Fraction (identity checks); the search
+heuristics score the weight a candidate would have after joining as a float
+(comparisons there use a 1e-9 tolerance).
 """
 
 from __future__ import annotations
@@ -47,13 +48,12 @@ from .hermitian import SurfaceModel
 
 
 class CapState:
-    __slots__ = ("model", "members", "cmult", "covered_count", "_rel")
+    __slots__ = ("model", "members", "cmult", "_rel")
 
     def __init__(self, model: SurfaceModel):
         self.model = model
         self.members: set[int] = set()
         self.cmult = np.zeros(model.num_points, dtype=np.int32)
-        self.covered_count = 0
         self._rel: np.ndarray | None = None  # relevance of every point, once read
 
     @classmethod
@@ -79,10 +79,8 @@ class CapState:
             raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
         row = self.model.tangent_set(x)
         vals = self.cmult[row]
-        newly_covered = vals == 0
-        self.covered_count += int(np.count_nonzero(newly_covered))
         if self._rel is not None:
-            self._rel -= self._row_counts(row[newly_covered])
+            self._rel -= self._row_counts(row[vals == 0])
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -93,10 +91,8 @@ class CapState:
         row = self.model.tangent_set(x)
         vals = self.cmult[row] - 1
         self.cmult[row] = vals
-        newly_uncovered = vals == 0
-        self.covered_count -= int(np.count_nonzero(newly_uncovered))
         if self._rel is not None:
-            self._rel += self._row_counts(row[newly_uncovered])
+            self._rel += self._row_counts(row[vals == 0])
         self.members.remove(x)
 
     # -- relevance vector ----------------------------------------------------
@@ -149,12 +145,6 @@ class CapState:
         counts = Counter(self.cmult[self.model.tangent_set(x)].tolist())
         return sum((Fraction(n, m) for m, n in counts.items()), Fraction(0))
 
-    def weight_float(self, x: int) -> float:
-        x = int(x)
-        if x not in self.members:
-            raise MemberNotFoundError(f"weight is defined for members only, not {x}")
-        return float(np.sum(1.0 / self.cmult[self.model.tangent_set(x)]))
-
     def weight_after_add_many(self, ids: np.ndarray) -> np.ndarray:
         """Weight each of ids would have right after joining the cap."""
         rows = self.model.tangent_rows(np.asarray(ids))
@@ -163,11 +153,8 @@ class CapState:
     def uncovered(self) -> np.ndarray:
         return np.flatnonzero(self.cmult == 0).astype(np.int32)
 
-    def uncovered_count(self) -> int:
-        return self.model.num_points - self.covered_count
-
     def is_complete(self) -> bool:
-        return self.covered_count == self.model.num_points
+        return bool(self.cmult.all())
 
     def r_extrema(self) -> tuple[int, int]:
         """(min, max) relevance over uncovered points; error when complete."""

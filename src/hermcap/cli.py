@@ -1,13 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain or invariant failure, 2 usage/configuration
-error.  HERMCAP_JOBS provides the default for --jobs.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -102,6 +101,8 @@ def cmd_complete(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.runs < 1:
         raise ConfigurationError(f"--runs must be at least 1, got {args.runs}")
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     ovoid_size = args.q**3 + 1
     if args.seed_size is not None and not 0 <= args.seed_size <= ovoid_size:
         raise ConfigurationError(
@@ -192,12 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_group.add_argument("--seed-size", type=int, help="fresh random sub-ovoid of this size per run")
     seed_group.add_argument("--seed-file", help="fixed seed cap file")
     p.add_argument("--master", type=int, required=True, help="master seed")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("HERMCAP_JOBS", "1")),
-        help="worker processes (default: HERMCAP_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="histogram file (default: stdout)")
     p.add_argument("--runlog", help="JSON-lines run log file")

@@ -172,9 +172,6 @@ class FieldTables:
     def add(self, a: int, b: int) -> int:
         return int(self.add2[a, b])
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add2[a, self.neg[b]])
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul2[a, b])
 
@@ -191,11 +188,6 @@ class FieldTables:
 
     def in_subfield(self, a: int) -> bool:
         return int(self.conj[a]) == a
-
-
-def norm(tables: FieldTables, a: int) -> int:
-    """a * conj(a) = a^(q+1); lands in the subfield GF(q)."""
-    return tables.norm_of(a)
 
 
 def _encode(coeffs: list[int], p: int) -> int:

@@ -150,13 +150,18 @@ def _execute_run(
     )
 
 
-# worker context for fork-based pools; set in the parent right before the
-# fork so children inherit the model without pickling it
-_POOL_CTX = None
+# a pool worker's (model, spec, strategy, master_seed, fixed_ids), set once by
+# _pool_init; under fork the worker inherits it, so the model is not pickled
+_worker_args = None
+
+
+def _pool_init(args) -> None:
+    global _worker_args
+    _worker_args = args
 
 
 def _pool_run(run_index: int) -> RunRecord:
-    model, spec, strategy, master_seed, fixed_ids = _POOL_CTX
+    model, spec, strategy, master_seed, fixed_ids = _worker_args
     return _execute_run(model, spec, strategy, master_seed, run_index, fixed_ids)
 
 
@@ -168,27 +173,24 @@ def run_spectrum(
     master_seed: int,
     jobs: int = 1,
 ) -> tuple[Histogram, list[RunRecord]]:
-    """n_runs seeded runs; identical records for any jobs value."""
+    """n_runs seeded runs on min(jobs, n_runs) processes; the same records for any jobs."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     fixed_ids = None
     if seed_spec.kind == "fromfile":
         from .capfile import load_cap_ids
 
         fixed_ids = load_cap_ids(model, seed_spec.path)
     args = (model, seed_spec, strategy, master_seed, fixed_ids)
-    if jobs <= 1:
+    workers = min(jobs, n_runs)
+    if workers == 1:
         records = [_execute_run(model, seed_spec, strategy, master_seed, i, fixed_ids) for i in range(n_runs)]
     else:
-        global _POOL_CTX
-        _POOL_CTX = args
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=jobs) as pool:
-                chunk = max(1, n_runs // (jobs * 8))
-                records = pool.map(_pool_run, range(n_runs), chunksize=chunk)
-        finally:
-            _POOL_CTX = None
+        with multiprocessing.Pool(workers, initializer=_pool_init, initargs=(args,)) as pool:
+            chunk = max(1, n_runs // (workers * 8))
+            records = pool.map(_pool_run, range(n_runs), chunksize=chunk)
     records.sort(key=lambda r: r.run_index)
     hist = make_histogram(records, model.q, strategy.value, seed_spec.describe())
     return hist, records

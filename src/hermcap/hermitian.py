@@ -24,16 +24,21 @@ demand for each requested row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, TangentPlaneError
 from .galois import FieldTables
 
 DENSE_LIMIT_BYTES = 1 << 30  # largest dense tangent table built up front
+# largest q built: q = 16 takes about 14 s and 1.25 GB on a 2-core host, and at
+# q = 32 the q^6 coordinate rows of PG(3, q^2) alone would need over 17 GB
+MAX_Q = 16
 
 ProjPoint = tuple[int, int, int, int]
+
+# H(e3, e3) = 1 over every field, and e3 is the first point in encoding order,
+# so it is the first point of PG(3, q^2) off the surface
+CANONICAL_POLE: ProjPoint = (0, 0, 0, 1)
 
 
 def normalize_point(field: FieldTables, coords) -> ProjPoint:
@@ -64,17 +69,6 @@ def polar_plane(field: FieldTables, pole) -> ProjPoint:
 def plane_pole(field: FieldTables, plane) -> ProjPoint:
     """Inverse of :func:`polar_plane`."""
     return normalize_point(field, [field.conj_of(int(c)) for c in plane])
-
-
-@dataclass(frozen=True)
-class GeneratorLine:
-    """A line fully contained in the surface: q^2 + 1 pairwise conjugate points."""
-
-    id: int
-    points: np.ndarray  # sorted PointIds
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -112,6 +106,8 @@ class SurfaceModel:
     """
 
     def __init__(self, field: FieldTables):
+        if field.q > MAX_Q:
+            raise ConfigurationError(f"q={field.q} exceeds the largest supported q ({MAX_Q})")
         self.field = field
         self.q = field.q
         self.q2 = field.order2
@@ -178,9 +174,9 @@ class SurfaceModel:
         if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
             raise ConfigurationError("a point is not on exactly q + 1 generators")
         by_point = np.argsort(flat, kind="stable") // (q2 + 1)
+        lines.flags.writeable = False
         self._gen_points = lines
         self._gens_by_point = by_point.astype(np.int32).reshape(self.num_points, q + 1)
-        self._generators = [GeneratorLine(id=g, points=lines[g]) for g in range(len(lines))]
 
     def _assemble_rows(self, pids: np.ndarray) -> np.ndarray:
         """Tangent rows as sorted unions of the q + 1 generators through each point."""
@@ -217,10 +213,6 @@ class SurfaceModel:
     def coords_of(self, pid: int) -> ProjPoint:
         return tuple(int(c) for c in self.coords[pid])
 
-    def on_surface(self, coords) -> bool:
-        x = normalize_point(self.field, coords)
-        return hermitian_inner(self.field, x, x) == 0
-
     # -- incidence -----------------------------------------------------------
 
     def tangent_set(self, pid: int) -> np.ndarray:
@@ -250,9 +242,12 @@ def enumerate_surface(field: FieldTables) -> SurfaceModel:
     return SurfaceModel(field)
 
 
-def enumerate_generators(model: SurfaceModel) -> list[GeneratorLine]:
-    """All generator lines, each listed once, ordered by their two least points."""
-    return model._generators
+def enumerate_generators(model: SurfaceModel) -> np.ndarray:
+    """Read-only (generators, q^2 + 1) id array; row g holds generator g's sorted points.
+
+    Each generator is listed once, and rows are ordered by their two least points.
+    """
+    return model._gen_points
 
 
 def generators_through(model: SurfaceModel, pid: int) -> list[int]:
@@ -260,25 +255,12 @@ def generators_through(model: SurfaceModel, pid: int) -> list[int]:
     return model._gens_by_point[pid].tolist()
 
 
-def canonical_pole(model: SurfaceModel) -> ProjPoint:
-    """First normalized point of PG(3, q^2), in encoding order, off the surface."""
-    field = model.field
-    for fam in _pg3_point_families(model.q2):
-        off = np.flatnonzero(_form(field, fam, fam) != 0)
-        if off.size:
-            keys = model._encode_coords(fam[off])
-            return tuple(int(c) for c in fam[off[np.argmin(keys)]])
-    raise ConfigurationError("no point off the surface (degenerate form)")
-
-
-def classical_ovoid(model: SurfaceModel, pole: ProjPoint | None = None) -> np.ndarray:
+def classical_ovoid(model: SurfaceModel, pole: ProjPoint = CANONICAL_POLE) -> np.ndarray:
     """Plane-section ovoid: surface points on the polar plane of an off-surface pole.
 
     Size q^3 + 1; meets every generator exactly once.
     """
     field = model.field
-    if pole is None:
-        pole = canonical_pole(model)
     pole = normalize_point(field, pole)
     if hermitian_inner(field, pole, pole) == 0:
         raise TangentPlaneError(f"pole {pole} lies on the surface; its plane is tangent")

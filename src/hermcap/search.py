@@ -53,12 +53,7 @@ class SearchConfig:
     strategy: StrategyKind = StrategyKind.RANDOM
     rng_seed: int = 0
     forward_tie_mode: TieMode = TieMode.MAX_COUNT
-    backtrack_max_depth: int | None = None  # default: q, resolved at run time
     keep_trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.backtrack_max_depth is not None and self.backtrack_max_depth < 1:
-            raise ValueError("backtrack_max_depth must be >= 1")
 
 
 @dataclass
@@ -178,9 +173,10 @@ def backtrack_enlarge(
 ) -> SearchOutcome:
     """Try to grow a complete cap by replacing high-relevance members.
 
-    Points of the protected seed are never removed.  Returns the enlarged
-    complete cap when a replacement both succeeds and does not lose ground;
-    otherwise returns the input cap unchanged.
+    Removals nest at most q levels deep, and points of the protected seed
+    are never removed.  Returns the enlarged complete cap when a replacement
+    both succeeds and does not lose ground; otherwise returns the input cap
+    unchanged.
     """
     rng = SplitMix64(config.rng_seed)
     protected = frozenset(int(x) for x in protected_seed)
@@ -190,8 +186,7 @@ def backtrack_enlarge(
     if not cap.is_complete():
         raise ValueError("backtracking expects a complete cap as input")
     input_ids = cap.members_sorted()
-    depth = config.backtrack_max_depth if config.backtrack_max_depth else model.q
-    added = _backtrack_step(cap, protected, depth, rng, config)
+    added = _backtrack_step(cap, protected, model.q, rng, config)
     if added is None or len(cap) < len(input_ids):
         return _outcome(model, input_ids, 0, None)
     return _outcome(model, cap.members_sorted(), added, None)

@@ -20,8 +20,8 @@ from .capstate import CapState
 from .errors import CapFileError
 from .galois import FieldSpec, FieldTables, build_field
 from .hermitian import (
+    CANONICAL_POLE,
     SurfaceModel,
-    classical_ovoid,
     enumerate_generators,
     enumerate_surface,
     generators_through,
@@ -111,9 +111,8 @@ def _surface_checks(model: SurfaceModel) -> list[CheckResult]:
     out.append(CheckResult("ovoid-complete", cs.is_complete()))
     w_ok = cs.weight(int(ov[0])) == Fraction(q**2 + 1)
     out.append(CheckResult("ovoid-member-weight", w_ok))
-    pole = (0, 0, 0, 1)
-    back = plane_pole(model.field, polar_plane(model.field, pole))
-    out.append(CheckResult("polarity-involution", back == pole))
+    back = plane_pole(model.field, polar_plane(model.field, CANONICAL_POLE))
+    out.append(CheckResult("polarity-involution", back == CANONICAL_POLE))
     return out
 
 
@@ -129,11 +128,7 @@ def _capstate_checks(model: SurfaceModel) -> list[CheckResult]:
             cap.remove_point(rng.choice(sorted(cap.members)))
     fresh = CapState.from_ids(model, cap.members)
     out.append(
-        CheckResult(
-            "capstate-incremental-exact",
-            bool(np.array_equal(fresh.cmult, cap.cmult))
-            and fresh.covered_count == cap.covered_count,
-        )
+        CheckResult("capstate-incremental-exact", bool(np.array_equal(fresh.cmult, cap.cmult)))
     )
     gx = model.gx_size
     ident = all(
@@ -169,9 +164,7 @@ def _generator_checks(model: SurfaceModel) -> list[CheckResult]:
     out.append(
         CheckResult("generators-count", len(gens) == (q**3 + 1) * (q + 1), f"{len(gens)}")
     )
-    out.append(
-        CheckResult("generators-line-size", all(len(g.points) == q**2 + 1 for g in gens))
-    )
+    out.append(CheckResult("generators-line-size", gens.shape[1] == q**2 + 1))
     per_point = all(
         len(generators_through(model, x)) == q + 1 for x in range(model.num_points)
     )
@@ -179,7 +172,7 @@ def _generator_checks(model: SurfaceModel) -> list[CheckResult]:
     ov = model.classical_ovoid_ids()
     mask = np.zeros(model.num_points, dtype=bool)
     mask[ov] = True
-    once = all(int(np.count_nonzero(mask[g.points])) == 1 for g in gens)
+    once = bool((mask[gens].sum(axis=1) == 1).all())
     out.append(CheckResult("ovoid-meets-generators-once", once))
     return out
 
@@ -202,10 +195,9 @@ def _brute_force_small_q_checks() -> list[CheckResult]:
                         ok = False
         out.append(CheckResult(f"oracle-relevance-singletons-q{q}", ok))
         # conjugacy vs shared generator membership
-        gens = enumerate_generators(model)
         pair_on_line = set()
-        for g in gens:
-            pts = list(map(int, g.points))
+        for g in enumerate_generators(model):
+            pts = g.tolist()
             for i, a in enumerate(pts):
                 for b in pts[i + 1 :]:
                     pair_on_line.add((a, b))

@@ -35,6 +35,17 @@ def test_unsupported_q_exits_2(capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def test_q_above_limit_exits_2(capsys):
+    assert run_cli("surface-info", "--q", "17") == 2
+    assert capsys.readouterr().err.startswith("error: q=17 exceeds")
+
+
+def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("HERMCAP_JOBS", "abc")
+    assert run_cli("surface-info", "--q", "2") == 0
+    assert capsys.readouterr().out.startswith("points=45 ")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("spectrum", "--q", "2", "--runs", "5")  # seed group missing
@@ -47,8 +58,10 @@ def test_usage_error_exits_2():
         ["--runs", "0", "--empty"],
         ["--runs", "5", "--seed-size", "-1"],
         ["--runs", "5", "--seed-size", "345"],  # q^3 + 1 = 344 at q = 7
+        ["--runs", "5", "--empty", "--jobs", "0"],
+        ["--runs", "5", "--empty", "--jobs", "-5"],
     ],
-    ids=["runs-0", "seed-size-negative", "seed-size-above-ovoid"],
+    ids=["runs-0", "seed-size-negative", "seed-size-above-ovoid", "jobs-0", "jobs-negative"],
 )
 def test_spectrum_bad_config_exits_2_before_model_build(bad, monkeypatch, capsys):
     def no_build(q):

@@ -15,10 +15,15 @@ field GF(p^k) with k > 1.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hermcap
 from hermcap import (
     SearchConfig,
     SeedSpec,
@@ -108,9 +113,7 @@ def run_digest(q, seed_size, strategy, seed):
 
 def construction_digests(q):
     model = get_model(q)
-    gens = enumerate_generators(model)
-    assert [g.id for g in gens] == list(range(len(gens)))
-    points = np.concatenate([np.asarray(g.points, dtype=np.int32) for g in gens])
+    points = enumerate_generators(model)
     through = np.array(
         [np.asarray(generators_through(model, x), dtype=np.int32) for x in range(model.num_points)],
         dtype=np.int32,
@@ -138,6 +141,27 @@ def test_run_digest(case):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_spectrum_digest(jobs):
     assert spectrum_digest(jobs) == SPECTRUM_DIGEST
+
+
+def test_spectrum_digest_under_spawn():
+    # a fresh interpreter, so the start method is chosen before any pool exists;
+    # spawned workers get the model by pickling instead of inheriting it
+    src = str(Path(hermcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import multiprocessing\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from tests.test_digests import SPECTRUM_DIGEST, spectrum_digest\n"
+        "assert spectrum_digest(2) == SPECTRUM_DIGEST\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("q", sorted(CONSTRUCTION_DIGESTS))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermcap import FieldSpec, build_field, norm
+from hermcap import FieldSpec, build_field
 from hermcap.errors import ConfigurationError
 
 SUPPORTED = [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)]
@@ -76,8 +76,8 @@ def test_conjugation_is_field_homomorphism(tables):
 
 
 def test_norm_zero_one(tables):
-    assert norm(tables, 0) == 0
-    assert norm(tables, 1) == 1
+    assert tables.norm_of(0) == 0
+    assert tables.norm_of(1) == 1
 
 
 def test_norm_fibers(tables):
@@ -85,7 +85,7 @@ def test_norm_fibers(tables):
     q = tables.q
     images = {}
     for a in range(1, tables.order2):
-        v = norm(tables, a)
+        v = tables.norm_of(a)
         assert tables.in_subfield(v)
         images[v] = images.get(v, 0) + 1
     assert len(images) == q - 1
@@ -110,7 +110,7 @@ def test_gf25_norm_counts():
     t = build_field(FieldSpec(5, 1))
     counts = {}
     for a in range(1, 25):
-        counts[norm(t, a)] = counts.get(norm(t, a), 0) + 1
+        counts[t.norm_of(a)] = counts.get(t.norm_of(a), 0) + 1
     assert sorted(counts) == [v for v in range(1, 25) if t.in_subfield(v)][:4]
     assert all(c == 6 for c in counts.values())
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hermcap import (
+    CANONICAL_POLE,
     SearchConfig,
     SplitMix64,
     StrategyKind,
-    canonical_pole,
     classical_ovoid,
     enumerate_generators,
     generators_through,
@@ -18,7 +18,7 @@ from hermcap.errors import TangentPlaneError
 from hermcap.hermitian import plane_pole, polar_plane
 
 from .conftest import get_model
-from .oracles import all_lines_pg3, surface_points, tangent_sets_by_pairs
+from .oracles import all_lines_pg3, pg3_points, surface_points, tangent_sets_by_pairs
 
 COUNTS = {2: 45, 3: 280, 5: 3276, 7: 17200}
 GX = {2: 13, 3: 37, 5: 151, 7: 393}
@@ -111,9 +111,7 @@ def test_generators_against_line_oracle_q2(model_q2):
     full_lines = {ln for ln in all_lines_pg3(model_q2.field) if ln <= surface}
     assert len(full_lines) == 27
     gens = enumerate_generators(model_q2)
-    got = {
-        frozenset(model_q2.coords_of(int(p)) for p in g.points) for g in gens
-    }
+    got = {frozenset(model_q2.coords_of(int(p)) for p in g) for g in gens}
     assert got == full_lines
 
 
@@ -122,7 +120,7 @@ def test_generator_counts(q):
     model = get_model(q)
     gens = enumerate_generators(model)
     assert len(gens) == GENS[q] == (q**3 + 1) * (q + 1)
-    assert all(len(g.points) == q**2 + 1 for g in gens)
+    assert gens.shape == (GENS[q], q**2 + 1) and gens.dtype == np.int32
     assert all(
         len(generators_through(model, x)) == q + 1 for x in range(model.num_points)
     )
@@ -130,7 +128,7 @@ def test_generator_counts(q):
 
 def test_generator_pairs_are_conjugate(model_q3):
     for g in enumerate_generators(model_q3)[::7]:
-        pts = list(map(int, g.points))
+        pts = g.tolist()
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
                 assert model_q3.is_conjugate(a, b)
@@ -142,7 +140,7 @@ def test_conjugate_iff_common_generator(q):
     gens = enumerate_generators(model)
     on_line = set()
     for g in gens:
-        pts = list(map(int, g.points))
+        pts = g.tolist()
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
                 on_line.add((min(a, b), max(a, b)))
@@ -163,14 +161,20 @@ def test_classical_ovoid(q):
     assert is_cap(model, ov)
     mask = np.zeros(model.num_points, dtype=bool)
     mask[ov] = True
-    for g in enumerate_generators(model):
-        assert int(np.count_nonzero(mask[g.points])) == 1
+    assert (mask[enumerate_generators(model)].sum(axis=1) == 1).all()
 
 
-def test_canonical_pole_is_first_off_surface(model_q2):
-    pole = canonical_pole(model_q2)
-    assert pole == (0, 0, 0, 1)
-    assert hermitian_inner(model_q2.field, pole, pole) != 0
+def test_generator_array_is_read_only(model_q2):
+    gens = enumerate_generators(model_q2)
+    with pytest.raises(ValueError):
+        gens[0, 0] = 1
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_canonical_pole_is_first_off_surface(q):
+    f = get_model(q).field
+    first_off = next(x for x in pg3_points(f) if hermitian_inner(f, x, x) != 0)
+    assert CANONICAL_POLE == first_off
 
 
 def test_ovoid_rejects_pole_on_surface(model_q2):
@@ -193,7 +197,7 @@ def test_polarity_involution(model_q5):
 def test_is_cap_examples(model_q2):
     gens = enumerate_generators(model_q2)
     assert is_cap(model_q2, [7])
-    assert not is_cap(model_q2, gens[0].points)
+    assert not is_cap(model_q2, gens[0])
     ov = classical_ovoid(model_q2)
     assert is_cap(model_q2, ov)
     # oracle form: explicit pairwise conjugacy scan

@@ -162,11 +162,6 @@ def test_backtrack_contract_and_growth(model_q5):
     assert grew >= 1
 
 
-def test_backtrack_depth_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(backtrack_max_depth=0)
-
-
 def test_run_strategy_backtrack_dispatch(model_q3):
     out = complete(model_q3, [], StrategyKind.BACKTRACK, rng_seed=21)
     assert_complete_cap(model_q3, out, [])

@@ -29,6 +29,7 @@ from .hermitian import (
     generators_through,
     hermitian_inner,
     is_cap,
+    is_ovoid,
     normalize_point,
 )
 from .rng import SplitMix64, mix64
@@ -72,6 +73,7 @@ __all__ = [
     "generators_through",
     "hermitian_inner",
     "is_cap",
+    "is_ovoid",
     "make_histogram",
     "mix64",
     "normalize_point",

@@ -4,7 +4,11 @@
 covered when its multiplicity is positive; the cap is complete when every
 surface point is covered.  Adding or removing a member touches exactly the
 q^3 + q^2 + 1 entries of its tangent section, so both operations and all the
-derived functionals (relevance, coverage, weight) run off the same counters:
+derived functionals (relevance, coverage, weight) run off the same counters.
+``from_ids`` is the batch formula, cmult = one ``bincount`` of the members'
+tangent rows, and ``add_point``/``remove_point`` are its increments.  A
+member's multiplicity is 1 unless another member is conjugate to it, which
+is how ``from_ids`` rejects a non-cap.  The functionals are
 
     relevance(x)          #{y in tangent(x) : cmult[y] == 0}
     coverage_mult(y)      cmult[y]
@@ -44,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
-from .hermitian import SurfaceModel
+from .hermitian import SurfaceModel, checked_ids
 
 
 class CapState:
@@ -58,10 +62,17 @@ class CapState:
 
     @classmethod
     def from_ids(cls, model: SurfaceModel, ids) -> "CapState":
-        """Seed a state from a point set; raises CapViolationError if not a cap."""
+        """Seed a state from a point set, repeats counted once.
+
+        Raises CapViolationError if it is not a cap, ValueError for an id off the surface.
+        """
+        members = np.unique(checked_ids(model, ids))
         cap = cls(model)
-        for x in sorted({int(i) for i in ids}):
-            cap.add_point(x)
+        cap.cmult[:] = cap._row_counts(members)
+        covered = members[cap.cmult[members] != 1]
+        if covered.size:
+            raise CapViolationError(f"point {covered[0]} is covered; adding it breaks the cap")
+        cap.members = set(members.tolist())
         return cap
 
     def __len__(self) -> int:

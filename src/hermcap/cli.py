@@ -25,27 +25,8 @@ from .verify import run_checks
 _STRATEGIES = {s.value: s for s in StrategyKind}
 
 
-def _field_spec_for_q(q: int) -> FieldSpec:
-    if q < 2:
-        raise ConfigurationError(f"q={q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ConfigurationError(f"q={q} is not a prime power")
-    return FieldSpec(p, k)
-
-
 def _build_model(q: int):
-    return enumerate_surface(build_field(_field_spec_for_q(q)))
+    return enumerate_surface(build_field(FieldSpec.for_q(q)))
 
 
 def _add_q(parser) -> None:

@@ -23,8 +23,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# 2D tables take (q^2)^2 int32 entries; this cap keeps them under ~256 MiB.
-MAX_ORDER2 = 8192
+# largest q built: the surface at q = 16 takes about 14 s and 1.25 GB on a
+# 2-core host, and at q = 32 the q^6 coordinate rows of PG(3, q^2) alone would
+# need over 17 GB
+MAX_Q = 16
 
 
 def _is_prime(n: int) -> bool:
@@ -114,6 +116,17 @@ class FieldSpec:
     p: int
     k: int
 
+    @classmethod
+    def for_q(cls, q: int) -> "FieldSpec":
+        """The spec with p^k = q; raises ConfigurationError unless q is a prime power."""
+        primes = _prime_factors(q)
+        if len(primes) != 1:
+            raise ConfigurationError(f"q={q} is not a prime power")
+        p, k = primes[0], 1
+        while p**k < q:
+            k += 1
+        return cls(p, k)
+
     @property
     def q(self) -> int:
         return self.p**self.k
@@ -127,10 +140,8 @@ class FieldSpec:
             raise ConfigurationError(f"p={self.p} is not prime")
         if self.k < 1:
             raise ConfigurationError(f"k={self.k} must be >= 1")
-        if self.order2 > MAX_ORDER2:
-            raise ConfigurationError(
-                f"GF({self.order2}) exceeds the supported table size ({MAX_ORDER2})"
-            )
+        if self.q > MAX_Q:
+            raise ConfigurationError(f"q={self.q} exceeds the largest supported q ({MAX_Q})")
 
 
 @dataclass
@@ -146,12 +157,10 @@ class FieldTables:
     spec: FieldSpec
     modulus: tuple[int, ...]
     generator: int
-    digits: np.ndarray = field(repr=False)
     exp: np.ndarray = field(repr=False)
     log: np.ndarray = field(repr=False)
     add2: np.ndarray = field(repr=False)
     mul2: np.ndarray = field(repr=False)
-    neg: np.ndarray = field(repr=False)
     conj: np.ndarray = field(repr=False)
     inv: np.ndarray = field(repr=False)
     norm: np.ndarray = field(repr=False)
@@ -247,7 +256,6 @@ def build_field(spec: FieldSpec) -> FieldTables:
     add2 = (
         ((digits[:, None, :].astype(np.int64) + digits[None, :, :]) % p) @ pw
     ).astype(np.int32)
-    neg = (((-digits.astype(np.int64)) % p) @ pw).astype(np.int32)
 
     mul2 = np.zeros((n, n), dtype=np.int32)
     nz = idx[1:]
@@ -266,12 +274,10 @@ def build_field(spec: FieldSpec) -> FieldTables:
         spec=spec,
         modulus=tuple(modulus),
         generator=gen,
-        digits=digits,
         exp=exp,
         log=log,
         add2=add2,
         mul2=mul2,
-        neg=neg,
         conj=conj,
         inv=inv,
         norm=nrm,

@@ -20,6 +20,10 @@ assembled as the sorted union of the q + 1 generators through the point.
 Rows are stored densely (one sorted id row per point) when the table takes
 at most DENSE_LIMIT_BYTES; above that (q >= 13) the same assembly runs on
 demand for each requested row.
+
+Caps and ovoids are tested on the generators: a point set is a cap (partial
+ovoid) when every generator holds at most one of its points, and an ovoid
+when every generator holds exactly one.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from .errors import ConfigurationError, TangentPlaneError
 from .galois import FieldTables
 
 DENSE_LIMIT_BYTES = 1 << 30  # largest dense tangent table built up front
-# largest q built: q = 16 takes about 14 s and 1.25 GB on a 2-core host, and at
-# q = 32 the q^6 coordinate rows of PG(3, q^2) alone would need over 17 GB
-MAX_Q = 16
 
 ProjPoint = tuple[int, int, int, int]
 
@@ -59,16 +60,6 @@ def hermitian_inner(field: FieldTables, x, y) -> int:
     for xi, yi in zip(x, y):
         acc = field.add(acc, field.mul(int(xi), field.conj_of(int(yi))))
     return acc
-
-
-def polar_plane(field: FieldTables, pole) -> ProjPoint:
-    """Coefficient vector w of the polar plane {x : sum_i x_i * w_i = 0}."""
-    return normalize_point(field, [field.conj_of(int(c)) for c in pole])
-
-
-def plane_pole(field: FieldTables, plane) -> ProjPoint:
-    """Inverse of :func:`polar_plane`."""
-    return normalize_point(field, [field.conj_of(int(c)) for c in plane])
 
 
 def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -106,8 +97,6 @@ class SurfaceModel:
     """
 
     def __init__(self, field: FieldTables):
-        if field.q > MAX_Q:
-            raise ConfigurationError(f"q={field.q} exceeds the largest supported q ({MAX_Q})")
         self.field = field
         self.q = field.q
         self.q2 = field.order2
@@ -267,14 +256,25 @@ def classical_ovoid(model: SurfaceModel, pole: ProjPoint = CANONICAL_POLE) -> np
     return np.flatnonzero(_form(field, model.coords, np.array(pole)) == 0).astype(np.int32)
 
 
+def checked_ids(model: SurfaceModel, points) -> np.ndarray:
+    """The points as an int64 id array; ValueError for an id outside [0, num_points)."""
+    ids = np.fromiter(points, dtype=np.int64)
+    if ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
+        raise ValueError(f"point ids must lie in [0, {model.num_points})")
+    return ids
+
+
+def _generator_sums(model: SurfaceModel, points) -> np.ndarray:
+    """How many of the points lie on each generator, a repeated point counted each time."""
+    counts = np.bincount(checked_ids(model, points), minlength=model.num_points)
+    return counts[model._gen_points].sum(axis=1)
+
+
 def is_cap(model: SurfaceModel, points) -> bool:
-    """True iff no two distinct members are conjugate."""
-    ids = np.asarray(sorted(int(x) for x in points), dtype=np.int32)
-    if len(np.unique(ids)) != len(ids):
-        return False
-    mask = np.zeros(model.num_points, dtype=bool)
-    mask[ids] = True
-    for x in ids:
-        if np.count_nonzero(mask[model.tangent_set(int(x))]) != 1:
-            return False
-    return True
+    """True iff every generator holds at most one of the points (a repeated id counts twice)."""
+    return bool((_generator_sums(model, points) <= 1).all())
+
+
+def is_ovoid(model: SurfaceModel, points) -> bool:
+    """True iff every generator holds exactly one of the points."""
+    return bool((_generator_sums(model, points) == 1).all())

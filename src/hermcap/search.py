@@ -30,7 +30,7 @@ import numpy as np
 
 from .capstate import CapState
 from .errors import HermcapError
-from .hermitian import SurfaceModel, is_cap
+from .hermitian import SurfaceModel, is_ovoid
 from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
@@ -221,14 +221,11 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
     Returns (kept_ids, removed_ids), both sorted.
     """
     q = model.q
-    ov = np.array(sorted({int(x) for x in ovoid}), dtype=np.int32)
-    if len(ov) != q**3 + 1 or not is_cap(model, ov):
+    if not is_ovoid(model, ovoid):
         raise ValueError("thinning requires an ovoid")
-    cs = CapState.from_ids(model, ov)
-    if not cs.is_complete():
-        raise ValueError("thinning requires an ovoid")
+    cs = CapState.from_ids(model, ovoid)
     on_ovoid = np.zeros(model.num_points, dtype=bool)
-    on_ovoid[ov] = True
+    on_ovoid[cs.members_sorted()] = True
     off = np.flatnonzero(~on_ovoid).astype(np.int32)
     removed: list[int] = []
     used_witnesses: set[int] = set()

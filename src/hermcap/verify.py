@@ -20,14 +20,12 @@ from .capstate import CapState
 from .errors import CapFileError
 from .galois import FieldSpec, FieldTables, build_field
 from .hermitian import (
-    CANONICAL_POLE,
     SurfaceModel,
     enumerate_generators,
     enumerate_surface,
     generators_through,
     hermitian_inner,
-    plane_pole,
-    polar_plane,
+    is_ovoid,
 )
 from .rng import SplitMix64
 from .search import SearchConfig, run_strategy
@@ -111,8 +109,6 @@ def _surface_checks(model: SurfaceModel) -> list[CheckResult]:
     out.append(CheckResult("ovoid-complete", cs.is_complete()))
     w_ok = cs.weight(int(ov[0])) == Fraction(q**2 + 1)
     out.append(CheckResult("ovoid-member-weight", w_ok))
-    back = plane_pole(model.field, polar_plane(model.field, CANONICAL_POLE))
-    out.append(CheckResult("polarity-involution", back == CANONICAL_POLE))
     return out
 
 
@@ -169,10 +165,7 @@ def _generator_checks(model: SurfaceModel) -> list[CheckResult]:
         len(generators_through(model, x)) == q + 1 for x in range(model.num_points)
     )
     out.append(CheckResult("generators-per-point", per_point))
-    ov = model.classical_ovoid_ids()
-    mask = np.zeros(model.num_points, dtype=bool)
-    mask[ov] = True
-    once = bool((mask[gens].sum(axis=1) == 1).all())
+    once = is_ovoid(model, model.classical_ovoid_ids())
     out.append(CheckResult("ovoid-meets-generators-once", once))
     return out
 

@@ -43,6 +43,24 @@ def tangent_sets_by_pairs(model):
     return out
 
 
+def cap_by_form(model, ids):
+    """Whether ids are distinct and pairwise non-conjugate, by the scalar form."""
+    if len(set(ids)) != len(ids):
+        return False
+    coords = [model.coords_of(i) for i in ids]
+    return all(hermitian_inner(model.field, a, b) != 0 for a, b in combinations(coords, 2))
+
+
+def ovoid_by_form(model, ids):
+    """Whether ids form a cap of q^3 + 1 points.
+
+    Each point lies on q + 1 of the (q^3 + 1)(q + 1) generators and a cap
+    meets each generator at most once, so exactly the caps of that size meet
+    every generator once.
+    """
+    return len(ids) == model.q**3 + 1 and cap_by_form(model, ids)
+
+
 def all_lines_pg3(field):
     """Every line of PG(3, q^2) as a frozenset of normalized points."""
     pts = pg3_points(field)

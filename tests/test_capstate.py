@@ -58,6 +58,15 @@ def test_add_covered_point_rejected(model_q2):
         cap.add_point(conj)
     with pytest.raises(CapViolationError):
         cap.add_point(0)
+    with pytest.raises(CapViolationError):
+        CapState.from_ids(model_q2, [0, conj])
+
+
+def test_from_ids_rejects_ids_off_the_surface(model_q2):
+    assert CapState.from_ids(model_q2, [3, 3]).members == {3}
+    for bad in ([-1], [2, model_q2.num_points]):
+        with pytest.raises(ValueError):
+            CapState.from_ids(model_q2, bad)
 
 
 def test_remove_nonmember_rejected(model_q2):
@@ -85,6 +94,7 @@ def test_incremental_matches_recomputation(q):
             cap.remove_point(rng.choice(sorted(cap.members)))
         fresh = CapState.from_ids(model, cap.members)
         assert np.array_equal(fresh.cmult, cap.cmult)
+        assert fresh.members == cap.members
 
 
 # (operation, index): the index picks among the points the operation accepts

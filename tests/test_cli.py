@@ -257,6 +257,37 @@ def test_spectrum_json_format(capsys):
     assert payload["total_runs"] == 10 and payload["strategy"] == "min-relevance"
 
 
+def test_spectrum_seed_file(tmp_path, model_q3, capsys):
+    seed = tmp_path / "seed.json"
+    write_cap(seed, model_q3, classical_ovoid(model_q3)[::3])  # 10 of the 28 points
+    logs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"log{jobs}.jsonl"
+        assert (
+            run_cli(
+                "spectrum", "--q", "3", "--strategy", "backtrack", "--runs", "12",
+                "--seed-file", str(seed), "--master", "5",
+                "--jobs", jobs, "--runlog", str(path), "--out", str(tmp_path / "h.csv"),
+            )
+            == 0
+        )
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1]
+    records = [json.loads(line) for line in logs[0].splitlines()]
+    assert len(records) == 12 and all(r["input_size"] == 10 for r in records)
+
+    pair = tmp_path / "pair.json"
+    write_cap(pair, model_q3, model_q3.tangent_set(0)[:2])
+    capsys.readouterr()
+    assert (
+        run_cli(
+            "spectrum", "--q", "3", "--runs", "2", "--seed-file", str(pair), "--master", "5",
+        )
+        == 1
+    )
+    assert capsys.readouterr().err.strip() == "error: capfile-not-a-cap"
+
+
 def test_ovoid_and_thin_commands(tmp_path, model_q2, capsys):
     ov_path = tmp_path / "ovoid.json"
     kept_path = tmp_path / "kept.json"

@@ -131,4 +131,13 @@ def test_invalid_specs_rejected():
     with pytest.raises(ConfigurationError):
         build_field(FieldSpec(2, 0))
     with pytest.raises(ConfigurationError):
-        build_field(FieldSpec(2, 13))  # table size out of range
+        build_field(FieldSpec(2, 13))  # q above MAX_Q
+
+
+def test_spec_for_q():
+    assert [FieldSpec.for_q(q) for q in (2, 4, 7, 9, 16)] == [
+        FieldSpec(2, 1), FieldSpec(2, 2), FieldSpec(7, 1), FieldSpec(3, 2), FieldSpec(2, 4)
+    ]
+    for q in (-3, 0, 1, 6, 12):
+        with pytest.raises(ConfigurationError, match=f"q={q} is not a prime power"):
+            FieldSpec.for_q(q)

@@ -11,14 +11,21 @@ from hermcap import (
     generators_through,
     hermitian_inner,
     is_cap,
+    is_ovoid,
     normalize_point,
     run_strategy,
 )
 from hermcap.errors import TangentPlaneError
-from hermcap.hermitian import plane_pole, polar_plane
 
 from .conftest import get_model
-from .oracles import all_lines_pg3, pg3_points, surface_points, tangent_sets_by_pairs
+from .oracles import (
+    all_lines_pg3,
+    cap_by_form,
+    ovoid_by_form,
+    pg3_points,
+    surface_points,
+    tangent_sets_by_pairs,
+)
 
 COUNTS = {2: 45, 3: 280, 5: 3276, 7: 17200}
 GX = {2: 13, 3: 37, 5: 151, 7: 393}
@@ -183,36 +190,47 @@ def test_ovoid_rejects_pole_on_surface(model_q2):
         classical_ovoid(model_q2, pole=on_surface)
 
 
-def test_polarity_involution(model_q5):
-    f = model_q5.field
-    rng = SplitMix64(8)
-    for _ in range(100):
-        coords = tuple(rng.randbelow(f.order2) for _ in range(4))
-        if not any(coords):
-            continue
-        pole = normalize_point(f, coords)
-        assert plane_pole(f, polar_plane(f, pole)) == pole
-
-
 def test_is_cap_examples(model_q2):
     gens = enumerate_generators(model_q2)
-    assert is_cap(model_q2, [7])
-    assert not is_cap(model_q2, gens[0])
     ov = classical_ovoid(model_q2)
-    assert is_cap(model_q2, ov)
-    # oracle form: explicit pairwise conjugacy scan
-    f = model_q2.field
-    for i, a in enumerate(map(int, ov)):
-        for b in map(int, ov[i + 1 :]):
-            assert (
-                hermitian_inner(f, model_q2.coords_of(a), model_q2.coords_of(b)) != 0
-            )
+    # (points, is a cap, is an ovoid)
+    cases = [
+        ([], True, False),
+        ([7], True, False),
+        ([7, 7], False, False),
+        (gens[0], False, False),
+        (ov, True, True),
+        (ov[:-1], True, False),
+        (np.append(ov, ov[0]), False, False),
+    ]
+    for points, cap, ovoid in cases:
+        assert is_cap(model_q2, points) == cap == cap_by_form(model_q2, list(points))
+        assert is_ovoid(model_q2, points) == ovoid == ovoid_by_form(model_q2, list(points))
+    for bad in ([model_q2.num_points], [0, -1]):
+        with pytest.raises(ValueError):
+            is_cap(model_q2, bad)
+        with pytest.raises(ValueError):
+            is_ovoid(model_q2, bad)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cap_and_ovoid_tests_match_form_oracle(q):
+    # complete caps (some of them ovoids), random subsets of them, and the
+    # subsets with a random surface point added (often breaking the cap)
+    model = get_model(q)
+    rng = SplitMix64(60 + q)
+    for i in range(30):
+        final = run_strategy(model, [], SearchConfig(rng_seed=i)).final_cap.tolist()
+        sub = rng.sample(final, rng.randbelow(len(final) + 1))
+        for points in (final, sub, sub + [rng.randbelow(model.num_points)]):
+            assert is_cap(model, points) == cap_by_form(model, points)
+            assert is_ovoid(model, points) == ovoid_by_form(model, points)
 
 
 def test_point_on_surface_from_norm_equation(model_q5):
     # (1, 0, 0, a) lies on the surface exactly when norm(a) = -1
     f = model_q5.field
-    minus_one = f.neg[1]
+    minus_one = int(np.flatnonzero(f.add2[1] == 0)[0])
     on = [a for a in range(f.order2) if f.norm_of(a) == minus_one]
     assert len(on) == f.q + 1
     for a in on:

@@ -9,8 +9,15 @@ cap is complete.  The point comes from the strategy's selection rule in
 * MIN_RELEVANCE: an uncovered point of minimal relevance (it locally covers
   the fewest new points);
 * FORWARD: each uncovered candidate t is scored by the number of
-  minimal-relevance points the cap would have after adding t, and a
-  candidate scoring best under the configured tie mode is added;
+  minimal-relevance points the cap would have after adding t (0 if t
+  completes it), and a candidate scoring best under the configured tie mode
+  is added.  The scores are deltas, read without mutating the cap: adding t
+  covers Z_t = T(t) & U of the uncovered set U, and every uncovered y
+  outside Z_t loses c_t(y) = |T(t) & T(y) & U| relevance.  Such a y is not
+  conjugate to t, and two non-conjugate tangent sections share exactly q + 1
+  points, so c_t(y) = (q + 1) - |T(t) & T(y) & C| over the covered set C as
+  well.  One product of the 0/1 conjugacy matrix over the smaller of U and C
+  (the rule the relevance vector is built by) gives c for a whole step;
 * BACKTRACK: random completion, after which ``backtrack_enlarge`` removes
   members of maximal relevance-after-removal, replaces them with
   lower-relevance points and completes the cap again through ``_complete``
@@ -34,6 +41,7 @@ from .hermitian import SurfaceModel, is_ovoid
 from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
+LOOKAHEAD_BLOCK_BYTES = 1 << 22  # largest float32 block of the forward scorer
 
 
 class StrategyKind(enum.Enum):
@@ -110,21 +118,93 @@ def _select_min_relevance(
     return _pick(rng, m[rel == rel.min()])
 
 
+def _fill(out: np.ndarray, idx: np.ndarray, value) -> None:
+    """out[i, idx[i, k]] = value for every i and k; out is C-contiguous."""
+    flat = idx + (np.arange(len(out), dtype=np.int32) * out.shape[1])[:, None]
+    out.ravel()[flat] = value
+
+
+def _incidence(rows: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """0/1 float32 (len(rows), width) matrix with out[i, pos[y]] = 1 for every id y of rows[i].
+
+    pos sends the points without a column to column ``width``, cut off the returned view.
+    """
+    out = np.zeros((len(rows), width + 1), dtype=np.float32)
+    _fill(out, pos[rows], 1)
+    return out[:, :width]
+
+
+def _positions(n: int, ids: np.ndarray) -> np.ndarray:
+    """pos[ids[j]] = j, and len(ids) for every other point."""
+    pos = np.full(n, ids.size, dtype=np.int32)
+    pos[ids] = np.arange(ids.size, dtype=np.int32)
+    return pos
+
+
+def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """rho(t) for every uncovered t in m, where rel = cap.relevance_many(m).
+
+    c = A[U, S] @ A[S, B] (see the module docstring) over the inner set S,
+    for y in the band B of points with rel(y) <= min rel + q + 1: as
+    c_t(y) <= q + 1, no point outside B can be minimal once some point of B
+    reaches min rel.  A row whose band minimum stays above min rel is counted
+    exactly over all of U instead.  The products run in float32 blocks of at
+    most LOOKAHEAD_BLOCK_BYTES, and every partial sum is an integer of at
+    most gx, so they are exact.  The cap is not mutated.
+    """
+    model = cap.model
+    n, q1 = model.num_points, model.q + 1
+    rmin = int(rel.min())
+    in_band = rel <= rmin + q1
+    band = m[in_band]
+    if 2 * m.size <= n:  # the rule CapState._relevance builds by
+        inner, base, combine = m, rel[in_band], np.subtract
+    else:
+        inner, base, combine = np.flatnonzero(cap.cmult), rel[in_band] - q1, np.add
+    base = base.astype(np.float32)
+    pos_inner = _positions(n, inner)
+    budget = LOOKAHEAD_BLOCK_BYTES // 4
+    cols = min(band.size, max(1, budget // max(inner.size, model.gx_size)))
+    step = max(1, budget // max(inner.size, cols, model.gx_size))
+    best = np.full(m.size, np.inf, dtype=np.float32)
+    count = np.zeros(m.size, dtype=np.int64)
+    for lo in range(0, band.size, cols):
+        hi = min(lo + cols, band.size)
+        right = _incidence(model.tangent_rows(band[lo:hi]), pos_inner, inner.size).T
+        pos_band = _positions(n, band[lo:hi])
+        for r0 in range(0, m.size, step):
+            rows = model.tangent_rows(m[r0 : r0 + step])
+            v = np.empty((len(rows), hi - lo + 1), dtype=np.float32)
+            combine(base[lo:hi], _incidence(rows, pos_inner, inner.size) @ right, out=v[:, :-1])
+            _fill(v, pos_band[rows], np.inf)  # drop the band points t covers
+            v = v[:, :-1]
+            low = v.min(axis=1)
+            hits = np.count_nonzero(v == low[:, None], axis=1)
+            seg = slice(r0, r0 + len(rows))
+            b, c = best[seg], count[seg]
+            c[low == b] += hits[low == b]
+            c[low < b] = hits[low < b]
+            np.minimum(b, low, out=b)
+    for j in np.flatnonzero(best > rmin):
+        if rel[j] == m.size:
+            count[j] = 0  # the candidate completes the cap outright
+            continue
+        row = model.tangent_set(int(m[j]))
+        z = row[cap.cmult[row] == 0]
+        lost = np.bincount(model.tangent_rows(z).ravel(), minlength=n)
+        stays = np.ones(n, dtype=bool)
+        stays[z] = False
+        after = (rel - lost[m])[stays[m]]
+        count[j] = np.count_nonzero(after == after.min())
+    return count
+
+
 def _select_lookahead(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
     rel = cap.relevance_many(m)
     if int(rel.min()) == 1:
         # a relevance-1 point covers only itself; adding one is always safe
         return _pick(rng, m[rel == 1])
-    rho = np.empty(m.size, dtype=np.int64)
-    for i, t in enumerate(m):
-        cap.add_point(int(t))
-        m2 = m[cap.cmult[m] == 0]
-        if m2.size == 0:
-            rho[i] = 0  # the candidate completes the cap outright
-        else:
-            r2 = cap.relevance_many(m2)
-            rho[i] = int(np.count_nonzero(r2 == r2.min()))
-        cap.remove_point(int(t))
+    rho = _forward_scores(cap, m, rel)
     if config.forward_tie_mode is TieMode.MAX_COUNT:
         return _pick(rng, m[rho == rho.max()])
     return _pick(rng, m[rho == rho.min()])

@@ -6,11 +6,19 @@ generators-first construction or the tangent rows assembled from it that
 the package uses internally.  In particular ``tangent_sets_by_pairs`` tests
 conjugacy pair by pair, the way the package no longer does, so it checks
 the assembled rows independently.
+
+The one exception is ``lookahead_by_trial``, which looks one forward step
+ahead by adding each candidate to a ``CapState`` and removing it again.  It
+checks the delta scoring of forward search against the counters' own
+add/remove increments, which are in turn checked against
+``relevance_by_sets``.
 """
 
 from itertools import combinations
 
-from hermcap import hermitian_inner, normalize_point
+import numpy as np
+
+from hermcap import CapState, hermitian_inner, normalize_point
 
 
 def pg3_points(field):
@@ -115,3 +123,27 @@ def enumerate_complete_caps(tsets, num_points, seed):
 
     rec(seed)
     return complete
+
+
+def lookahead_by_trial(model, members):
+    """Each uncovered t with the uncovered points and their relevances once t joins.
+
+    Returns (t, uncovered ids, relevances) triples in ascending t.  Every t is
+    added to a fresh state of the members, read and removed again.
+    """
+    cap = CapState.from_ids(model, members)
+    out = []
+    for t in cap.uncovered().tolist():
+        cap.add_point(t)
+        left = cap.uncovered()
+        out.append((t, left, cap.relevance_many(left)))
+        cap.remove_point(t)
+    return out
+
+
+def forward_score(rel_after):
+    """Forward search's score of a candidate from the relevances left once it joins.
+
+    The number of minimal-relevance points, or 0 if the candidate completes the cap.
+    """
+    return int(np.count_nonzero(rel_after == rel_after.min())) if rel_after.size else 0

@@ -29,6 +29,7 @@ from hermcap import (
     SeedSpec,
     SplitMix64,
     StrategyKind,
+    TieMode,
     emit_histogram,
     enumerate_generators,
     emit_runlog,
@@ -58,6 +59,15 @@ RUN_DIGESTS = {
     (5, 40, "forward", 2): "c7ec79d141e70d4217ad4144648b097a9780c1cbcac806010d9f618b8a03e809",
     (5, 40, "backtrack", 1): "35ae2f6f01c33d10b2cfdbe49483f12c6197bf5d572b9ab34e8a87d171effcd6",
     (5, 40, "backtrack", 2): "bb35d8bb7a4ddcda71f9ac10d6826d6984b57b845cdb5bcec1df334bd9cdb6d2",
+}
+
+# FORWARD under TieMode.MIN_COUNT (RUN_DIGESTS use the default MAX_COUNT):
+# (q, sub-ovoid seed size or None for empty, seed) -> digest
+MIN_COUNT_DIGESTS = {
+    (3, None, 1): "b7ba262e4780cfd703b41fdf37876c923de2cbe0c19b3f1ae0aaffa1acbf3b1e",
+    (3, None, 2): "cc19f5c23c637fe647c5ba348795eff2bbb29b09e53e4b83c01428c62471dceb",
+    (5, 40, 1): "6669fd43e812275bed866b750ec421f92c4bda18cefc184a1540ee6fdf72f511",
+    (5, 40, 2): "3163f41befc22dee9265ac4fe57e5a647f6a1bce874ad248970fcc17deb9d2f9",
 }
 
 SPECTRUM_DIGEST = "4c12caddf90ae9122899a4ded20684afc80de47de867dc7c33b4b9fc7875ee61"
@@ -96,12 +106,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digest(q, seed_size, strategy, seed):
+def run_digest(q, seed_size, strategy, seed, tie_mode=TieMode.MAX_COUNT):
     model = get_model(q)
     seed_cap = []
     if seed_size is not None:
         seed_cap = sample_subcap(model.classical_ovoid_ids(), seed_size, SplitMix64(seed))
-    config = SearchConfig(strategy=StrategyKind(strategy), rng_seed=seed, keep_trace=True)
+    config = SearchConfig(
+        strategy=StrategyKind(strategy), rng_seed=seed, forward_tie_mode=tie_mode, keep_trace=True
+    )
     out = run_strategy(model, seed_cap, config)
     payload = {
         "cap": [int(x) for x in out.final_cap],
@@ -136,6 +148,12 @@ def spectrum_digest(jobs):
 @pytest.mark.parametrize("case", sorted(RUN_DIGESTS, key=repr), ids=repr)
 def test_run_digest(case):
     assert run_digest(*case) == RUN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MIN_COUNT_DIGESTS, key=repr), ids=repr)
+def test_min_count_forward_digest(case):
+    q, seed_size, seed = case
+    assert run_digest(q, seed_size, "forward", seed, TieMode.MIN_COUNT) == MIN_COUNT_DIGESTS[case]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermcap import (
     CapState,
@@ -14,9 +18,11 @@ from hermcap import (
     sample_subcap,
     thin_ovoid,
 )
+from hermcap import search
 from hermcap.errors import CapViolationError
 
 from .conftest import get_model
+from .oracles import forward_score, lookahead_by_trial
 
 # BACKTRACK enlarges after completing, so only the pure completions add
 # exactly one point per iteration
@@ -116,6 +122,62 @@ def test_unique_completion_when_max_relevance_is_one(model_q3):
 def test_forward_tie_modes_complete(model_q2, mode):
     out = complete(model_q2, [], StrategyKind.FORWARD, rng_seed=3, forward_tie_mode=mode)
     assert 5 <= out.size <= 9
+
+
+def test_forward_scores_match_trial_oracle():
+    # every case of the delta scorer must occur: both inner sets, a candidate
+    # that completes the cap and a band row that falls back to an exact
+    # count; the small block splits a step into several row and column blocks
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        q=st.sampled_from([2, 3]),
+        picks=st.lists(st.integers(0, 2**16), max_size=40),
+        small_blocks=st.booleans(),
+    )
+    def check(q, picks, small_blocks):
+        model = get_model(q)
+        cap = CapState(model)
+        for i in picks:
+            m = cap.uncovered()
+            t = int(m[i % m.size])
+            if cap.relevance(t) == m.size:
+                break  # t would complete the cap; keep something to score
+            cap.add_point(t)
+        m = cap.uncovered()
+        rel = cap.relevance_many(m)
+        block = 1 << 14 if small_blocks else search.LOOKAHEAD_BLOCK_BYTES
+        with mock.patch.object(search, "LOOKAHEAD_BLOCK_BYTES", block):
+            got = search._forward_scores(cap, m, rel)
+        after = lookahead_by_trial(model, cap.members)
+        assert [t for t, _, _ in after] == m.tolist()
+        assert got.tolist() == [forward_score(r) for _, _, r in after]
+        seen.add("S = U" if 2 * m.size <= model.num_points else "S = C")
+        in_band = np.zeros(model.num_points, dtype=bool)
+        in_band[m[rel <= rel.min() + q + 1]] = True
+        for _, left, r in after:
+            if not left.size:
+                seen.add("completes")
+            elif not in_band[left].any() or r[in_band[left]].min() > rel.min():
+                seen.add("band fallback")
+
+    check()
+    assert seen == {"S = U", "S = C", "completes", "band fallback"}
+
+
+@pytest.mark.parametrize("q,k", [(3, 3), (5, 40)])
+def test_lookahead_leaves_the_state_untouched(q, k):
+    model = get_model(q)
+    cap = CapState.from_ids(model, sample_subcap(classical_ovoid(model), k, SplitMix64(k)))
+    m = cap.uncovered()
+    assert cap.relevance_many(m).min() > 1  # no relevance-1 shortcut
+    members, cmult, rel = set(cap.members), cap.cmult.tobytes(), cap._rel.tobytes()
+    config = SearchConfig(strategy=StrategyKind.FORWARD)
+    search._select_lookahead(cap, m, SplitMix64(q), config)
+    assert cap.members == members
+    assert cap.cmult.tobytes() == cmult
+    assert cap._rel.tobytes() == rel
 
 
 def test_relevance_one_implies_cap_size_bound(model_q3):

@@ -42,6 +42,11 @@ def write_cap(path, model: SurfaceModel, ids) -> None:
     Path(path).write_bytes(serialize_cap(model, ids))
 
 
+def _is_int(value) -> bool:
+    # JSON 2.0 and true compare equal to 2 and 1 but are not integers
+    return type(value) is int
+
+
 def parse_cap(data: bytes) -> dict:
     """Decode cap-file bytes and check their shape; raises CapFileError."""
     try:
@@ -53,11 +58,16 @@ def parse_cap(data: bytes) -> dict:
     for key in ("q", "p", "k", "modulus", "form", "points"):
         if key not in payload:
             raise CapFileError(f"capfile-missing-field: {key}")
+    for key in ("q", "p", "k"):
+        if not _is_int(payload[key]):
+            raise CapFileError(f"capfile-bad-field: {key} must be an integer")
     for key in ("modulus", "points"):
         if not isinstance(payload[key], list):
             raise CapFileError(f"capfile-bad-field: {key} must be a list")
+    if not all(map(_is_int, payload["modulus"])):
+        raise CapFileError("capfile-bad-field: modulus entries must be integers")
     for raw in payload["points"]:
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or not all(map(_is_int, raw)):
             raise CapFileError(f"capfile-bad-coordinates: {raw}")
     return payload
 
@@ -86,9 +96,7 @@ def resolve_cap(model: SurfaceModel, payload: dict) -> np.ndarray:
         raise CapFileError(f"capfile-unknown-form: {payload['form']!r}")
     ids = []
     for raw in payload["points"]:
-        if len(raw) != 4 or not all(
-            isinstance(c, int) and 0 <= c < model.q2 for c in raw
-        ):
+        if len(raw) != 4 or not all(0 <= c < model.q2 for c in raw):
             raise CapFileError(f"capfile-bad-coordinates: {raw}")
         coords = tuple(raw)
         if normalize_point(model.field, coords) != coords:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain or invariant failure, 2 usage/configuration
-error.
+Exit codes: 0 success, 1 domain or invariant failure or an unreadable or
+unwritable file, 2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .capfile import load_cap_ids, write_cap
 from .capstate import CapState
-from .errors import CapFileError, ConfigurationError, HermcapError
+from .errors import ConfigurationError, HermcapError
 from .galois import FieldSpec, build_field
 from .harness import SeedSpec, emit_histogram, emit_runlog, gap_check, run_spectrum
 from .hermitian import enumerate_generators, enumerate_surface, generators_through
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HermcapError, CapFileError, ValueError) as exc:
+    except (HermcapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,9 +21,5 @@ class CapCompleteError(HermcapError):
     """The cap is already complete, so the requested quantity is undefined."""
 
 
-class TangentPlaneError(HermcapError):
-    """The requested plane section is tangent (pole lies on the surface)."""
-
-
 class CapFileError(HermcapError):
     """A cap file failed validation; the message names the violated invariant."""

@@ -8,11 +8,16 @@ residue polynomial in the canonical power basis, read as a base-p number
 (coefficient of degree j contributes c_j * p^j).  0 encodes the zero element
 and 1 the one, and the encoding is a stable file-format identifier.
 
-The modulus is the monic irreducible polynomial of degree 2k over GF(p)
+The modulus is the monic irreducible polynomial of degree d = 2k over GF(p)
 whose non-leading coefficient vector has the smallest base-p encoding; it is
-recorded in serialized cap files.  Multiplication goes through exp/log tables
-for a fixed primitive element (the element of smallest encoding that
-generates the multiplicative group), addition through a digitwise table.
+recorded in serialized cap files.  Candidates are tried in that order, each
+by its own product table: a monic candidate of degree d is reducible exactly
+when it has a factor of degree at most d/2, and then that factor times its
+cofactor is zero modulo the candidate.  So the first candidate whose table has
+no zero product in the rows of degree <= d/2 is irreducible, and its table is
+``mul2``.  Every other table is read from ``mul2``: conjugation as q - 1
+successive products, inverses where a row holds 1, the norm as x * x^q.
+Addition is digitwise.
 """
 
 from __future__ import annotations
@@ -29,17 +34,6 @@ from .errors import ConfigurationError
 MAX_Q = 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -52,61 +46,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# --- polynomial helpers over GF(p) ---------------------------------------
-# Polynomials are little-endian coefficient lists without trailing zeros.
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - len(m)
-        if coef:
-            for j, mj in enumerate(m):
-                a[shift + j] = (a[shift + j] - coef * mj) % p
-        a.pop()
-        _ptrim(a)
-        if not a:
-            break
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    d = len(f) - 1
-    for deg in range(1, d // 2 + 1):
-        for enc in range(p**deg):
-            g = [(enc // p**j) % p for j in range(deg)] + [1]
-            if not _pmod(f, g, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    for enc in range(p**degree):
-        f = [(enc // p**j) % p for j in range(degree)] + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise ConfigurationError(f"no irreducible of degree {degree} over GF({p})")
 
 
 @dataclass(frozen=True)
@@ -136,7 +75,7 @@ class FieldSpec:
         return self.p ** (2 * self.k)
 
     def validate(self) -> None:
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != [self.p]:
             raise ConfigurationError(f"p={self.p} is not prime")
         if self.k < 1:
             raise ConfigurationError(f"k={self.k} must be >= 1")
@@ -148,17 +87,13 @@ class FieldSpec:
 class FieldTables:
     """Precomputed arithmetic for GF(q^2); immutable after build.
 
-    ``add2``/``mul2`` are full (q^2, q^2) tables; ``exp``/``log`` realize the
-    cyclic group for the recorded primitive element.  ``conj`` is x -> x^q,
+    ``add2``/``mul2`` are full (q^2, q^2) tables.  ``conj`` is x -> x^q,
     ``inv`` the multiplicative inverse (0 slot unused), ``norm`` is
     x -> x^(q+1), always a subfield value.
     """
 
     spec: FieldSpec
     modulus: tuple[int, ...]
-    generator: int
-    exp: np.ndarray = field(repr=False)
-    log: np.ndarray = field(repr=False)
     add2: np.ndarray = field(repr=False)
     mul2: np.ndarray = field(repr=False)
     conj: np.ndarray = field(repr=False)
@@ -199,86 +134,45 @@ class FieldTables:
         return int(self.conj[a]) == a
 
 
-def _encode(coeffs: list[int], p: int) -> int:
-    e = 0
-    for c in reversed(coeffs):
-        e = e * p + c
-    return e
+def _products(rows: np.ndarray, cols: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
+    """Encodings of every product a * b modulo x^d + low(x), for digit vectors a, b.
 
-
-def _decode(e: int, p: int, d: int) -> list[int]:
-    return _ptrim([(e // p**j) % p for j in range(d)])
+    The schoolbook sum of a_i * b_j * x^(i+j), with each x^(i+j) reduced first.
+    """
+    d = len(low)
+    # row t: the digits of x^t modulo x^d + low(x), in columns 0 .. d-1
+    mono = np.eye(2 * d - 1, dtype=np.int64)
+    for t in range(2 * d - 2, d - 1, -1):
+        mono[:, t - d : t] -= mono[:, t, None] * low
+    # times[a, j] = a * x^j, so a * b = sum_j b_j * times[a, j]
+    times = np.tensordot(rows, mono[np.add.outer(np.arange(d), np.arange(d)), :d] % p, 1)
+    return ((cols @ times) % p @ p ** np.arange(d)).astype(np.int32)
 
 
 def build_field(spec: FieldSpec) -> FieldTables:
     """Build all tables for GF(q^2) = GF(p)[x] / (canonical modulus)."""
     spec.validate()
     p, d, n = spec.p, 2 * spec.k, spec.order2
-    modulus = list(_smallest_irreducible(p, d))
+    idx = np.arange(n)
+    digits = (idx[:, None] // p ** np.arange(d)) % p
 
-    def fmul(a: int, b: int) -> int:
-        return _encode(_pmod(_pmul(_decode(a, p, d), _decode(b, p, d), p), modulus, p), p)
+    # a reducible candidate has a factor g of degree <= d/2, and g times its
+    # cofactor is a zero product in row g; candidate e has low digits digits[e]
+    rows = digits[1 : p ** (d // 2 + 1)]
+    low = next(digits[e] for e in range(n) if _products(rows, digits[1:], digits[e], p).all())
 
-    def fpow(a: int, e: int) -> int:
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = fmul(r, base)
-            base = fmul(base, base)
-            e >>= 1
-        return r
-
-    # primitive element: smallest encoding whose order is q^2 - 1
-    order = n - 1
-    gen = 0
-    for cand in range(2, n):
-        if all(fpow(cand, order // f) != 1 for f in _prime_factors(order)):
-            gen = cand
-            break
-    if gen == 0:
-        raise ConfigurationError("no primitive element found")
-
-    exp = np.empty(order, dtype=np.int32)
-    log = np.full(n, -1, dtype=np.int32)
-    x = 1
-    for i in range(order):
-        exp[i] = x
-        log[x] = i
-        x = fmul(x, gen)
-    if x != 1 or np.count_nonzero(log >= 0) != order:
-        raise ConfigurationError("primitive element does not generate the group")
-
-    # digitwise structure, vectorized table fills
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.stack([(idx // p**j) % p for j in range(d)], axis=1).astype(np.int8)
-    pw = p ** np.arange(d, dtype=np.int64)
-
-    add2 = (
-        ((digits[:, None, :].astype(np.int64) + digits[None, :, :]) % p) @ pw
-    ).astype(np.int32)
-
-    mul2 = np.zeros((n, n), dtype=np.int32)
-    nz = idx[1:]
-    mul2[np.ix_(nz, nz)] = exp[(log[nz][:, None] + log[nz][None, :]) % order]
-
-    conj = np.zeros(n, dtype=np.int32)
-    conj[exp] = exp[(np.arange(order, dtype=np.int64) * spec.q) % order]
-    conj[0] = 0
-
-    inv = np.zeros(n, dtype=np.int32)
-    inv[exp] = exp[(-np.arange(order, dtype=np.int64)) % order]
-
-    nrm = mul2[idx, conj[idx]].astype(np.int32)
+    mul2 = _products(digits, digits, low, p)
+    add2 = ((digits[:, None, :] + digits[None, :, :]) % p @ p ** np.arange(d)).astype(np.int32)
+    conj = idx.astype(np.int32)
+    for _ in range(spec.q - 1):
+        conj = mul2[conj, idx]
 
     return FieldTables(
         spec=spec,
-        modulus=tuple(modulus),
-        generator=gen,
-        exp=exp,
-        log=log,
+        modulus=tuple(int(c) for c in low) + (1,),
         add2=add2,
         mul2=mul2,
         conj=conj,
-        inv=inv,
-        norm=nrm,
+        inv=np.argmax(mul2 == 1, axis=1).astype(np.int32),
+        norm=mul2[idx, conj],
     )

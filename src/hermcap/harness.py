@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import SurfaceModel, classical_ovoid
+from .hermitian import SurfaceModel
 from .rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
 from .search import SearchConfig, SearchOutcome, StrategyKind, run_strategy, sample_subcap
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, TangentPlaneError
+from .errors import ConfigurationError
 from .galois import FieldTables
 
 DENSE_LIMIT_BYTES = 1 << 30  # largest dense tangent table built up front
@@ -244,16 +244,13 @@ def generators_through(model: SurfaceModel, pid: int) -> list[int]:
     return model._gens_by_point[pid].tolist()
 
 
-def classical_ovoid(model: SurfaceModel, pole: ProjPoint = CANONICAL_POLE) -> np.ndarray:
-    """Plane-section ovoid: surface points on the polar plane of an off-surface pole.
+def classical_ovoid(model: SurfaceModel) -> np.ndarray:
+    """Plane-section ovoid: surface points on the polar plane of CANONICAL_POLE.
 
     Size q^3 + 1; meets every generator exactly once.
     """
-    field = model.field
-    pole = normalize_point(field, pole)
-    if hermitian_inner(field, pole, pole) == 0:
-        raise TangentPlaneError(f"pole {pole} lies on the surface; its plane is tangent")
-    return np.flatnonzero(_form(field, model.coords, np.array(pole)) == 0).astype(np.int32)
+    pole = np.array(CANONICAL_POLE)
+    return np.flatnonzero(_form(model.field, model.coords, pole) == 0).astype(np.int32)
 
 
 def checked_ids(model: SurfaceModel, points) -> np.ndarray:

@@ -151,29 +151,73 @@ def test_verify_reports_raising_check_as_failure(monkeypatch, capsys):
     assert "Traceback" not in out.out + out.err
 
 
+# kind -> the invariant the malformed file violates
+_MALFORMED = {
+    "top-level-number": "capfile-not-an-object",
+    "modulus-number": "capfile-bad-field",
+    "point-number": "capfile-bad-coordinates",
+    "q-float": "capfile-bad-field",
+    "k-bool": "capfile-bad-field",
+    "modulus-float": "capfile-bad-field",
+    "point-bool": "capfile-bad-coordinates",
+    "point-float": "capfile-bad-coordinates",
+}
+
+
 def _malformed_cap(kind, model):
     if kind == "top-level-number":
         return "5"
     payload = json.loads(serialize_cap(model, classical_ovoid(model)))
+    points = payload["points"]
     if kind == "modulus-number":
         payload["modulus"] = 5
-    else:
+    elif kind == "point-number":
         payload["points"] = [7]
+    elif kind == "q-float":
+        payload["q"] = float(payload["q"])
+    elif kind == "k-bool":
+        payload["k"] = True
+    elif kind == "modulus-float":
+        payload["modulus"][-1] = 1.0
+    elif kind == "point-bool":
+        # a point whose coordinates are all 0 or 1, so true/false compare equal
+        i = next(i for i, pt in enumerate(points) if max(pt) == 1)
+        points[i] = [c == 1 for c in points[i]]
+    else:
+        points[0] = [float(c) for c in points[0]]
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("kind", ["top-level-number", "modulus-number", "point-number"])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
 def test_malformed_cap_file_exits_1_without_traceback(kind, tmp_path, model_q2, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(_malformed_cap(kind, model_q2))
     assert run_cli("complete", "--q", "2", "--input", str(bad)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: capfile-") and "Traceback" not in err
+    assert err.startswith(f"error: {_MALFORMED[kind]}") and "Traceback" not in err
     assert run_cli("verify", "--q", "2", "--cap", str(bad)) == 1
     out = capsys.readouterr()
-    assert "FAIL capfile-valid (capfile-" in out.out
+    assert f"FAIL capfile-valid ({_MALFORMED[kind]}" in out.out
     assert "first failing invariant: capfile-valid" in out.err
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete", "--q", "2", "--output"],
+        ["spectrum", "--q", "2", "--runs", "2", "--empty", "--master", "1", "--out"],
+        ["spectrum", "--q", "2", "--runs", "2", "--empty", "--master", "1", "--runlog"],
+        ["ovoid", "--q", "2", "--output"],
+        ["thin", "--q", "2", "--output"],
+        ["thin", "--q", "2", "--removed"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-1]}",
+)
+def test_unwritable_output_exits_1_without_traceback(argv, tmp_path, capsys):
+    assert run_cli(*argv, str(tmp_path / "missing" / "x.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
 
 
 def test_complete_with_ovoid_input(tmp_path, model_q2, capsys):

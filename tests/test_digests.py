@@ -11,6 +11,10 @@ The construction digests cover the surface's incidence structure itself:
 the dense tangent table, the generator point arrays in id order and the
 generator ids through every point.  q = 4 is the one surface here over a
 field GF(p^k) with k > 1.
+
+The field digests cover the GF(q^2) tables every point id and cap file rests
+on: the modulus and the ``add2``, ``mul2``, ``conj``, ``inv`` and ``norm``
+values, for every supported q.
 """
 
 import hashlib
@@ -27,9 +31,11 @@ import hermcap
 from hermcap import (
     SearchConfig,
     SeedSpec,
+    FieldSpec,
     SplitMix64,
     StrategyKind,
     TieMode,
+    build_field,
     emit_histogram,
     enumerate_generators,
     emit_runlog,
@@ -101,6 +107,20 @@ CONSTRUCTION_DIGESTS = {
     ),
 }
 
+# q -> digest of the modulus and the GF(q^2) tables
+FIELD_DIGESTS = {
+    2: "d58232d431cfe91cbceaba36c19a410855c328d464fef89682bf638bd8fc1808",
+    3: "c2e8df497d88d7cf4e99789e7fef3444c04487cfbad5b83a3d0758c877fe6f78",
+    4: "ea9a65b08f80c06497f1eec9759865eba69dc8d479921d3cee8b9a0d8f919fd2",
+    5: "cd43b79ff577c7c770bd000344251f1bd122399578b32bde286ac8fbaf17cd8f",
+    7: "b23cedd53643013d77897e776ea7d0694382efc8b2435b5f37ec1536e8009c4f",
+    8: "8fea8280baff4950f79eea17f426164fd2d5cf208a28b26a29b58d93117be228",
+    9: "5d01e542788ea57e663dc22f73663a7ceb65394ff511b7e0bbd39a57e9a15591",
+    11: "44bddd8994e6221131f7e8b8088f646b6c7f359c40a7ee7a5935996542a4f6a9",
+    13: "f529f1caaff539089f05cafc17e68bce56d39602d2f8e86d718336e575bb8d61",
+    16: "d833a43966cb922b99646caa771d1bacf045ca24e1fd3f654d09a76607745b2b",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -135,6 +155,14 @@ def construction_digests(q):
         sha256(points.tobytes()),
         sha256(through.tobytes()),
     )
+
+
+def field_digest(q):
+    t = build_field(FieldSpec.for_q(q))
+    h = hashlib.sha256(json.dumps(list(t.modulus)).encode())
+    for table in (t.add2, t.mul2, t.conj, t.inv, t.norm):
+        h.update(np.ascontiguousarray(table, dtype="<i4").tobytes())
+    return h.hexdigest()
 
 
 def spectrum_digest(jobs):
@@ -185,3 +213,8 @@ def test_spectrum_digest_under_spawn():
 @pytest.mark.parametrize("q", sorted(CONSTRUCTION_DIGESTS))
 def test_construction_digests(q):
     assert construction_digests(q) == CONSTRUCTION_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_DIGESTS))
+def test_field_digests(q):
+    assert field_digest(q) == FIELD_DIGESTS[q]

@@ -15,7 +15,6 @@ from hermcap import (
     normalize_point,
     run_strategy,
 )
-from hermcap.errors import TangentPlaneError
 
 from .conftest import get_model
 from .oracles import (
@@ -182,12 +181,6 @@ def test_canonical_pole_is_first_off_surface(q):
     f = get_model(q).field
     first_off = next(x for x in pg3_points(f) if hermitian_inner(f, x, x) != 0)
     assert CANONICAL_POLE == first_off
-
-
-def test_ovoid_rejects_pole_on_surface(model_q2):
-    on_surface = model_q2.coords_of(0)
-    with pytest.raises(TangentPlaneError):
-        classical_ovoid(model_q2, pole=on_surface)
 
 
 def test_is_cap_examples(model_q2):

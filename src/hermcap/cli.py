@@ -7,6 +7,8 @@ unwritable file, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +29,20 @@ _STRATEGIES = {s.value: s for s in StrategyKind}
 
 def _build_model(q: int):
     return enumerate_surface(build_field(FieldSpec.for_q(q)))
+
+
+def _add_output(parser, flag: str, help: str) -> None:
+    """Add an output-file option; its directory is checked before any work."""
+    dest = parser.add_argument(flag, help=help).dest
+    parser.set_defaults(outputs=(*(parser.get_default("outputs") or ()), dest))
+
+
+def _check_output_dirs(args) -> None:
+    """Fail before any work when an output file's directory is missing."""
+    for name in getattr(args, "outputs", ()):
+        path = getattr(args, name)
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _add_q(parser) -> None:
@@ -159,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="random")
     p.add_argument("--input", help="seed cap file (default: empty seed)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--output", help="write the completed cap here")
+    _add_output(p, "--output", "write the completed cap here")
     p.add_argument(
         "--tie-mode", choices=[t.value for t in TieMode], default=TieMode.MAX_COUNT.value
     )
@@ -176,20 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master", type=int, required=True, help="master seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="histogram file (default: stdout)")
-    p.add_argument("--runlog", help="JSON-lines run log file")
+    _add_output(p, "--out", "histogram file (default: stdout)")
+    _add_output(p, "--runlog", "JSON-lines run log file")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("ovoid", help="emit the classical plane-section ovoid")
     _add_q(p)
-    p.add_argument("--output", help="cap file to write")
+    _add_output(p, "--output", "cap file to write")
     p.set_defaults(fn=cmd_ovoid)
 
     p = sub.add_parser("thin", help="thin the classical ovoid to a rigid subcap")
     _add_q(p)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--output", help="cap file for the kept points")
-    p.add_argument("--removed", help="cap file for the removed points")
+    _add_output(p, "--output", "cap file for the kept points")
+    _add_output(p, "--removed", "cap file for the removed points")
     p.set_defaults(fn=cmd_thin)
     return parser
 
@@ -198,6 +214,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.fn(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# largest q built: the surface at q = 16 takes about 14 s and 1.25 GB on a
-# 2-core host, and at q = 32 the q^6 coordinate rows of PG(3, q^2) alone would
-# need over 17 GB
+# largest q built: the surface at q = 16 takes about 7.4 s and 1.1 GB peak RSS
+# on a 2-core host, most of both in the generator pass; at q = 32 the
+# (q^3 + 1)(q + 1)(q^2 + 1) generated coordinate rows alone would need 18 GB
 MAX_Q = 16
 
 

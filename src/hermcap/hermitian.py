@@ -12,14 +12,25 @@ conjugate when H vanishes on the pair; conjugate surface points span a line
 fully contained in the surface (a generator), and the tangent section of a
 point x is the union of the q+1 generators through x, of size q^3 + q^2 + 1.
 
-The model is built generators first.  The classical ovoid meets every
-generator exactly once, so walking its q^3 + 1 points and spanning the q + 1
-generators through each yields every generator exactly once, in O(N q)
-field operations and with no pairwise conjugacy test.  A tangent row is then
-assembled as the sorted union of the q + 1 generators through the point.
-Rows are stored densely (one sorted id row per point) when the table takes
-at most DENSE_LIMIT_BYTES; above that (q >= 13) the same assembly runs on
-demand for each requested row.
+Every phase of the build does work in proportion to its output; PG(3, q^2)
+itself is never enumerated.
+
+- Points come from the norm fibers.  A point with leading 1 is on the surface
+  when the norms of its other coordinates sum to -1, so each head (the first
+  three coordinates) is completed by the last coordinates in one norm fiber,
+  taken ascending.  Heads run in encoding order, so the points come out
+  sorted by key.
+- Generators come from the classical ovoid, which meets every generator
+  exactly once: spanning the q + 1 generators through each of its q^3 + 1
+  points yields every generator once, with no pairwise conjugacy test.  The
+  generated points are resolved to ids through a transient table indexed by
+  key (every normalized key is below 2 q^6).
+- A tangent row is the union of the q + 1 generators through its point.  The
+  point's copies in q of them are replaced by the sentinel N, so one sort of
+  the (q + 1)(q^2 + 1) ids puts the gx distinct ids in front.  Rows are
+  stored densely (one sorted id row per point) when the table takes at most
+  DENSE_LIMIT_BYTES; above that (q >= 13) the same assembly runs on demand
+  for each requested row.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -71,23 +82,6 @@ def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pg3_point_families(q2: int):
-    """Normalized coordinate arrays of PG(3, q^2), ascending encoding order."""
-    r = np.arange(q2, dtype=np.int32)
-    yield np.array([[0, 0, 0, 1]], dtype=np.int32)
-    yield np.column_stack(
-        [np.zeros(q2, np.int32), np.zeros(q2, np.int32), np.ones(q2, np.int32), r]
-    )
-    b, c = np.meshgrid(r, r, indexing="ij")
-    yield np.column_stack(
-        [np.zeros(q2 * q2, np.int32), np.ones(q2 * q2, np.int32), b.ravel(), c.ravel()]
-    )
-    a, b, c = np.meshgrid(r, r, r, indexing="ij")
-    yield np.column_stack(
-        [np.ones(q2**3, np.int32), a.ravel(), b.ravel(), c.ravel()]
-    )
-
-
 class SurfaceModel:
     """Enumerated Hermitian surface with its generators and tangent sections.
 
@@ -111,18 +105,39 @@ class SurfaceModel:
     # -- construction -------------------------------------------------------
 
     def _build_points(self) -> None:
-        rows = [fam[_form(self.field, fam, fam) == 0] for fam in _pg3_point_families(self.q2)]
-        coords = np.concatenate(rows, axis=0)
-        keys = self._encode_coords(coords)
-        order = np.argsort(keys, kind="stable")
-        self.coords = np.ascontiguousarray(coords[order])
-        self.keys = keys[order]
-        self.num_points = len(self.coords)
+        """Surface points in encoding order, from the norm fibers of GF(q^2).
+
+        Each head (the first three coordinates, from (0, 0, 1) up) is
+        completed by the fiber of minus its norm sum, ascending.
+        """
+        field, q2 = self.field, self.q2
+        minus = np.argmax(field.add2 == 0, axis=1)
+        by_norm = np.argsort(field.norm, kind="stable").astype(np.int32)
+        fiber_size = np.bincount(field.norm, minlength=q2)
+        fiber_start = np.cumsum(fiber_size) - fiber_size
+        r = np.arange(q2, dtype=np.int32)
+        a, b = np.divmod(np.arange(q2 * q2, dtype=np.int32), q2)
+        heads = np.concatenate([
+            np.array([[0, 0, 1]], dtype=np.int32),
+            np.column_stack([np.zeros(q2, np.int32), np.ones(q2, np.int32), r]),
+            np.column_stack([np.ones(q2 * q2, np.int32), a, b]),
+        ])
+        norms = field.norm[heads]
+        target = minus[field.add2[field.add2[norms[:, 0], norms[:, 1]], norms[:, 2]]]
+        count = fiber_size[target]
+        head = np.repeat(np.arange(len(heads)), count)
+        rank = np.arange(len(head)) - np.repeat(np.cumsum(count) - count, count)
+        coords = np.column_stack([heads[head], by_norm[fiber_start[target][head] + rank]])
+        self.coords = coords
+        self.keys = self._encode_coords(coords)
+        self.num_points = len(coords)
         expected = (self.q**3 + 1) * (self.q**2 + 1)
         if self.num_points != expected:
             raise ConfigurationError(
                 f"surface has {self.num_points} points, expected {expected}"
             )
+        if not (_form(field, coords, coords) == 0).all():
+            raise ConfigurationError("a point built from the norm fibers is off the surface")
 
     def _encode_coords(self, coords: np.ndarray) -> np.ndarray:
         k = coords[..., 0].astype(np.int64)
@@ -138,6 +153,9 @@ class SurfaceModel:
         in one point y, conjugate to o; the generator is {y} and o + lam*y.
         """
         field, q, q2 = self.field, self.q, self.q2
+        # every normalized key is below 2 q^6: its leading coordinate is 0 or 1
+        table = np.full(2 * q2**3, -1, dtype=np.int32)
+        table[self.keys] = np.arange(self.num_points, dtype=np.int32)
         ovoid = self.coords[self._classical_ovoid]
         lead = np.argmax(ovoid != 0, axis=1)
         lam = np.arange(q2, dtype=np.int32)[:, None]
@@ -150,14 +168,15 @@ class SurfaceModel:
                 raise ConfigurationError("an ovoid point does not meet q + 1 generators")
             y = plane[np.nonzero(hit)[1]].reshape(len(o), q + 1, 1, 4)
             span = field.add2[o[:, None, None, :], field.mul2[lam, y]]
-            parts.append(np.concatenate([y, span], axis=2).reshape(-1, 4))
-        pts = np.concatenate(parts)
-        first = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
-        keys = self._encode_coords(field.mul2[field.inv[first][:, None], pts])
-        ids = np.minimum(np.searchsorted(self.keys, keys), self.num_points - 1)
-        if not (self.keys[ids] == keys).all():
+            pts = np.concatenate([y, span], axis=2).reshape(-1, 4)
+            first = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
+            scale = first != 1
+            pts[scale] = field.mul2[field.inv[first[scale]][:, None], pts[scale]]
+            parts.append(table[self._encode_coords(pts)])
+        ids = np.concatenate(parts)
+        if (ids < 0).any():
             raise ConfigurationError("a generated point is off the surface")
-        lines = np.sort(ids.astype(np.int32).reshape(-1, q2 + 1), axis=1)
+        lines = np.sort(ids.reshape(-1, q2 + 1), axis=1)
         lines = lines[np.lexsort((lines[:, 1], lines[:, 0]))]
         flat = lines.ravel()
         if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
@@ -168,21 +187,26 @@ class SurfaceModel:
         self._gens_by_point = by_point.astype(np.int32).reshape(self.num_points, q + 1)
 
     def _assemble_rows(self, pids: np.ndarray) -> np.ndarray:
-        """Tangent rows as sorted unions of the q + 1 generators through each point."""
+        """Tangent rows as sorted unions of the q + 1 generators through each point.
+
+        The point itself lies on all q + 1 generators; its copies in all but
+        the first are replaced by the sentinel N, which sorts past every id,
+        so one sort leaves the gx distinct ids in front of q sentinels.
+        """
         pids = np.asarray(pids, dtype=np.intp)
-        width = (self.q + 1) * (self.q2 + 1)
-        members = self._gen_points[self._gens_by_point[pids]].reshape(len(pids), width)
-        block = np.sort(members, axis=1)
-        keep = np.ones(block.shape, dtype=bool)
-        keep[:, 1:] = block[:, 1:] != block[:, :-1]
-        if not (keep.sum(axis=1) == self.gx_size).all():
+        members = self._gen_points[self._gens_by_point[pids]]
+        rest = members[:, 1:]
+        rest[rest == pids[:, None, None]] = self.num_points
+        block = np.sort(members.reshape(len(pids), self.gx_size + self.q), axis=1)
+        rows, tail = block[:, : self.gx_size], block[:, self.gx_size :]
+        if not ((np.diff(rows, axis=1) > 0).all() and (tail == self.num_points).all()):
             raise ConfigurationError("an assembled tangent row does not hold gx distinct ids")
-        return block[keep].reshape(len(pids), self.gx_size)
+        return rows
 
     def _build_tangent_dense(self) -> None:
         n = self.num_points
         out = np.empty((n, self.gx_size), dtype=np.int32)
-        step = max(1, (1 << 22) // ((self.q + 1) * (self.q2 + 1)))  # 16 MiB of ids a block
+        step = max(1, (1 << 18) // ((self.q + 1) * (self.q2 + 1)))  # 1 MiB of ids a block
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             out[lo:hi] = self._assemble_rows(np.arange(lo, hi))

@@ -2,7 +2,7 @@ import pytest
 
 from hermcap import FieldSpec, build_field, enumerate_surface
 
-_SPECS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+_SPECS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 _MODELS = {}
 
 

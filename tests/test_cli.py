@@ -202,19 +202,33 @@ def test_malformed_cap_file_exits_1_without_traceback(kind, tmp_path, model_q2, 
     assert "Traceback" not in out.out + out.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["complete", "--q", "2", "--output"],
-        ["spectrum", "--q", "2", "--runs", "2", "--empty", "--master", "1", "--out"],
-        ["spectrum", "--q", "2", "--runs", "2", "--empty", "--master", "1", "--runlog"],
-        ["ovoid", "--q", "2", "--output"],
-        ["thin", "--q", "2", "--output"],
-        ["thin", "--q", "2", "--removed"],
-    ],
-    ids=lambda argv: f"{argv[0]}{argv[-1]}",
-)
+_OUTPUT_ARGVS = [
+    ["complete", "--q", "2", "--output"],
+    ["spectrum", "--q", "2", "--runs", "2", "--empty", "--master", "1", "--out"],
+    ["spectrum", "--q", "2", "--runs", "2", "--empty", "--master", "1", "--runlog"],
+    ["ovoid", "--q", "2", "--output"],
+    ["thin", "--q", "2", "--output"],
+    ["thin", "--q", "2", "--removed"],
+]
+
+
+def _output_id(argv):
+    return f"{argv[0]}{argv[-1]}"
+
+
+@pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=_output_id)
 def test_unwritable_output_exits_1_without_traceback(argv, tmp_path, capsys):
+    assert run_cli(*argv, str(tmp_path / "missing" / "x.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=_output_id)
+def test_missing_output_directory_exits_1_before_model_build(argv, tmp_path, monkeypatch, capsys):
+    def no_build(q):
+        raise AssertionError("model built before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_build_model", no_build)
     assert run_cli(*argv, str(tmp_path / "missing" / "x.json")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file or directory" in err

@@ -9,8 +9,9 @@ in ``CHANGES.md``.
 
 The construction digests cover the surface's incidence structure itself:
 the dense tangent table, the generator point arrays in id order and the
-generator ids through every point.  q = 4 is the one surface here over a
-field GF(p^k) with k > 1.
+generator ids through every point; the point digests cover the normalized
+coordinates and the encoding keys that fix every PointId.  q = 4, 8 and 9
+are the surfaces here over a field GF(p^k) with k > 1.
 
 The field digests cover the GF(q^2) tables every point id and cap file rests
 on: the modulus and the ``add2``, ``mul2``, ``conj``, ``inv`` and ``norm``
@@ -105,6 +106,48 @@ CONSTRUCTION_DIGESTS = {
         "127b218f00cdeb0d6cf46d92fe91d50969d0c029ae2d07a86ec509e67026d1e6",
         "9adbf0dfe0e3e7aef96a969f1a246c72edb4e2339e1d7fbeebb5a24178cc2dc6",
     ),
+    8: (
+        "cb5966481077f208d1d48c8fb35fac3d91c62c02b2e61d66daddd1e6947b4890",
+        "4d8b0fe4e78209b830cc4a10d351f74ffd4bfa17419e05acd3ee8c75af393a2e",
+        "2abe1a2c6e9e759d6279fd3119640094f4c7d34eb03be4570789fcc76235c902",
+    ),
+    9: (
+        "aaef3aece9abb3cc4d9eed7fe6d74ff819b5450487114566047a13c08054f63c",
+        "5f7e677ff24b8468e77973c81de5797428f44ebcd91fd55b43b2aef20ab1fce1",
+        "8afb296f000bb2f178594397fd69966c619cacc6e46efd1d901a4687e291d585",
+    ),
+}
+
+# q -> (point coordinates, point keys)
+POINT_DIGESTS = {
+    2: (
+        "ef9a9068a9b7d5747edfbcaaea66f8f6879c272f711bf0477a6712bd8eb6272f",
+        "ee672cc5f7624481f294f0a2c8e774029b3ff9d207954b9bc91c83498fcb90d2",
+    ),
+    3: (
+        "62efc44619a353c9b52484d440d04f9845209bd4d85d82d701ad9f2516b46f2d",
+        "29bcfdc642bceb5ef636a9bc4e050110cf08741c6699832c21e6815534bd6698",
+    ),
+    4: (
+        "c34d7a3de47332fefbd58da73e8264403b3f292772166ab3d452e9027d0c519e",
+        "ad3f4210bc20584b41b46b214cd7a50f481e9dc8ab99df2e6d6f4af779899c5a",
+    ),
+    5: (
+        "3c54d0b40a95a41f3e7cef1accab726698872adac4a4da1f8bf2927c8d4ce3bd",
+        "35460fb40b8feee378fa40191ee211c43ab57ee39b748311d0b965eae80c4db4",
+    ),
+    7: (
+        "aa9ca93ebd89c5abdaf65477e47bd1e954ae1993f34cb1424f4a4f130b28928d",
+        "bc81339ac3dbfb8951e5b56372b24ce4a510b85189fa9015ada7aebb79ff7d45",
+    ),
+    8: (
+        "e78bfe4add4931b31e28b5341d49d1be8403f3c377c1b030e247a789e2243faa",
+        "f2d0f530fb6b80735a35cac7eb257c08173cc1b8840d425ddc9b788c980ffe26",
+    ),
+    9: (
+        "2a160173b2f613910ea11bcff90d090857ebe90235402f24e748470c177b5c0c",
+        "47c2adb6736621d3546515152553928e2c0552d722e2facde8b2d310ebc9afc5",
+    ),
 }
 
 # q -> digest of the modulus and the GF(q^2) tables
@@ -155,6 +198,11 @@ def construction_digests(q):
         sha256(points.tobytes()),
         sha256(through.tobytes()),
     )
+
+
+def point_digests(q):
+    model = get_model(q)
+    return sha256(model.coords.tobytes()), sha256(model.keys.tobytes())
 
 
 def field_digest(q):
@@ -213,6 +261,11 @@ def test_spectrum_digest_under_spawn():
 @pytest.mark.parametrize("q", sorted(CONSTRUCTION_DIGESTS))
 def test_construction_digests(q):
     assert construction_digests(q) == CONSTRUCTION_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", sorted(POINT_DIGESTS))
+def test_point_digests(q):
+    assert point_digests(q) == POINT_DIGESTS[q]
 
 
 @pytest.mark.parametrize("q", sorted(FIELD_DIGESTS))

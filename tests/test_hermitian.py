@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,11 +39,27 @@ def test_point_counts(q):
     assert model.num_points == COUNTS[q] == (q**3 + 1) * (q**2 + 1)
 
 
-def test_surface_matches_exhaustive_scan_q2(model_q2):
-    # independent oracle: scan all 85 points of PG(3,4) with the scalar form
-    pts = surface_points(model_q2.field)
-    assert len(pts) == 45
-    assert pts == [model_q2.coords_of(i) for i in range(45)]
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_surface_matches_exhaustive_scan(q):
+    # independent oracle: scan every point of PG(3, q^2) with the scalar form;
+    # q = 4 is over the extension field GF(2^4)
+    model = get_model(q)
+    pts = surface_points(model.field)
+    assert len(pts) == (q**3 + 1) * (q**2 + 1)
+    assert pts == [model.coords_of(i) for i in range(model.num_points)]
+
+
+def test_wrong_norm_table_is_caught(model_q3):
+    # a permuted norm table keeps every fiber size, so the point count still
+    # matches; the form check on the enumerated points must catch it
+    from hermcap import enumerate_surface
+    from hermcap.errors import ConfigurationError
+
+    f = model_q3.field
+    shift = np.roll(np.arange(1, f.order2), 1)
+    bad = dataclasses.replace(f, norm=f.norm[np.concatenate([[0], shift])])
+    with pytest.raises(ConfigurationError, match="from the norm fibers is off the surface"):
+        enumerate_surface(bad)
 
 
 def test_point_ordering_is_by_encoding(model_q3):
@@ -231,19 +249,21 @@ def test_point_on_surface_from_norm_equation(model_q5):
         model_q5.point_id((1, 0, 0, a))  # resolvable to a PointId
 
 
-def test_lazy_tangent_mode_matches_dense(model_q2, monkeypatch):
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_lazy_tangent_mode_matches_dense(q, monkeypatch):
     from hermcap import enumerate_surface, hermitian
 
+    dense = get_model(q)
     monkeypatch.setattr(hermitian, "DENSE_LIMIT_BYTES", 0)
-    lazy = enumerate_surface(model_q2.field)
+    lazy = enumerate_surface(dense.field)
     assert lazy.tangent_dense is None
     for x in range(lazy.num_points):
-        assert np.array_equal(lazy.tangent_set(x), model_q2.tangent_set(x))
+        assert np.array_equal(lazy.tangent_set(x), dense.tangent_set(x))
     ids = np.arange(lazy.num_points)
-    assert np.array_equal(lazy.tangent_rows(ids), model_q2.tangent_dense)
+    assert np.array_equal(lazy.tangent_rows(ids), dense.tangent_dense)
     assert lazy.tangent_rows(ids[:0]).shape == (0, lazy.gx_size)
     # the relevance vector is built and updated from on-demand rows too
     config = SearchConfig(strategy=StrategyKind.MIN_RELEVANCE, rng_seed=3)
     assert np.array_equal(
-        run_strategy(lazy, [], config).final_cap, run_strategy(model_q2, [], config).final_cap
+        run_strategy(lazy, [], config).final_cap, run_strategy(dense, [], config).final_cap
     )

@@ -2,13 +2,13 @@
 
 ``cmult[y]`` counts the members whose tangent section contains y.  A point is
 covered when its multiplicity is positive; the cap is complete when every
-surface point is covered.  Adding or removing a member touches exactly the
-q^3 + q^2 + 1 entries of its tangent section, so both operations and all the
-derived functionals (relevance, coverage, weight) run off the same counters.
-``from_ids`` is the batch formula, cmult = one ``bincount`` of the members'
-tangent rows, and ``add_point``/``remove_point`` are its increments.  A
-member's multiplicity is 1 unless another member is conjugate to it, which
-is how ``from_ids`` rejects a non-cap.  The functionals are
+surface point is covered.  Adding or removing a member reads its pencil
+(``SurfaceModel.pencil``): every other point of its tangent section once and
+the member itself q + 1 times; the functionals read pencils too and take the
+q extra copies off by arithmetic.  ``from_ids`` is the batch formula, cmult =
+the members' ``section_counts``, and ``add_point``/``remove_point`` are its
+increments.  A member's multiplicity is 1 unless another member is conjugate
+to it, which is how ``from_ids`` rejects a non-cap.  The functionals are
 
     relevance(x)          #{y in tangent(x) : cmult[y] == 0}
     coverage_mult(y)      cmult[y]
@@ -25,10 +25,10 @@ Relevance is read from a vector kept next to the counters, with the invariant
 
 Conjugacy is symmetric (x in tangent(y) exactly when y in tangent(x)), so
 _rel[x] also counts the uncovered points whose tangent section holds x, which
-is ``bincount`` of the uncovered points' tangent rows.  A mutation therefore
-only has to visit the rows of the points whose coverage it flips: adding a
-member subtracts the bincount of the rows of the points it newly covers,
-removing one adds the bincount of the rows of the points it newly uncovers.
+is the ``section_counts`` of the uncovered points.  A mutation therefore only
+has to visit the pencils of the points whose coverage it flips: adding a
+member subtracts the section counts of the points it newly covers, removing
+one adds the section counts of the points it newly uncovers.
 
 The vector is lazy.  It is built on the first relevance read, from whichever
 of the covered and uncovered sets is smaller (free on an empty cap), and
@@ -68,7 +68,7 @@ class CapState:
         """
         members = np.unique(checked_ids(model, ids))
         cap = cls(model)
-        cap.cmult[:] = cap._row_counts(members)
+        cap.cmult[:] = model.section_counts(members)
         covered = members[cap.cmult[members] != 1]
         if covered.size:
             raise CapViolationError(f"point {covered[0]} is covered; adding it breaks the cap")
@@ -88,10 +88,11 @@ class CapState:
         x = int(x)
         if self.cmult[x] != 0:
             raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
-        row = self.model.tangent_set(x)
-        vals = self.cmult[row]
+        row = self.model.pencil(x)
+        vals = self.cmult.take(row)
         if self._rel is not None:
-            self._rel -= self._row_counts(row[vals == 0])
+            new = row[vals == 0]  # holds x q + 1 times; section_counts wants it once
+            self._rel -= self.model.section_counts(np.append(new[new != x], x))
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -99,27 +100,24 @@ class CapState:
         x = int(x)
         if x not in self.members:
             raise MemberNotFoundError(f"point {x} is not a cap member")
-        row = self.model.tangent_set(x)
-        vals = self.cmult[row] - 1
+        row = self.model.pencil(x)
+        vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
         if self._rel is not None:
-            self._rel += self._row_counts(row[vals == 0])
+            new = row[vals == 0]
+            self._rel += self.model.section_counts(np.append(new[new != x], x))
         self.members.remove(x)
 
     # -- relevance vector ----------------------------------------------------
-
-    def _row_counts(self, ids: np.ndarray) -> np.ndarray:
-        """How many of the tangent sections of ids contain each point."""
-        return np.bincount(self.model.tangent_rows(ids).ravel(), minlength=self.model.num_points)
 
     def _relevance(self) -> np.ndarray:
         if self._rel is None:
             uncovered = np.flatnonzero(self.cmult == 0)
             if 2 * len(uncovered) <= self.model.num_points:
-                self._rel = self._row_counts(uncovered)
+                self._rel = self.model.section_counts(uncovered)
             else:
                 covered = np.flatnonzero(self.cmult)
-                self._rel = self.model.gx_size - self._row_counts(covered)
+                self._rel = self.model.gx_size - self.model.section_counts(covered)
         return self._rel
 
     # -- queries -------------------------------------------------------------
@@ -136,30 +134,34 @@ class CapState:
         x = int(x)
         if x not in self.members:
             raise MemberNotFoundError(f"point {x} is not a cap member")
-        return int(np.count_nonzero(self.cmult[self.model.tangent_set(x)] == 1))
+        return int(self.removal_relevance_many([x])[0])
 
     def removal_relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        rows = self.model.tangent_rows(np.asarray(ids))
-        return np.count_nonzero(self.cmult[rows] == 1, axis=1)
+        """removal_relevance of each of ids, which must all be members."""
+        rows = self.model.pencil_rows(np.asarray(ids))  # holds each member q + 1 times, at 1
+        return np.count_nonzero(self.cmult.take(rows) == 1, axis=1) - self.model.q
 
     def coverage_mult(self, y: int) -> int:
         return int(self.cmult[int(y)])
 
     def coverage_intersect(self, x: int) -> int:
-        return int(np.count_nonzero(self.cmult[self.model.tangent_set(int(x))] > 0))
+        x = int(x)
+        covered = int(np.count_nonzero(self.cmult[self.model.pencil(x)] > 0))
+        return covered - self.model.q if self.cmult[x] else covered
 
     def weight(self, x: int) -> Fraction:
         """Exact sum over tangent(x) of reciprocal coverage multiplicities."""
         x = int(x)
         if x not in self.members:
             raise MemberNotFoundError(f"weight is defined for members only, not {x}")
-        counts = Counter(self.cmult[self.model.tangent_set(x)].tolist())
+        counts = Counter(self.cmult[self.model.pencil(x)].tolist())
+        counts[int(self.cmult[x])] -= self.model.q  # x is in its pencil q + 1 times
         return sum((Fraction(n, m) for m, n in counts.items()), Fraction(0))
 
     def weight_after_add_many(self, ids: np.ndarray) -> np.ndarray:
-        """Weight each of ids would have right after joining the cap."""
-        rows = self.model.tangent_rows(np.asarray(ids))
-        return np.sum(1.0 / (self.cmult[rows] + 1.0), axis=1)
+        """Weight each of the uncovered ids would have right after joining the cap."""
+        rows = self.model.pencil_rows(np.asarray(ids))  # each id's q extra copies add q
+        return np.sum(1.0 / (self.cmult.take(rows) + 1.0), axis=1) - self.model.q
 
     def uncovered(self) -> np.ndarray:
         return np.flatnonzero(self.cmult == 0).astype(np.int32)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# largest q built: the surface at q = 16 takes about 7.4 s and 1.1 GB peak RSS
-# on a 2-core host, most of both in the generator pass; at q = 32 the
-# (q^3 + 1)(q + 1)(q^2 + 1) generated coordinate rows alone would need 18 GB
+# largest q built: on a 2-core host the surface takes 0.7 s and 161 MB peak RSS
+# at q = 11, and 6.8 s and 1.1 GB at q = 16, most of both in the generator pass;
+# at q = 32 the (q^3 + 1)(q + 1)(q^2 + 1) generated coordinate rows need 18 GB
 MAX_Q = 16
 
 

@@ -25,12 +25,10 @@ itself is never enumerated.
   points yields every generator once, with no pairwise conjugacy test.  The
   generated points are resolved to ids through a transient table indexed by
   key (every normalized key is below 2 q^6).
-- A tangent row is the union of the q + 1 generators through its point.  The
-  point's copies in q of them are replaced by the sentinel N, so one sort of
-  the (q + 1)(q^2 + 1) ids puts the gx distinct ids in front.  Rows are
-  stored densely (one sorted id row per point) when the table takes at most
-  DENSE_LIMIT_BYTES; above that (q >= 13) the same assembly runs on demand
-  for each requested row.
+- No table of tangent sections is stored.  The pencil of x, the q + 1
+  generator rows through it, is gathered with two takes and never sorted; it
+  holds every other point of the section once and x itself q + 1 times, and
+  the hot paths take the q extra copies of x off by arithmetic.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -43,8 +41,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .galois import FieldTables
-
-DENSE_LIMIT_BYTES = 1 << 30  # largest dense tangent table built up front
 
 ProjPoint = tuple[int, int, int, int]
 
@@ -85,9 +81,10 @@ def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class SurfaceModel:
     """Enumerated Hermitian surface with its generators and tangent sections.
 
-    Points, classical ovoid, generators and (when they fit) the dense tangent
-    table are all built in the constructor, and nothing changes afterwards,
-    so a model is safe to share read-only across workers.
+    Points, classical ovoid and generators are built in the constructor, and
+    nothing changes afterwards, so a model is safe to share read-only across
+    workers.  Tangent sections are read from the generators, as pencils
+    (``pencil``, ``pencil_rows``) or sorted (``tangent_set``, ``tangent_rows``).
     """
 
     def __init__(self, field: FieldTables):
@@ -98,9 +95,6 @@ class SurfaceModel:
         self._build_points()
         self._classical_ovoid = classical_ovoid(self)
         self._build_generators()
-        self.tangent_dense: np.ndarray | None = None
-        if 4 * self.num_points * self.gx_size <= DENSE_LIMIT_BYTES:
-            self._build_tangent_dense()
 
     # -- construction -------------------------------------------------------
 
@@ -151,6 +145,9 @@ class SurfaceModel:
         An ovoid point o with leading coordinate j (o_j = 1) lies off the
         plane {y_j = 0}, which meets each of the q + 1 generators through o
         in one point y, conjugate to o; the generator is {y} and o + lam*y.
+        ``_sorted_lines`` rejects two rows through the same two points, so the
+        generators are distinct lines, which share at most one point: every
+        pencil holds gx distinct points.
         """
         field, q, q2 = self.field, self.q, self.q2
         # every normalized key is below 2 q^6: its leading coordinate is 0 or 1
@@ -176,8 +173,7 @@ class SurfaceModel:
         ids = np.concatenate(parts)
         if (ids < 0).any():
             raise ConfigurationError("a generated point is off the surface")
-        lines = np.sort(ids.reshape(-1, q2 + 1), axis=1)
-        lines = lines[np.lexsort((lines[:, 1], lines[:, 0]))]
+        lines = _sorted_lines(ids.reshape(-1, q2 + 1))
         flat = lines.ravel()
         if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
             raise ConfigurationError("a point is not on exactly q + 1 generators")
@@ -185,32 +181,6 @@ class SurfaceModel:
         lines.flags.writeable = False
         self._gen_points = lines
         self._gens_by_point = by_point.astype(np.int32).reshape(self.num_points, q + 1)
-
-    def _assemble_rows(self, pids: np.ndarray) -> np.ndarray:
-        """Tangent rows as sorted unions of the q + 1 generators through each point.
-
-        The point itself lies on all q + 1 generators; its copies in all but
-        the first are replaced by the sentinel N, which sorts past every id,
-        so one sort leaves the gx distinct ids in front of q sentinels.
-        """
-        pids = np.asarray(pids, dtype=np.intp)
-        members = self._gen_points[self._gens_by_point[pids]]
-        rest = members[:, 1:]
-        rest[rest == pids[:, None, None]] = self.num_points
-        block = np.sort(members.reshape(len(pids), self.gx_size + self.q), axis=1)
-        rows, tail = block[:, : self.gx_size], block[:, self.gx_size :]
-        if not ((np.diff(rows, axis=1) > 0).all() and (tail == self.num_points).all()):
-            raise ConfigurationError("an assembled tangent row does not hold gx distinct ids")
-        return rows
-
-    def _build_tangent_dense(self) -> None:
-        n = self.num_points
-        out = np.empty((n, self.gx_size), dtype=np.int32)
-        step = max(1, (1 << 18) // ((self.q + 1) * (self.q2 + 1)))  # 1 MiB of ids a block
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            out[lo:hi] = self._assemble_rows(np.arange(lo, hi))
-        self.tangent_dense = out
 
     # -- point access --------------------------------------------------------
 
@@ -228,26 +198,59 @@ class SurfaceModel:
 
     # -- incidence -----------------------------------------------------------
 
+    def pencil(self, pid: int) -> np.ndarray:
+        """The q + 1 generator rows through pid, flat and unsorted."""
+        return self._gen_points.take(self._gens_by_point[pid], axis=0).ravel()
+
+    def pencil_rows(self, pids: np.ndarray) -> np.ndarray:
+        """(len(pids), gx_size + q) matrix; row i is ``pencil(pids[i])``."""
+        members = self._gen_points.take(self._gens_by_point.take(pids, axis=0), axis=0)
+        return members.reshape(len(members), self.gx_size + self.q)
+
+    def section_counts(self, pids: np.ndarray) -> np.ndarray:
+        """How many of the tangent sections of the distinct pids contain each point."""
+        counts = np.bincount(self.pencil_rows(pids).ravel(), minlength=self.num_points)
+        counts[pids] -= self.q  # a pencil holds its own point q + 1 times
+        return counts
+
     def tangent_set(self, pid: int) -> np.ndarray:
         """Sorted ids of the tangent section of pid (includes pid itself)."""
-        if self.tangent_dense is not None:
-            return self.tangent_dense[pid]
-        return self._assemble_rows(np.array([pid]))[0]
+        return self.tangent_rows([pid])[0]
 
     def tangent_rows(self, pids: np.ndarray) -> np.ndarray:
-        """(len(pids), gx_size) id matrix; rows sorted ascending."""
-        if self.tangent_dense is not None:
-            return self.tangent_dense[pids]
-        return self._assemble_rows(pids)
+        """(len(pids), gx_size) id matrix; row i is the sorted section of pids[i].
+
+        The point's copies in q of its generators become the sentinel N, so one
+        sort of the pencil leaves the gx distinct ids in front (checked).
+        """
+        pids = np.asarray(pids, dtype=np.intp)
+        block = self.pencil_rows(pids)
+        rest = block[:, self.q2 + 1 :]
+        rest[rest == pids[:, None]] = self.num_points
+        block.sort(axis=1)
+        rows, tail = block[:, : self.gx_size], block[:, self.gx_size :]
+        if not ((np.diff(rows, axis=1) > 0).all() and (tail == self.num_points).all()):
+            raise ConfigurationError("an assembled tangent row does not hold gx distinct ids")
+        return rows
 
     def is_conjugate(self, a: int, b: int) -> bool:
-        row = self.tangent_set(a)
-        i = int(np.searchsorted(row, b))
-        return i < len(row) and row[i] == b
+        """True iff a == b or a and b lie on a common generator."""
+        gens = self._gens_by_point
+        return a == b or not set(gens[a].tolist()).isdisjoint(gens[b].tolist())
 
     def classical_ovoid_ids(self) -> np.ndarray:
         """Classical ovoid at the canonical pole."""
         return self._classical_ovoid
+
+
+def _sorted_lines(lines: np.ndarray) -> np.ndarray:
+    """Rows sorted within and by their two least points; no two may share two points."""
+    lines = np.sort(lines, axis=1)
+    lines = lines[np.lexsort((lines[:, 1], lines[:, 0]))]
+    distinct = (lines[1:, :2] != lines[:-1, :2]).any(axis=1)
+    if not ((np.diff(lines, axis=1) > 0).all() and distinct.all()):
+        raise ConfigurationError("the generator rows are not distinct lines of distinct points")
+    return lines
 
 
 def enumerate_surface(field: FieldTables) -> SurfaceModel:

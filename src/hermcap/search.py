@@ -103,7 +103,7 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trac
             trace.append((x, cap.relevance(x)))
         cap.add_point(x)
         iterations += 1
-        m = m[cap.cmult[m] == 0]
+        m = m[cap.cmult.take(m) == 0]
     return iterations
 
 
@@ -130,7 +130,7 @@ def _incidence(rows: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
     pos sends the points without a column to column ``width``, cut off the returned view.
     """
     out = np.zeros((len(rows), width + 1), dtype=np.float32)
-    _fill(out, pos[rows], 1)
+    _fill(out, pos.take(rows), 1)
     return out[:, :width]
 
 
@@ -150,7 +150,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     reaches min rel.  A row whose band minimum stays above min rel is counted
     exactly over all of U instead.  The products run in float32 blocks of at
     most LOOKAHEAD_BLOCK_BYTES, and every partial sum is an integer of at
-    most gx, so they are exact.  The cap is not mutated.
+    most gx, so they are exact.  Pencils fill the incidence blocks (a cell
+    set twice gets the same value), and the cap is not mutated.
     """
     model = cap.model
     n, q1 = model.num_points, model.q + 1
@@ -170,13 +171,13 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
-        right = _incidence(model.tangent_rows(band[lo:hi]), pos_inner, inner.size).T
+        right = _incidence(model.pencil_rows(band[lo:hi]), pos_inner, inner.size).T
         pos_band = _positions(n, band[lo:hi])
         for r0 in range(0, m.size, step):
-            rows = model.tangent_rows(m[r0 : r0 + step])
+            rows = model.pencil_rows(m[r0 : r0 + step])
             v = np.empty((len(rows), hi - lo + 1), dtype=np.float32)
             combine(base[lo:hi], _incidence(rows, pos_inner, inner.size) @ right, out=v[:, :-1])
-            _fill(v, pos_band[rows], np.inf)  # drop the band points t covers
+            _fill(v, pos_band.take(rows), np.inf)  # drop the band points t covers
             v = v[:, :-1]
             low = v.min(axis=1)
             hits = np.count_nonzero(v == low[:, None], axis=1)
@@ -189,12 +190,11 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
         if rel[j] == m.size:
             count[j] = 0  # the candidate completes the cap outright
             continue
-        row = model.tangent_set(int(m[j]))
-        z = row[cap.cmult[row] == 0]
-        lost = np.bincount(model.tangent_rows(z).ravel(), minlength=n)
+        row = model.pencil(int(m[j]))
+        z = np.unique(row[cap.cmult[row] == 0])  # m[j] is in its pencil q + 1 times
         stays = np.ones(n, dtype=bool)
         stays[z] = False
-        after = (rel - lost[m])[stays[m]]
+        after = (rel - model.section_counts(z)[m])[stays[m]]
         count[j] = np.count_nonzero(after == after.min())
     return count
 

@@ -138,10 +138,10 @@ def test_verify_names_capfile_failure(tmp_path, capsys):
 
 
 def test_verify_reports_raising_check_as_failure(monkeypatch, capsys):
-    # a fresh model, not the shared cache: with two tangent rows swapped the
-    # search checks' random completion adds a covered point and raises
+    # a fresh model, not the shared cache: with the pencils of two points
+    # swapped the search checks' random completion adds a covered point and raises
     model = cli._build_model(2)
-    model.tangent_dense[[0, 1]] = model.tangent_dense[[1, 0]]
+    model._gens_by_point[[0, 1]] = model._gens_by_point[[1, 0]]
     monkeypatch.setattr(cli, "_build_model", lambda q: model)
     assert run_cli("verify", "--q", "2", "--deep") == 1
     out = capsys.readouterr()

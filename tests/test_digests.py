@@ -79,7 +79,7 @@ MIN_COUNT_DIGESTS = {
 
 SPECTRUM_DIGEST = "4c12caddf90ae9122899a4ded20684afc80de47de867dc7c33b4b9fc7875ee61"
 
-# q -> (tangent_dense, generator points in id order, generators through each point)
+# q -> (every sorted tangent row, generator points in id order, generators through each point)
 CONSTRUCTION_DIGESTS = {
     2: (
         "8da3f5e1980eed3030b0a654c8ac69c095e0bfd6b6e1f7a689484717188f09ac",
@@ -193,8 +193,11 @@ def construction_digests(q):
         [np.asarray(generators_through(model, x), dtype=np.int32) for x in range(model.num_points)],
         dtype=np.int32,
     )
+    rows = hashlib.sha256()  # the sorted tangent rows of every point, a block at a time
+    for lo in range(0, model.num_points, 4096):
+        rows.update(model.tangent_rows(np.arange(lo, min(lo + 4096, model.num_points))).tobytes())
     return (
-        sha256(model.tangent_dense.tobytes()),
+        rows.hexdigest(),
         sha256(points.tobytes()),
         sha256(through.tobytes()),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -83,6 +84,40 @@ def test_tangent_sections(q):
         assert len(row) == GX[q] == q**3 + q**2 + 1
         assert (np.diff(row) > 0).all()
         assert x in row
+    assert model.tangent_rows(np.arange(0)).shape == (0, model.gx_size)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_pencil_contract(q):
+    # a pencil is the q + 1 generator rows through x: its section, with x q + 1 times
+    model = get_model(q)
+    pids = np.arange(model.num_points)
+    rows = model.pencil_rows(pids)
+    sections = model.tangent_rows(pids)
+    assert rows.shape == (model.num_points, model.gx_size + q)
+    for x in pids:
+        pencil = model.pencil(x)
+        assert np.array_equal(pencil, rows[x])
+        assert np.array_equal(np.unique(pencil), sections[x])
+        assert np.count_nonzero(pencil == x) == q + 1
+    assert model.pencil_rows(pids[:0]).shape == (0, model.gx_size + q)
+
+
+def test_pickled_model_is_small():
+    # a spawned worker receives the model by pickle; no per-point section table rides along
+    assert len(pickle.dumps(get_model(7))) < 3 * 2**20
+
+
+def test_repeated_generator_row_is_rejected(model_q3):
+    from hermcap import hermitian
+    from hermcap.errors import ConfigurationError
+
+    lines = enumerate_generators(model_q3)
+    assert np.array_equal(hermitian._sorted_lines(lines[::-1]), lines)
+    bad = lines.copy()
+    bad[5] = bad[40]
+    with pytest.raises(ConfigurationError, match="not distinct lines"):
+        hermitian._sorted_lines(bad)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -247,23 +282,3 @@ def test_point_on_surface_from_norm_equation(model_q5):
     for a in on:
         assert hermitian_inner(f, (1, 0, 0, a), (1, 0, 0, a)) == 0
         model_q5.point_id((1, 0, 0, a))  # resolvable to a PointId
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_lazy_tangent_mode_matches_dense(q, monkeypatch):
-    from hermcap import enumerate_surface, hermitian
-
-    dense = get_model(q)
-    monkeypatch.setattr(hermitian, "DENSE_LIMIT_BYTES", 0)
-    lazy = enumerate_surface(dense.field)
-    assert lazy.tangent_dense is None
-    for x in range(lazy.num_points):
-        assert np.array_equal(lazy.tangent_set(x), dense.tangent_set(x))
-    ids = np.arange(lazy.num_points)
-    assert np.array_equal(lazy.tangent_rows(ids), dense.tangent_dense)
-    assert lazy.tangent_rows(ids[:0]).shape == (0, lazy.gx_size)
-    # the relevance vector is built and updated from on-demand rows too
-    config = SearchConfig(strategy=StrategyKind.MIN_RELEVANCE, rng_seed=3)
-    assert np.array_equal(
-        run_strategy(lazy, [], config).final_cap, run_strategy(dense, [], config).final_cap
-    )

@@ -57,8 +57,10 @@ class FieldSpec:
 
     @classmethod
     def for_q(cls, q: int) -> "FieldSpec":
-        """The spec with p^k = q; raises ConfigurationError unless q is a prime power."""
-        primes = _prime_factors(q)
+        """The spec with p^k = q; raises ConfigurationError unless q is a supported prime power."""
+        if q > MAX_Q:  # before the trial division, which would hang on a huge q
+            raise ConfigurationError(f"q={q} exceeds the largest supported q ({MAX_Q})")
+        primes = _prime_factors(q) if q >= 2 else []
         if len(primes) != 1:
             raise ConfigurationError(f"q={q} is not a prime power")
         p, k = primes[0], 1
@@ -75,12 +77,12 @@ class FieldSpec:
         return self.p ** (2 * self.k)
 
     def validate(self) -> None:
-        if _prime_factors(self.p) != [self.p]:
-            raise ConfigurationError(f"p={self.p} is not prime")
         if self.k < 1:
             raise ConfigurationError(f"k={self.k} must be >= 1")
         if self.q > MAX_Q:
             raise ConfigurationError(f"q={self.q} exceeds the largest supported q ({MAX_Q})")
+        if _prime_factors(self.p) != [self.p]:
+            raise ConfigurationError(f"p={self.p} is not prime")
 
 
 @dataclass

@@ -202,9 +202,13 @@ class SurfaceModel:
         """The q + 1 generator rows through pid, flat and unsorted."""
         return self._gen_points.take(self._gens_by_point[pid], axis=0).ravel()
 
+    def generators_of(self, pids: np.ndarray) -> np.ndarray:
+        """(len(pids), q + 1) matrix; row i holds the generators through pids[i]."""
+        return self._gens_by_point.take(pids, axis=0)
+
     def pencil_rows(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), gx_size + q) matrix; row i is ``pencil(pids[i])``."""
-        members = self._gen_points.take(self._gens_by_point.take(pids, axis=0), axis=0)
+        members = self._gen_points.take(self.generators_of(pids), axis=0)
         return members.reshape(len(members), self.gx_size + self.q)
 
     def section_counts(self, pids: np.ndarray) -> np.ndarray:

@@ -58,8 +58,8 @@ class SplitMix64:
     def sample(self, population, n: int) -> list:
         """n distinct items via partial Fisher-Yates on a copy."""
         items = list(population)
-        if n > len(items):
-            raise ValueError("sample larger than population")
+        if not 0 <= n <= len(items):
+            raise ValueError(f"cannot sample {n} items from {len(items)}")
         for i in range(n):
             j = i + self.randbelow(len(items) - i)
             items[i], items[j] = items[j], items[i]

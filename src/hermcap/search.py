@@ -13,11 +13,10 @@ cap is complete.  The point comes from the strategy's selection rule in
   completes it), and a candidate scoring best under the configured tie mode
   is added.  The scores are deltas, read without mutating the cap: adding t
   covers Z_t = T(t) & U of the uncovered set U, and every uncovered y
-  outside Z_t loses c_t(y) = |T(t) & T(y) & U| relevance.  Such a y is not
-  conjugate to t, and two non-conjugate tangent sections share exactly q + 1
-  points, so c_t(y) = (q + 1) - |T(t) & T(y) & C| over the covered set C as
-  well.  One product of the 0/1 conjugacy matrix over the smaller of U and C
-  (the rule the relevance vector is built by) gives c for a whole step;
+  outside Z_t loses c_t(y) = |T(t) & T(y) & U| relevance.  The surface is a
+  generalized quadrangle: y is off each generator through t and collinear
+  with one point of each, and two generators share only t, which is not
+  collinear with y.  c_t(y) counts the uncovered ones of those q + 1 points;
 * BACKTRACK: random completion, after which ``backtrack_enlarge`` removes
   members of maximal relevance-after-removal, replaces them with
   lower-relevance points and completes the cap again through ``_complete``
@@ -41,7 +40,7 @@ from .hermitian import SurfaceModel, is_ovoid
 from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
-LOOKAHEAD_BLOCK_BYTES = 1 << 22  # largest float32 block of the forward scorer
+LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
 
 
 class StrategyKind(enum.Enum):
@@ -124,69 +123,65 @@ def _fill(out: np.ndarray, idx: np.ndarray, value) -> None:
     out.ravel()[flat] = value
 
 
-def _incidence(rows: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
-    """0/1 float32 (len(rows), width) matrix with out[i, pos[y]] = 1 for every id y of rows[i].
-
-    pos sends the points without a column to column ``width``, cut off the returned view.
-    """
-    out = np.zeros((len(rows), width + 1), dtype=np.float32)
-    _fill(out, pos.take(rows), 1)
-    return out[:, :width]
-
-
-def _positions(n: int, ids: np.ndarray) -> np.ndarray:
-    """pos[ids[j]] = j, and len(ids) for every other point."""
-    pos = np.full(n, ids.size, dtype=np.int32)
-    pos[ids] = np.arange(ids.size, dtype=np.int32)
-    return pos
-
-
 def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """rho(t) for every uncovered t in m, where rel = cap.relevance_many(m).
 
-    c = A[U, S] @ A[S, B] (see the module docstring) over the inner set S,
-    for y in the band B of points with rel(y) <= min rel + q + 1: as
+    Only the band B of points with rel(y) <= min rel + q + 1 is scored: as
     c_t(y) <= q + 1, no point outside B can be minimal once some point of B
     reaches min rel.  A row whose band minimum stays above min rel is counted
-    exactly over all of U instead.  The products run in float32 blocks of at
-    most LOOKAHEAD_BLOCK_BYTES, and every partial sum is an integer of at
-    most gx, so they are exact.  Pencils fill the incidence blocks (a cell
-    set twice gets the same value), and the cap is not mutated.
+    exactly over all of U instead.  Per block of band columns, phi[g, y] = 1
+    when the point of generator g collinear with y is uncovered: each
+    uncovered point of y's pencil is marked on its q + 1 generators, which
+    all pass through a candidate; phi keeps a row for each such generator.
+    c_t(y) sums the phi rows of t's generators, and ``_fill`` drops the band
+    points t covers.  Scores are int8 offsets from min rel.  phi, its scatter
+    indices and the row temporaries stay within LOOKAHEAD_BLOCK_BYTES, and
+    the cap is not mutated.
     """
     model = cap.model
     n, q1 = model.num_points, model.q + 1
     rmin = int(rel.min())
     in_band = rel <= rmin + q1
     band = m[in_band]
-    if 2 * m.size <= n:  # the rule CapState._relevance builds by
-        inner, base, combine = m, rel[in_band], np.subtract
-    else:
-        inner, base, combine = np.flatnonzero(cap.cmult), rel[in_band] - q1, np.add
-    base = base.astype(np.float32)
-    pos_inner = _positions(n, inner)
-    budget = LOOKAHEAD_BLOCK_BYTES // 4
-    cols = min(band.size, max(1, budget // max(inner.size, model.gx_size)))
-    step = max(1, budget // max(inner.size, cols, model.gx_size))
-    best = np.full(m.size, np.inf, dtype=np.float32)
+    off = (rel[in_band] - rmin).astype(np.int8)
+    gens = model.generators_of(m)
+    row_of = np.cumsum(np.bincount(gens.ravel()) > 0, dtype=np.int32) - 1  # no sort
+    gens = row_of.take(gens)
+    uncovered = cap.cmult == 0
+    kept = int(row_of[-1]) + 1
+    # bytes: phi 1 per generator and column; a band pencil's at most rmin + 2q + 1
+    # uncovered entries 12 q + 36 each; a score row 4 per column, 12 per pencil id
+    cols = min(band.size, max(1, LOOKAHEAD_BLOCK_BYTES // kept))
+    chunk = max(1, LOOKAHEAD_BLOCK_BYTES // ((12 * q1 + 24) * (rmin + 2 * q1)))
+    step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 12 * (model.gx_size + model.q)))
+    top = np.iinfo(np.int8).max  # a dropped cell, above every score
+    best = np.full(m.size, top, dtype=np.int8)
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
-        right = _incidence(model.pencil_rows(band[lo:hi]), pos_inner, inner.size).T
-        pos_band = _positions(n, band[lo:hi])
+        phi = np.zeros((kept, hi - lo), dtype=np.int8)
+        for a in range(lo, hi, chunk):
+            pencils = model.pencil_rows(band[a : min(a + chunk, hi)])
+            y, k = np.nonzero(uncovered.take(pencils))
+            marks = row_of.take(model.generators_of(pencils[y, k])) * (hi - lo)
+            phi.ravel()[marks + (y + (a - lo))[:, None]] = 1
+        pos_band = np.full(n, hi - lo, dtype=np.int32)  # off the block: the spare column
+        pos_band[band[lo:hi]] = np.arange(hi - lo, dtype=np.int32)
         for r0 in range(0, m.size, step):
-            rows = model.pencil_rows(m[r0 : r0 + step])
-            v = np.empty((len(rows), hi - lo + 1), dtype=np.float32)
-            combine(base[lo:hi], _incidence(rows, pos_inner, inner.size) @ right, out=v[:, :-1])
-            _fill(v, pos_band.take(rows), np.inf)  # drop the band points t covers
+            rows = gens[r0 : r0 + step]
+            c = sum(phi.take(rows[:, j], axis=0) for j in range(q1))
+            v = np.empty((len(rows), hi - lo + 1), dtype=np.int8)
+            np.subtract(off[lo:hi], c, out=v[:, :-1])
+            _fill(v, pos_band.take(model.pencil_rows(m[r0 : r0 + step])), top)
             v = v[:, :-1]
             low = v.min(axis=1)
             hits = np.count_nonzero(v == low[:, None], axis=1)
             seg = slice(r0, r0 + len(rows))
-            b, c = best[seg], count[seg]
-            c[low == b] += hits[low == b]
-            c[low < b] = hits[low < b]
+            b, k = best[seg], count[seg]
+            k[low == b] += hits[low == b]
+            k[low < b] = hits[low < b]
             np.minimum(b, low, out=b)
-    for j in np.flatnonzero(best > rmin):
+    for j in np.flatnonzero(best > 0):
         if rel[j] == m.size:
             count[j] = 0  # the candidate completes the cap outright
             continue
@@ -347,8 +342,6 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
 
 
 def sample_subcap(points, n: int, rng: SplitMix64) -> np.ndarray:
-    """Uniformly random n-subset of a point set; sorted ids."""
+    """Uniformly random n-subset of a point set; sorted ids.  ValueError unless 0 <= n <= |points|."""
     ids = sorted(int(x) for x in points)
-    if n > len(ids):
-        raise ValueError(f"cannot sample {n} points from {len(ids)}")
     return np.array(sorted(rng.sample(ids, n)), dtype=np.int32)

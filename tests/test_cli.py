@@ -36,8 +36,9 @@ def test_unsupported_q_exits_2(capsys):
 
 
 def test_q_above_limit_exits_2(capsys):
-    assert run_cli("surface-info", "--q", "17") == 2
-    assert capsys.readouterr().err.startswith("error: q=17 exceeds")
+    for q in (17, 2**61 - 1):  # 2^61 - 1 is prime: factoring it first would not finish
+        assert run_cli("surface-info", "--q", str(q)) == 2
+        assert capsys.readouterr().err.startswith(f"error: q={q} exceeds")
 
 
 def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):

@@ -4,11 +4,12 @@ A run's digest covers its final cap, its iteration count and its
 ``(point, relevance)`` trace, so a change that keeps the caps but reorders
 RNG draws or trace entries still shows.  The spectrum digest covers the
 runlog and CSV histogram bytes of one q = 3 sweep, which must be identical
-for every ``jobs`` value.  A digest may only change in a change that says why
-in ``CHANGES.md``.
+for every ``jobs`` value.  The thinning digests cover the kept and removed
+points of ``thin_ovoid`` on the classical ovoid.  A digest may only change in
+a change that says why in ``CHANGES.md``.
 
 The construction digests cover the surface's incidence structure itself:
-the dense tangent table, the generator point arrays in id order and the
+every sorted tangent row, the generator point arrays in id order and the
 generator ids through every point; the point digests cover the normalized
 coordinates and the encoding keys that fix every PointId.  q = 4, 8 and 9
 are the surfaces here over a field GF(p^k) with k > 1.
@@ -44,6 +45,7 @@ from hermcap import (
     run_spectrum,
     run_strategy,
     sample_subcap,
+    thin_ovoid,
 )
 
 from .conftest import get_model
@@ -78,6 +80,16 @@ MIN_COUNT_DIGESTS = {
 }
 
 SPECTRUM_DIGEST = "4c12caddf90ae9122899a4ded20684afc80de47de867dc7c33b4b9fc7875ee61"
+
+# thin_ovoid of the classical ovoid: (q, seed) -> digest of (kept, removed)
+THIN_DIGESTS = {
+    (3, 1): "da76857ba2612ae4b8fd2cae3a4640176d9ca6a7b2513bc6f7faa7dbadfe97cb",
+    (3, 2): "c8ffca87d07f33d473f03acbf5b482fc43d83ee7b63dcd886b39a6a67d67815a",
+    (4, 1): "b00957ea3789694642e0c14a9340029009426fd800b6b7c5fbf58a081840da30",
+    (4, 2): "63dcc710c0f9bc65a5585eae121adeb6d92006010bfcb3ff4a7e1a7e4e051903",
+    (5, 1): "9fc72b7f0abbaf002bec42fa05b66036b8a1e6ee7981e4c0ed1995afa79ccf9e",
+    (5, 2): "ce26d89468812667b6ee2ac758c784df46381d59ab2718f8109a84fb6000a4e8",
+}
 
 # q -> (every sorted tangent row, generator points in id order, generators through each point)
 CONSTRUCTION_DIGESTS = {
@@ -186,6 +198,13 @@ def run_digest(q, seed_size, strategy, seed, tie_mode=TieMode.MAX_COUNT):
     return sha256(json.dumps(payload, separators=(",", ":")).encode())
 
 
+def thin_digest(q, seed):
+    model = get_model(q)
+    kept, removed = thin_ovoid(model, model.classical_ovoid_ids(), SplitMix64(seed))
+    payload = {"kept": [int(x) for x in kept], "removed": [int(x) for x in removed]}
+    return sha256(json.dumps(payload, separators=(",", ":")).encode())
+
+
 def construction_digests(q):
     model = get_model(q)
     points = enumerate_generators(model)
@@ -233,6 +252,11 @@ def test_run_digest(case):
 def test_min_count_forward_digest(case):
     q, seed_size, seed = case
     assert run_digest(q, seed_size, "forward", seed, TieMode.MIN_COUNT) == MIN_COUNT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(THIN_DIGESTS), ids=repr)
+def test_thin_ovoid_digest(case):
+    assert thin_digest(*case) == THIN_DIGESTS[case]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

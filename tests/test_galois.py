@@ -124,6 +124,8 @@ def test_invalid_specs_rejected():
         build_field(FieldSpec(2, 0))
     with pytest.raises(ConfigurationError):
         build_field(FieldSpec(2, 13))  # q above MAX_Q
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        build_field(FieldSpec(2**61 - 1, 1))  # a huge prime p, bounded before the primality test
 
 
 def test_spec_for_q():
@@ -133,3 +135,6 @@ def test_spec_for_q():
     for q in (-3, 0, 1, 6, 12):
         with pytest.raises(ConfigurationError, match=f"q={q} is not a prime power"):
             FieldSpec.for_q(q)
+    # 2^61 - 1 is prime: trial division up to its square root would not finish
+    with pytest.raises(ConfigurationError, match="exceeds the largest supported q"):
+        FieldSpec.for_q(2**61 - 1)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hermcap import SplitMix64, mix64
 
@@ -40,6 +41,14 @@ def test_sample_is_subset_without_replacement():
     got = rng.sample(pop, 30)
     assert len(got) == 30 and len(set(got)) == 30 and set(got) <= set(pop)
     assert pop == list(range(100))  # input untouched
+
+
+@pytest.mark.parametrize("n", [-2, -1, 11])
+def test_sample_size_outside_population_raises(n):
+    rng = SplitMix64(3)
+    with pytest.raises(ValueError, match=f"cannot sample {n} items from 10"):
+        rng.sample(range(10), n)
+    assert rng.state == SplitMix64(3).state  # nothing was drawn
 
 
 def test_shuffle_permutes():

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermcap import (
@@ -125,18 +125,22 @@ def test_forward_tie_modes_complete(model_q2, mode):
 
 
 def test_forward_scores_match_trial_oracle():
-    # every case of the delta scorer must occur: both inner sets, a candidate
-    # that completes the cap and a band row that falls back to an exact
-    # count; the small block splits a step into several row and column blocks
+    # every case of the delta scorer must occur: several column blocks,
+    # several row blocks, a block of one column and one row, a candidate that
+    # completes the cap and a band row that falls back to an exact count.  A
+    # one-byte budget gives one-cell blocks; it is only tried at q = 2, where
+    # a step has few enough cells.  Every block passes through search._fill
     seen = set()
+    budgets = {"one cell": 1, "small": 1 << 14, "default": search.LOOKAHEAD_BLOCK_BYTES}
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
-        q=st.sampled_from([2, 3]),
+        q=st.sampled_from([2, 3, 4]),
         picks=st.lists(st.integers(0, 2**16), max_size=40),
-        small_blocks=st.booleans(),
+        budget=st.sampled_from(sorted(budgets)),
     )
-    def check(q, picks, small_blocks):
+    def check(q, picks, budget):
+        assume(q == 2 or budget != "one cell")
         model = get_model(q)
         cap = CapState(model)
         for i in picks:
@@ -147,15 +151,24 @@ def test_forward_scores_match_trial_oracle():
             cap.add_point(t)
         m = cap.uncovered()
         rel = cap.relevance_many(m)
-        block = 1 << 14 if small_blocks else search.LOOKAHEAD_BLOCK_BYTES
-        with mock.patch.object(search, "LOOKAHEAD_BLOCK_BYTES", block):
+        with (
+            mock.patch.object(search, "LOOKAHEAD_BLOCK_BYTES", budgets[budget]),
+            mock.patch.object(search, "_fill", wraps=search._fill) as fill,
+        ):
             got = search._forward_scores(cap, m, rel)
         after = lookahead_by_trial(model, cap.members)
         assert [t for t, _, _ in after] == m.tolist()
         assert got.tolist() == [forward_score(r) for _, _, r in after]
-        seen.add("S = U" if 2 * m.size <= model.num_points else "S = C")
         in_band = np.zeros(model.num_points, dtype=bool)
         in_band[m[rel <= rel.min() + q + 1]] = True
+        for call in fill.call_args_list:
+            rows, cols = call.args[0].shape  # with the column for points off the block
+            if (rows, cols) == (1, 2):
+                seen.add("one cell")
+            if cols - 1 < in_band.sum():
+                seen.add("column blocks")
+            if rows < m.size:
+                seen.add("row blocks")
         for _, left, r in after:
             if not left.size:
                 seen.add("completes")
@@ -163,7 +176,7 @@ def test_forward_scores_match_trial_oracle():
                 seen.add("band fallback")
 
     check()
-    assert seen == {"S = U", "S = C", "completes", "band fallback"}
+    assert seen == {"one cell", "column blocks", "row blocks", "completes", "band fallback"}
 
 
 @pytest.mark.parametrize("q,k", [(3, 3), (5, 40)])
@@ -262,8 +275,9 @@ def test_sample_subcap_edges(model_q2):
     rng = SplitMix64(5)
     assert np.array_equal(sample_subcap(ov, len(ov), rng), ov)
     assert len(sample_subcap(ov, 0, rng)) == 0
-    with pytest.raises(ValueError):
-        sample_subcap(ov, len(ov) + 1, rng)
+    for n in (-1, len(ov) + 1):
+        with pytest.raises(ValueError):
+            sample_subcap(ov, n, rng)
     a = sample_subcap(ov, 4, SplitMix64(9))
     b = sample_subcap(ov, 4, SplitMix64(9))
     assert np.array_equal(a, b)

@@ -45,6 +45,12 @@ def _check_output_dirs(args) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
+def _check_seed(flag: str, value: int) -> None:
+    """Seeds are 64-bit: SplitMix64 would silently reduce any other value mod 2^64."""
+    if not 0 <= value < 1 << 64:
+        raise ConfigurationError(f"{flag} must lie in [0, 2^64), got {value}")
+
+
 def _add_q(parser) -> None:
     parser.add_argument("--q", type=int, required=True, help="prime power q of GF(q^2)")
 
@@ -79,6 +85,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    _check_seed("--seed", args.seed)
     model = _build_model(args.q)
     seed_ids = np.zeros(0, dtype=np.int32)
     if args.input:
@@ -100,6 +107,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigurationError(f"--runs must be at least 1, got {args.runs}")
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_seed("--master", args.master)
     ovoid_size = args.q**3 + 1
     if args.seed_size is not None and not 0 <= args.seed_size <= ovoid_size:
         raise ConfigurationError(
@@ -143,6 +151,7 @@ def cmd_ovoid(args) -> int:
 
 
 def cmd_thin(args) -> int:
+    _check_seed("--seed", args.seed)
     model = _build_model(args.q)
     kept, removed = thin_ovoid(model, model.classical_ovoid_ids(), SplitMix64(args.seed))
     if args.output:

@@ -41,6 +41,7 @@ from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
+COVERED = -64  # the forward scorer's phi mark on the generators through a column
 
 
 class StrategyKind(enum.Enum):
@@ -117,10 +118,19 @@ def _select_min_relevance(
     return _pick(rng, m[rel == rel.min()])
 
 
-def _fill(out: np.ndarray, idx: np.ndarray, value) -> None:
-    """out[i, idx[i, k]] = value for every i and k; out is C-contiguous."""
-    flat = idx + (np.arange(len(out), dtype=np.int32) * out.shape[1])[:, None]
-    out.ravel()[flat] = value
+def _block_minima(phi: np.ndarray, rows: np.ndarray, off: np.ndarray, diag: np.ndarray):
+    """Each row's minimum of off - c over phi's columns, and how many cells reach it.
+
+    c sums the phi rows that ``rows[i]`` names.  Cell diag[i] of row i is
+    dropped; diag[i] = phi.shape[1] drops nothing.
+    """
+    c = sum(phi.take(rows[:, j], axis=0) for j in range(rows.shape[1]))
+    v = np.empty((len(rows), phi.shape[1] + 1), dtype=np.int8)
+    np.subtract(off, c, out=v[:, :-1])
+    v[np.arange(len(rows)), diag] = np.iinfo(np.int8).max
+    v = v[:, :-1]
+    low = v.min(axis=1)
+    return low, np.count_nonzero(v == low[:, None], axis=1)
 
 
 def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray:
@@ -133,10 +143,19 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     when the point of generator g collinear with y is uncovered: each
     uncovered point of y's pencil is marked on its q + 1 generators, which
     all pass through a candidate; phi keeps a row for each such generator.
-    c_t(y) sums the phi rows of t's generators, and ``_fill`` drops the band
-    points t covers.  Scores are int8 offsets from min rel.  phi, its scatter
-    indices and the row temporaries stay within LOOKAHEAD_BLOCK_BYTES, and
-    the cap is not mutated.
+    c_t(y) sums the phi rows of t's generators.  Scores are int8 offsets
+    off(y) - c_t(y) from min rel, each within [-(q + 1), q + 1].
+
+    The band points t covers need no mask of their own.  After the 0/1 marks,
+    the q + 1 generators through y are marked COVERED = -64 in column y.  A
+    candidate t != y conjugate to y lies on one of them, and is itself the
+    point of its other q generators collinear with y, so its cell scores
+    off(y) + 64 - q.  That is at least 64 - MAX_Q > MAX_Q + 1, above every
+    real score and below the int8 limit: a block whose cells are all covered
+    leaves its row above 0, which the fallback then counts.  Only the
+    diagonal t = y, where q + 1 marks of -64 wrap, is dropped row by row.
+    phi, its scatter indices and the row temporaries stay within
+    LOOKAHEAD_BLOCK_BYTES, and the cap is not mutated.
     """
     model = cap.model
     n, q1 = model.num_points, model.q + 1
@@ -149,34 +168,31 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     gens = row_of.take(gens)
     uncovered = cap.cmult == 0
     kept = int(row_of[-1]) + 1
-    # bytes: phi 1 per generator and column; a band pencil's at most rmin + 2q + 1
-    # uncovered entries 12 q + 36 each; a score row 4 per column, 12 per pencil id
+    # bytes: phi 1 per generator and column; per band column its pencil, 5 per
+    # id, at most rmin + 2q + 1 uncovered ids of 12 q + 36 each, and 20 per
+    # generator through it; a score row 4 per column and 40 besides
     cols = min(band.size, max(1, LOOKAHEAD_BLOCK_BYTES // kept))
-    chunk = max(1, LOOKAHEAD_BLOCK_BYTES // ((12 * q1 + 24) * (rmin + 2 * q1)))
-    step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 12 * (model.gx_size + model.q)))
-    top = np.iinfo(np.int8).max  # a dropped cell, above every score
-    best = np.full(m.size, top, dtype=np.int8)
+    per_col = 5 * (model.gx_size + model.q) + (12 * q1 + 24) * (rmin + 2 * q1)
+    chunk = max(1, LOOKAHEAD_BLOCK_BYTES // per_col)
+    step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 40))
+    best = np.full(m.size, np.iinfo(np.int8).max, dtype=np.int8)
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
         phi = np.zeros((kept, hi - lo), dtype=np.int8)
         for a in range(lo, hi, chunk):
-            pencils = model.pencil_rows(band[a : min(a + chunk, hi)])
+            ys = band[a : min(a + chunk, hi)]
+            pencils = model.pencil_rows(ys)
             y, k = np.nonzero(uncovered.take(pencils))
             marks = row_of.take(model.generators_of(pencils[y, k])) * (hi - lo)
             phi.ravel()[marks + (y + (a - lo))[:, None]] = 1
+            through = row_of.take(model.generators_of(ys)) * (hi - lo)
+            phi.ravel()[through + np.arange(a - lo, a - lo + ys.size)[:, None]] = COVERED
         pos_band = np.full(n, hi - lo, dtype=np.int32)  # off the block: the spare column
         pos_band[band[lo:hi]] = np.arange(hi - lo, dtype=np.int32)
         for r0 in range(0, m.size, step):
-            rows = gens[r0 : r0 + step]
-            c = sum(phi.take(rows[:, j], axis=0) for j in range(q1))
-            v = np.empty((len(rows), hi - lo + 1), dtype=np.int8)
-            np.subtract(off[lo:hi], c, out=v[:, :-1])
-            _fill(v, pos_band.take(model.pencil_rows(m[r0 : r0 + step])), top)
-            v = v[:, :-1]
-            low = v.min(axis=1)
-            hits = np.count_nonzero(v == low[:, None], axis=1)
-            seg = slice(r0, r0 + len(rows))
+            seg = slice(r0, min(r0 + step, m.size))
+            low, hits = _block_minima(phi, gens[seg], off[lo:hi], pos_band.take(m[seg]))
             b, k = best[seg], count[seg]
             k[low == b] += hits[low == b]
             k[low < b] = hits[low < b]
@@ -195,6 +211,10 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
 
 
 def _select_lookahead(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
+    if len(cap) <= 1:
+        # PGU(4, q^2) is transitive on the points, and a point's stabilizer on the
+        # points not conjugate to it: every candidate scores the same
+        return _pick(rng, m)
     rel = cap.relevance_many(m)
     if int(rel.min()) == 1:
         # a relevance-1 point covers only itself; adding one is always safe

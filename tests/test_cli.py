@@ -73,6 +73,25 @@ def test_spectrum_bad_config_exits_2_before_model_build(bad, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete", "--q", "7", "--seed"],
+        ["thin", "--q", "7", "--seed"],
+        ["spectrum", "--q", "7", "--runs", "2", "--empty", "--master"],
+    ],
+    ids=["complete-seed", "thin-seed", "spectrum-master"],
+)
+def test_seed_outside_64_bits_exits_2_before_model_build(argv, value, monkeypatch, capsys):
+    def no_build(q):
+        raise AssertionError("model built before the seed was validated")
+
+    monkeypatch.setattr(cli, "_build_model", no_build)
+    assert run_cli(*argv, value) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[-1]} must lie in [0, 2^64)")
+
+
 def test_verify_passes(capsys):
     assert run_cli("verify", "--q", "2", "--deep") == 0
     out = capsys.readouterr().out

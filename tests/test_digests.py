@@ -60,6 +60,8 @@ RUN_DIGESTS = {
     (3, None, "forward", 2): "df16ba8aac28ceb96e158798052bcfa9d0521ffd25a07e7634cce4f817adf35a",
     (3, None, "backtrack", 1): "55740c534fabca23ccf1c7a06db995e92d7a2d1d3ee796264df8b2ffb1caccd4",
     (3, None, "backtrack", 2): "ccfc486856089f5005b27a68797d9626fd378a4aa471a7ba714d1e1fefd40cba",
+    (5, None, "forward", 1): "ac7506cf8eb5c0d28590a524a8e0f21652ba5ce9f61dee57d89d527fba6a07f6",
+    (5, None, "forward", 2): "16e23b26aa288c7f714319d2b50a3b098d3bc7ab4ce6c4421268d75a2b15587c",
     (5, 40, "random", 1): "650d8d446a4b8f35174b53e723c87ce7751a1f92161d9266f815ce4ea32534fe",
     (5, 40, "random", 2): "3acd455063cf035d6cd728c26ddb300b38341a617fcb30fd1447a1221e6230ce",
     (5, 40, "min-relevance", 1): "a51ccb11c542d3385a41e3ad8f3ad3ec76baa873dc118db28566e08229a0b795",

@@ -20,6 +20,7 @@ from hermcap import (
 )
 from hermcap import search
 from hermcap.errors import CapViolationError
+from hermcap.galois import MAX_Q
 
 from .conftest import get_model
 from .oracles import forward_score, lookahead_by_trial
@@ -129,7 +130,7 @@ def test_forward_scores_match_trial_oracle():
     # several row blocks, a block of one column and one row, a candidate that
     # completes the cap and a band row that falls back to an exact count.  A
     # one-byte budget gives one-cell blocks; it is only tried at q = 2, where
-    # a step has few enough cells.  Every block passes through search._fill
+    # a step has few enough cells.  Every block passes through search._block_minima
     seen = set()
     budgets = {"one cell": 1, "small": 1 << 14, "default": search.LOOKAHEAD_BLOCK_BYTES}
 
@@ -153,7 +154,7 @@ def test_forward_scores_match_trial_oracle():
         rel = cap.relevance_many(m)
         with (
             mock.patch.object(search, "LOOKAHEAD_BLOCK_BYTES", budgets[budget]),
-            mock.patch.object(search, "_fill", wraps=search._fill) as fill,
+            mock.patch.object(search, "_block_minima", wraps=search._block_minima) as blocks,
         ):
             got = search._forward_scores(cap, m, rel)
         after = lookahead_by_trial(model, cap.members)
@@ -161,11 +162,11 @@ def test_forward_scores_match_trial_oracle():
         assert got.tolist() == [forward_score(r) for _, _, r in after]
         in_band = np.zeros(model.num_points, dtype=bool)
         in_band[m[rel <= rel.min() + q + 1]] = True
-        for call in fill.call_args_list:
-            rows, cols = call.args[0].shape  # with the column for points off the block
-            if (rows, cols) == (1, 2):
+        for call in blocks.call_args_list:
+            cols, rows = call.args[0].shape[1], len(call.args[1])
+            if (rows, cols) == (1, 1):
                 seen.add("one cell")
-            if cols - 1 < in_band.sum():
+            if cols < in_band.sum():
                 seen.add("column blocks")
             if rows < m.size:
                 seen.add("row blocks")
@@ -177,6 +178,40 @@ def test_forward_scores_match_trial_oracle():
 
     check()
     assert seen == {"one cell", "column blocks", "row blocks", "completes", "band fallback"}
+
+
+def test_forward_fallback_when_a_point_off_the_band_ties():
+    # candidate 441's band minimum is min rel + 1, and a point outside the band
+    # ends at min rel + 1 too: only the exact fallback counts both
+    model = get_model(4)
+    cap = CapState(model)
+    for x in [973, 446, 788, 461, 952, 558, 407, 790, 635, 727, 320, 207, 139, 941, 876, 432, 749]:
+        cap.add_point(x)
+    m = cap.uncovered()
+    rel = cap.relevance_many(m)
+    assert (m.size, rel.min()) == (257, 16)
+    after = lookahead_by_trial(model, cap.members)
+    _, left, r = after[int(np.flatnonzero(m == 441)[0])]
+    in_band = np.isin(left, m[rel <= rel.min() + model.q + 1])
+    assert r[in_band].min() == r[~in_band].min() == rel.min() + 1
+    got = search._forward_scores(cap, m, rel)
+    assert got.tolist() == [forward_score(r) for _, _, r in after]
+
+
+def test_covered_mark_stays_above_every_score():
+    # a covered cell scores off - q - COVERED with 0 <= off <= q + 1, a real one
+    # at most q + 1
+    assert -search.COVERED - MAX_Q > MAX_Q + 1
+    assert 1 - search.COVERED <= np.iinfo(np.int8).max
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_forward_scores_constant_on_caps_of_at_most_one_point(q):
+    # the symmetry behind _select_lookahead's shortcut for such caps
+    model = get_model(q)
+    for members in [[]] + [[p] for p in range(model.num_points)]:
+        scores = {forward_score(r) for _, _, r in lookahead_by_trial(model, members)}
+        assert len(scores) == 1, members
 
 
 @pytest.mark.parametrize("q,k", [(3, 3), (5, 40)])

@@ -26,7 +26,6 @@ from .hermitian import (
     classical_ovoid,
     enumerate_generators,
     enumerate_surface,
-    generators_through,
     hermitian_inner,
     is_cap,
     is_ovoid,
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_generators",
     "enumerate_surface",
     "gap_check",
-    "generators_through",
     "hermitian_inner",
     "is_cap",
     "is_ovoid",

@@ -84,8 +84,10 @@ class CapState:
     # -- mutation ------------------------------------------------------------
 
     def add_point(self, x: int) -> None:
-        """Add an uncovered point; adding a covered one is a cap violation."""
+        """Add an uncovered point: CapViolationError if it is covered, ValueError if off the surface."""
         x = int(x)
+        if not 0 <= x < self.model.num_points:
+            checked_ids(self.model, [x])  # raises its ValueError
         if self.cmult[x] != 0:
             raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
         row = self.model.pencil(x)

@@ -19,7 +19,7 @@ from .capstate import CapState
 from .errors import ConfigurationError, HermcapError
 from .galois import FieldSpec, build_field
 from .harness import SeedSpec, emit_histogram, emit_runlog, gap_check, run_spectrum
-from .hermitian import enumerate_generators, enumerate_surface, generators_through
+from .hermitian import enumerate_generators, enumerate_surface
 from .rng import SplitMix64
 from .search import SearchConfig, StrategyKind, TieMode, run_strategy, thin_ovoid
 from .verify import run_checks
@@ -46,7 +46,7 @@ def _check_output_dirs(args) -> None:
 
 
 def _check_seed(flag: str, value: int) -> None:
-    """Seeds are 64-bit: SplitMix64 would silently reduce any other value mod 2^64."""
+    """Seeds are 64-bit; checked here so that a bad one fails before the model is built."""
     if not 0 <= value < 1 << 64:
         raise ConfigurationError(f"{flag} must lie in [0, 2^64), got {value}")
 
@@ -59,7 +59,7 @@ def cmd_surface_info(args) -> int:
     model = _build_model(args.q)
     q = model.q
     gens = enumerate_generators(model)
-    per_point = len(generators_through(model, 0))
+    per_point = model.generators_of([0]).shape[1]
     ovoid = len(model.classical_ovoid_ids())
     print(
         f"points={model.num_points} gx={model.gx_size} generators={len(gens)} "

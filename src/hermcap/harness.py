@@ -178,6 +178,8 @@ def run_spectrum(
         raise ValueError("n_runs must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not 0 <= master_seed <= MASK64:
+        raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
     fixed_ids = None
     if seed_spec.kind == "fromfile":
         from .capfile import load_cap_ids

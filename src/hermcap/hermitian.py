@@ -83,8 +83,10 @@ class SurfaceModel:
 
     Points, classical ovoid and generators are built in the constructor, and
     nothing changes afterwards, so a model is safe to share read-only across
-    workers.  Tangent sections are read from the generators, as pencils
-    (``pencil``, ``pencil_rows``) or sorted (``tangent_set``, ``tangent_rows``).
+    workers.  Incidence is two arrays: ``_gen_points``, the sorted points of
+    each generator (``enumerate_generators``), and ``_gens_by_point``, the
+    q + 1 generator ids through each point (``generators_of``).  Tangent
+    sections are read from them as pencils (``pencil``, ``pencil_rows``).
     """
 
     def __init__(self, field: FieldTables):
@@ -217,15 +219,12 @@ class SurfaceModel:
         counts[pids] -= self.q  # a pencil holds its own point q + 1 times
         return counts
 
-    def tangent_set(self, pid: int) -> np.ndarray:
-        """Sorted ids of the tangent section of pid (includes pid itself)."""
-        return self.tangent_rows([pid])[0]
-
     def tangent_rows(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), gx_size) id matrix; row i is the sorted section of pids[i].
 
         The point's copies in q of its generators become the sentinel N, so one
-        sort of the pencil leaves the gx distinct ids in front (checked).
+        sort of the pencil leaves the gx distinct ids in front (checked).  No
+        caller in the package; the benchmark tracer wraps it by name.
         """
         pids = np.asarray(pids, dtype=np.intp)
         block = self.pencil_rows(pids)
@@ -268,11 +267,6 @@ def enumerate_generators(model: SurfaceModel) -> np.ndarray:
     Each generator is listed once, and rows are ordered by their two least points.
     """
     return model._gen_points
-
-
-def generators_through(model: SurfaceModel, pid: int) -> list[int]:
-    """Ids of the q + 1 generators through pid, ascending."""
-    return model._gens_by_point[pid].tolist()
 
 
 def classical_ovoid(model: SurfaceModel) -> np.ndarray:

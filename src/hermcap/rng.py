@@ -8,11 +8,17 @@ constant and each output is the splitmix64 avalanche finalizer of the state.
 
 Bounded integers use rejection sampling (draw again while the raw 64-bit
 value falls in the biased remainder zone), so ``randbelow`` is exactly
-uniform.  ``sample`` and ``shuffle`` are Fisher-Yates; the draw order is part
-of the reproducibility contract and is documented in the README.
+uniform.  ``sample`` and ``shuffle`` are Fisher-Yates, and the draw order is
+part of the reproducibility contract: ``shuffle`` swaps items i and
+randbelow(i + 1) for i descending from len - 1 to 1, ``sample`` swaps items i
+and i + randbelow(len - i) for i ascending from 0 to n - 1 and returns the
+first n, and ``choice`` makes one draw, randbelow(len).  A seed outside
+[0, 2^64) raises ValueError; it is not reduced mod 2^64.
 """
 
 from __future__ import annotations
+
+import operator
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -30,7 +36,9 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+        self.state = operator.index(seed)  # TypeError for a non-integer
 
     def next_u64(self) -> int:
         self.state = (self.state + GOLDEN_GAMMA) & MASK64

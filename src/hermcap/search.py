@@ -36,7 +36,7 @@ import numpy as np
 
 from .capstate import CapState
 from .errors import HermcapError
-from .hermitian import SurfaceModel, is_ovoid
+from .hermitian import SurfaceModel, enumerate_generators, is_ovoid
 from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
@@ -134,17 +134,17 @@ def _block_minima(phi: np.ndarray, rows: np.ndarray, off: np.ndarray, diag: np.n
 
 
 def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """rho(t) for every uncovered t in m, where rel = cap.relevance_many(m).
+    """rho(t) for every t in m, the sorted uncovered set, where rel = cap.relevance_many(m).
 
     Only the band B of points with rel(y) <= min rel + q + 1 is scored: as
     c_t(y) <= q + 1, no point outside B can be minimal once some point of B
     reaches min rel.  A row whose band minimum stays above min rel is counted
-    exactly over all of U instead.  Per block of band columns, phi[g, y] = 1
-    when the point of generator g collinear with y is uncovered: each
-    uncovered point of y's pencil is marked on its q + 1 generators, which
-    all pass through a candidate; phi keeps a row for each such generator.
-    c_t(y) sums the phi rows of t's generators.  Scores are int8 offsets
-    off(y) - c_t(y) from min rel, each within [-(q + 1), q + 1].
+    exactly over all of U instead.  Per block of band columns, phi has one row
+    per generator, indexed by generator id, and phi[g, y] = 1 when the point
+    of generator g collinear with y is uncovered: each uncovered point of y's
+    pencil is marked on its q + 1 generators.  c_t(y) sums the phi rows of
+    t's generators.  Scores are int8 offsets off(y) - c_t(y) from min rel,
+    each within [-(q + 1), q + 1].
 
     The band points t covers need no mask of their own.  After the 0/1 marks,
     the q + 1 generators through y are marked COVERED = -64 in column y.  A
@@ -154,6 +154,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     real score and below the int8 limit: a block whose cells are all covered
     leaves its row above 0, which the fallback then counts.  Only the
     diagonal t = y, where q + 1 marks of -64 wrap, is dropped row by row.
+    The fallback drops Z_t from U by position in m, which needs m sorted
+    (Z_t lies in m), and a candidate that leaves no point uncovered counts 0.
     phi, its scatter indices and the row temporaries stay within
     LOOKAHEAD_BLOCK_BYTES, and the cap is not mutated.
     """
@@ -164,14 +166,12 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     band = m[in_band]
     off = (rel[in_band] - rmin).astype(np.int8)
     gens = model.generators_of(m)
-    row_of = np.cumsum(np.bincount(gens.ravel()) > 0, dtype=np.int32) - 1  # no sort
-    gens = row_of.take(gens)
     uncovered = cap.cmult == 0
-    kept = int(row_of[-1]) + 1
+    num_gens = len(enumerate_generators(model))
     # bytes: phi 1 per generator and column; per band column its pencil, 5 per
-    # id, at most rmin + 2q + 1 uncovered ids of 12 q + 36 each, and 20 per
-    # generator through it; a score row 4 per column and 40 besides
-    cols = min(band.size, max(1, LOOKAHEAD_BLOCK_BYTES // kept))
+    # id, and at most rmin + 2q + 2 uncovered ids of 12 q + 36 each with their
+    # marks; a score row 4 per column and 40 besides
+    cols = min(band.size, max(1, LOOKAHEAD_BLOCK_BYTES // num_gens))
     per_col = 5 * (model.gx_size + model.q) + (12 * q1 + 24) * (rmin + 2 * q1)
     chunk = max(1, LOOKAHEAD_BLOCK_BYTES // per_col)
     step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 40))
@@ -179,14 +179,14 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
-        phi = np.zeros((kept, hi - lo), dtype=np.int8)
+        phi = np.zeros((num_gens, hi - lo), dtype=np.int8)
         for a in range(lo, hi, chunk):
             ys = band[a : min(a + chunk, hi)]
             pencils = model.pencil_rows(ys)
             y, k = np.nonzero(uncovered.take(pencils))
-            marks = row_of.take(model.generators_of(pencils[y, k])) * (hi - lo)
+            marks = model.generators_of(pencils[y, k]) * (hi - lo)
             phi.ravel()[marks + (y + (a - lo))[:, None]] = 1
-            through = row_of.take(model.generators_of(ys)) * (hi - lo)
+            through = model.generators_of(ys) * (hi - lo)
             phi.ravel()[through + np.arange(a - lo, a - lo + ys.size)[:, None]] = COVERED
         pos_band = np.full(n, hi - lo, dtype=np.int32)  # off the block: the spare column
         pos_band[band[lo:hi]] = np.arange(hi - lo, dtype=np.int32)
@@ -198,15 +198,10 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
             k[low < b] = hits[low < b]
             np.minimum(b, low, out=b)
     for j in np.flatnonzero(best > 0):
-        if rel[j] == m.size:
-            count[j] = 0  # the candidate completes the cap outright
-            continue
         row = model.pencil(int(m[j]))
-        z = np.unique(row[cap.cmult[row] == 0])  # m[j] is in its pencil q + 1 times
-        stays = np.ones(n, dtype=bool)
-        stays[z] = False
-        after = (rel - model.section_counts(z)[m])[stays[m]]
-        count[j] = np.count_nonzero(after == after.min())
+        z = np.unique(row[uncovered.take(row)])  # m[j] is in its pencil q + 1 times
+        after = np.delete(rel - model.section_counts(z)[m], np.searchsorted(m, z))
+        count[j] = np.count_nonzero(after == after.min()) if after.size else 0
     return count
 
 
@@ -333,7 +328,7 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
         rng.shuffle(pool)
         done = False
         for witness in pool:
-            row = model.tangent_set(witness)
+            row = np.unique(model.pencil(witness))
             coverers = [int(z) for z in row if int(z) in cs.members]
             rng.shuffle(coverers)
             omega: list[int] = []

@@ -53,7 +53,7 @@ def test_add_remove_is_involution(model_q3):
 def test_add_covered_point_rejected(model_q2):
     cap = CapState(model_q2)
     cap.add_point(0)
-    conj = int(model_q2.tangent_set(0)[1])
+    conj = int(np.unique(model_q2.pencil(0))[1])
     with pytest.raises(CapViolationError):
         cap.add_point(conj)
     with pytest.raises(CapViolationError):
@@ -67,6 +67,20 @@ def test_from_ids_rejects_ids_off_the_surface(model_q2):
     for bad in ([-1], [2, model_q2.num_points]):
         with pytest.raises(ValueError):
             CapState.from_ids(model_q2, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, "N"])
+def test_add_point_rejects_ids_off_the_surface(model_q2, bad):
+    # -1 used to wrap round to point N - 1 and join the cap as member -1
+    n = model_q2.num_points
+    cap = CapState.from_ids(model_q2, [3])
+    cap.relevance(0)  # build the relevance vector, so its update is checked too
+    cmult, rel = cap.cmult.copy(), cap.relevance_many(np.arange(n)).copy()
+    with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
+        cap.add_point(n if bad == "N" else bad)
+    assert cap.members == {3}
+    assert np.array_equal(cap.cmult, cmult)
+    assert np.array_equal(cap.relevance_many(np.arange(n)), rel)
 
 
 def test_remove_nonmember_rejected(model_q2):
@@ -246,7 +260,7 @@ def test_weight_removal_decomposition_exact(q):
         for x in sorted(cap.members):
             w = cap.weight(x)
             cap.remove_point(x)
-            row = model.tangent_set(x)
+            row = np.unique(model.pencil(x))
             vals = cap.cmult[row]
             r = int(np.count_nonzero(vals == 0))
             tail = sum(

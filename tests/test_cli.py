@@ -123,7 +123,7 @@ def test_cap_file_validation_errors(tmp_path, model_q3):
         load_cap_ids(model_q3, path)
 
     payload = json.loads(serialize_cap(model_q3, ov))
-    conj = model_q3.coords_of(int(model_q3.tangent_set(int(ov[0]))[1]))
+    conj = model_q3.coords_of(int(np.unique(model_q3.pencil(int(ov[0])))[1]))
     payload["points"].append(list(conj))
     path.write_text(json.dumps(payload))
     with pytest.raises(CapFileError, match="not-a-cap"):
@@ -168,6 +168,23 @@ def test_verify_reports_raising_check_as_failure(monkeypatch, capsys):
     assert "FAIL search-checks-raised (CapViolationError: point " in out.out
     assert "ok   oracle-conjugacy-form-q3" in out.out  # later groups still run
     assert "first failing invariant: " in out.err
+    assert "Traceback" not in out.out + out.err
+
+
+def test_verify_deep_counts_generators_per_point(monkeypatch, capsys):
+    # a fresh model, not the shared cache: point 0 of generator 0 is replaced by
+    # a point off it, which then lies on q + 2 generators and point 0 on q; the
+    # pencil of point 0 still holds gx distinct ids, but 0 only q times
+    model = cli._build_model(2)
+    gens = model._gen_points.copy()
+    gens[0, 0] = gens[1, -1]
+    model._gen_points = gens
+    monkeypatch.setattr(cli, "_build_model", lambda q: model)
+    assert run_cli("verify", "--q", "2", "--deep") == 1
+    out = capsys.readouterr()
+    assert "FAIL generators-per-point" in out.out
+    assert "FAIL surface-tangent-size" in out.out
+    assert "ok   generators-count" in out.out
     assert "Traceback" not in out.out + out.err
 
 
@@ -271,7 +288,7 @@ def test_complete_with_ovoid_input(tmp_path, model_q2, capsys):
 
 
 def test_complete_non_cap_input_exits_1(tmp_path, model_q2, capsys):
-    pair = [int(x) for x in model_q2.tangent_set(0)[:2]]
+    pair = [int(x) for x in np.unique(model_q2.pencil(0))[:2]]
     payload = {
         "q": 2, "p": 2, "k": 1, "modulus": [1, 1, 1], "form": "diagonal",
         "points": [list(model_q2.coords_of(i)) for i in pair],
@@ -355,7 +372,7 @@ def test_spectrum_seed_file(tmp_path, model_q3, capsys):
     assert len(records) == 12 and all(r["input_size"] == 10 for r in records)
 
     pair = tmp_path / "pair.json"
-    write_cap(pair, model_q3, model_q3.tangent_set(0)[:2])
+    write_cap(pair, model_q3, np.unique(model_q3.pencil(0))[:2])
     capsys.readouterr()
     assert (
         run_cli(

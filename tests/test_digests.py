@@ -41,7 +41,6 @@ from hermcap import (
     emit_histogram,
     enumerate_generators,
     emit_runlog,
-    generators_through,
     run_spectrum,
     run_strategy,
     sample_subcap,
@@ -210,10 +209,7 @@ def thin_digest(q, seed):
 def construction_digests(q):
     model = get_model(q)
     points = enumerate_generators(model)
-    through = np.array(
-        [np.asarray(generators_through(model, x), dtype=np.int32) for x in range(model.num_points)],
-        dtype=np.int32,
-    )
+    through = model.generators_of(np.arange(model.num_points))
     rows = hashlib.sha256()  # the sorted tangent rows of every point, a block at a time
     for lo in range(0, model.num_points, 4096):
         rows.update(model.tangent_rows(np.arange(lo, min(lo + 4096, model.num_points))).tobytes())

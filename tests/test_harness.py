@@ -173,6 +173,12 @@ def test_run_spectrum_rejects_zero_runs(model_q2):
         run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 0, 1)
 
 
+@pytest.mark.parametrize("master", [-1, 2**64])
+def test_run_spectrum_rejects_master_outside_64_bits(model_q2, master):
+    with pytest.raises(ValueError, match="master_seed must lie in"):
+        run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 1, master)
+
+
 def test_seedspec_validation():
     assert SeedSpec.empty().describe() == "empty"
     assert SeedSpec.subovoid(69).describe() == "subovoid(69)"

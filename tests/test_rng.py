@@ -15,6 +15,13 @@ def test_known_splitmix_values():
     ]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_seed_outside_64_bits_raises(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        SplitMix64(seed)
+    assert SplitMix64(2**64 - 1).state == 2**64 - 1  # the top seed is in range
+
+
 def test_mix64_is_bijective_on_sample():
     xs = [0, 1, 2**63, 2**64 - 1, 123456789]
     ys = [mix64(x) for x in xs]

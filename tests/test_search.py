@@ -72,9 +72,15 @@ def test_random_completion_bound_on_iterations(model_q5):
 
 
 def test_non_cap_seed_rejected(model_q2):
-    pair = model_q2.tangent_set(0)[:2]
+    pair = np.unique(model_q2.pencil(0))[:2]
     with pytest.raises(CapViolationError):
         complete(model_q2, pair, StrategyKind.RANDOM, rng_seed=0)
+
+
+def test_rng_seed_outside_64_bits_rejected(model_q3):
+    # rng_seed=-1 used to give the same cap as 2**64 - 1
+    with pytest.raises(ValueError, match="seed must lie in"):
+        run_strategy(model_q3, [], SearchConfig(rng_seed=-1))
 
 
 def test_ovoid_seed_returned_unchanged(model_q5):

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
-from .hermitian import SurfaceModel, checked_ids
+from .hermitian import SurfaceModel, checked_id, checked_ids
 
 
 class CapState:
@@ -85,9 +85,7 @@ class CapState:
 
     def add_point(self, x: int) -> None:
         """Add an uncovered point: CapViolationError if it is covered, ValueError if off the surface."""
-        x = int(x)
-        if not 0 <= x < self.model.num_points:
-            checked_ids(self.model, [x])  # raises its ValueError
+        x = checked_id(self.model, x)
         if self.cmult[x] != 0:
             raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
         row = self.model.pencil(x)
@@ -126,7 +124,7 @@ class CapState:
 
     def relevance(self, x: int) -> int:
         """Number of points newly covered if x joined the cap (0 for members)."""
-        return int(self._relevance()[int(x)])
+        return int(self._relevance()[checked_id(self.model, x)])
 
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
         return self._relevance()[np.asarray(ids, dtype=np.intp)]
@@ -144,10 +142,10 @@ class CapState:
         return np.count_nonzero(self.cmult.take(rows) == 1, axis=1) - self.model.q
 
     def coverage_mult(self, y: int) -> int:
-        return int(self.cmult[int(y)])
+        return int(self.cmult[checked_id(self.model, y)])
 
     def coverage_intersect(self, x: int) -> int:
-        x = int(x)
+        x = checked_id(self.model, x)
         covered = int(np.count_nonzero(self.cmult[self.model.pencil(x)] > 0))
         return covered - self.model.q if self.cmult[x] else covered
 

@@ -28,9 +28,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# largest q built: on a 2-core host the surface takes 0.7 s and 161 MB peak RSS
-# at q = 11, and 6.8 s and 1.1 GB at q = 16, most of both in the generator pass;
-# at q = 32 the (q^3 + 1)(q + 1)(q^2 + 1) generated coordinate rows need 18 GB
+# largest q built: on a 2-core host the surface takes 0.13 s and 85 MB peak RSS
+# at q = 11, and 1.5 s and 458 MB at q = 16, the peak in the sorts of the
+# generator rows; at q = 32 those rows hold (q^3 + 1)(q + 1)(q^2 + 1) = 1.1G
+# ids, and the int64 argsort that lists the generators through each point,
+# with its quotient, alone needs 18 GB
 MAX_Q = 16
 
 

@@ -21,10 +21,11 @@ itself is never enumerated.
   taken ascending.  Heads run in encoding order, so the points come out
   sorted by key.
 - Generators come from the classical ovoid, which meets every generator
-  exactly once: spanning the q + 1 generators through each of its q^3 + 1
-  points yields every generator once, with no pairwise conjugacy test.  The
-  generated points are resolved to ids through a transient table indexed by
-  key (every normalized key is below 2 q^6).
+  exactly once: the q + 1 generators through each of its q^3 + 1 points,
+  written down in closed form, are every generator once, with no conjugacy
+  test.  Their points off the ovoid all have x_3 = 1, and resolve to ids
+  through a transient table of the surface points off {x_3 = 0}, scaled to
+  x_3 = 1 and indexed by their first three coordinates (q^6 entries).
 - No table of tangent sections is stored.  The pencil of x, the q + 1
   generator rows through it, is gathered with two takes and never sorted; it
   holds every other point of the section once and x itself q + 1 times, and
@@ -142,40 +143,38 @@ class SurfaceModel:
         return k
 
     def _build_generators(self) -> None:
-        """Every generator once, from the ovoid point it meets.
+        """Every generator once, from the ovoid point it meets, in closed form.
 
-        An ovoid point o with leading coordinate j (o_j = 1) lies off the
-        plane {y_j = 0}, which meets each of the q + 1 generators through o
-        in one point y, conjugate to o; the generator is {y} and o + lam*y.
+        An ovoid point o has o_3 = 0 (CANONICAL_POLE is e_3) and o_j = 1 at its
+        leading j.  For a, b the indices after j, cyclically in {0, 1, 2},
+        w = conj(o_b) e_a - conj(o_a) e_b is orthogonal to o with H(w, w) = -1,
+        so the generators through o are <o, e_3 + nu*w> for the q + 1 nu of
+        norm 1: o and the q^2 points e_3 + nu*w + lam*o, found by x_0, x_1, x_2.
         ``_sorted_lines`` rejects two rows through the same two points, so the
         generators are distinct lines, which share at most one point: every
         pencil holds gx distinct points.
         """
         field, q, q2 = self.field, self.q, self.q2
-        # every normalized key is below 2 q^6: its leading coordinate is 0 or 1
-        table = np.full(2 * q2**3, -1, dtype=np.int32)
-        table[self.keys] = np.arange(self.num_points, dtype=np.int32)
-        ovoid = self.coords[self._classical_ovoid]
-        lead = np.argmax(ovoid != 0, axis=1)
-        lam = np.arange(q2, dtype=np.int32)[:, None]
-        parts = []
-        for j in range(4):
-            o = ovoid[lead == j]
-            plane = self.coords[self.coords[:, j] == 0]
-            hit = _form(field, o[:, None, :], plane[None, :, :]) == 0
-            if not (hit.sum(axis=1) == q + 1).all():
-                raise ConfigurationError("an ovoid point does not meet q + 1 generators")
-            y = plane[np.nonzero(hit)[1]].reshape(len(o), q + 1, 1, 4)
-            span = field.add2[o[:, None, None, :], field.mul2[lam, y]]
-            pts = np.concatenate([y, span], axis=2).reshape(-1, 4)
-            first = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
-            scale = first != 1
-            pts[scale] = field.mul2[field.inv[first[scale]][:, None], pts[scale]]
-            parts.append(table[self._encode_coords(pts)])
-        ids = np.concatenate(parts)
+        off = np.flatnonzero(self.coords[:, 3])  # keyed by x_0, x_1, x_2 once scaled to x_3 = 1
+        head = field.mul2[field.inv[self.coords[off, 3:]], self.coords[off, :3]]
+        table = np.full(q2**3, -1, dtype=np.int32)
+        table[(head[:, 0] * q2 + head[:, 1]) * q2 + head[:, 2]] = off
+        o = self.coords[self._classical_ovoid, :3]
+        r, j = np.arange(len(o)), np.argmax(o != 0, axis=1)
+        a, b = (j + 1) % 3, (j + 2) % 3
+        w = np.zeros_like(o)
+        w[r, a] = field.conj[o[r, b]]
+        w[r, b] = np.argmax(field.add2 == 0, axis=1)[field.conj[o[r, a]]]  # minus conj(o_a)
+        nu, lam = np.flatnonzero(field.norm == 1)[:, None], np.arange(q2)
+        key = np.zeros((len(o), q + 1, q2), dtype=np.int32)
+        for i in range(3):
+            key *= q2
+            key += field.add2[field.mul2[nu, w[:, i, None, None]], field.mul2[lam, o[:, i, None, None]]]
+        ids = table[key].reshape(-1, q2)
+        del key, table  # before the sorts, which set the peak
         if (ids < 0).any():
             raise ConfigurationError("a generated point is off the surface")
-        lines = _sorted_lines(ids.reshape(-1, q2 + 1))
+        lines = _sorted_lines(np.column_stack([np.repeat(self._classical_ovoid, q + 1), ids]))
         flat = lines.ravel()
         if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
             raise ConfigurationError("a point is not on exactly q + 1 generators")
@@ -196,13 +195,13 @@ class SurfaceModel:
         return i
 
     def coords_of(self, pid: int) -> ProjPoint:
-        return tuple(int(c) for c in self.coords[pid])
+        return tuple(int(c) for c in self.coords[checked_id(self, pid)])
 
     # -- incidence -----------------------------------------------------------
 
     def pencil(self, pid: int) -> np.ndarray:
         """The q + 1 generator rows through pid, flat and unsorted."""
-        return self._gen_points.take(self._gens_by_point[pid], axis=0).ravel()
+        return self._gen_points.take(self._gens_by_point[checked_id(self, pid)], axis=0).ravel()
 
     def generators_of(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), q + 1) matrix; row i holds the generators through pids[i]."""
@@ -238,7 +237,7 @@ class SurfaceModel:
 
     def is_conjugate(self, a: int, b: int) -> bool:
         """True iff a == b or a and b lie on a common generator."""
-        gens = self._gens_by_point
+        a, b, gens = checked_id(self, a), checked_id(self, b), self._gens_by_point
         return a == b or not set(gens[a].tolist()).isdisjoint(gens[b].tolist())
 
     def classical_ovoid_ids(self) -> np.ndarray:
@@ -284,6 +283,14 @@ def checked_ids(model: SurfaceModel, points) -> np.ndarray:
     if ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
         raise ValueError(f"point ids must lie in [0, {model.num_points})")
     return ids
+
+
+def checked_id(model: SurfaceModel, pid) -> int:
+    """pid as an int; ``checked_ids``' ValueError outside [0, num_points)."""
+    pid = int(pid)
+    if not 0 <= pid < model.num_points:
+        checked_ids(model, [pid])  # raises its ValueError
+    return pid
 
 
 def _generator_sums(model: SurfaceModel, points) -> np.ndarray:

@@ -83,6 +83,16 @@ def test_add_point_rejects_ids_off_the_surface(model_q2, bad):
     assert np.array_equal(cap.relevance_many(np.arange(n)), rel)
 
 
+@pytest.mark.parametrize("bad", [-1, "N"])
+@pytest.mark.parametrize("query", ["relevance", "coverage_mult", "coverage_intersect"])
+def test_scalar_queries_reject_ids_off_the_surface(model_q2, query, bad):
+    # -1 used to read point N - 1's value, and N raised a bare IndexError
+    n = model_q2.num_points
+    cap = CapState.from_ids(model_q2, [3])
+    with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
+        getattr(cap, query)(n if bad == "N" else bad)
+
+
 def test_remove_nonmember_rejected(model_q2):
     cap = CapState(model_q2)
     with pytest.raises(MemberNotFoundError):

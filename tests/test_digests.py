@@ -12,7 +12,9 @@ The construction digests cover the surface's incidence structure itself:
 every sorted tangent row, the generator point arrays in id order and the
 generator ids through every point; the point digests cover the normalized
 coordinates and the encoding keys that fix every PointId.  q = 4, 8 and 9
-are the surfaces here over a field GF(p^k) with k > 1.
+are the surfaces here over a field GF(p^k) with k > 1.  The generator
+digests carry the two generator arrays on to q = 11 and 13, where hashing
+every sorted tangent row would cost more than the build.
 
 The field digests cover the GF(q^2) tables every point id and cap file rests
 on: the modulus and the ``add2``, ``mul2``, ``conj``, ``inv`` and ``norm``
@@ -40,6 +42,7 @@ from hermcap import (
     build_field,
     emit_histogram,
     enumerate_generators,
+    enumerate_surface,
     emit_runlog,
     run_spectrum,
     run_strategy,
@@ -131,6 +134,18 @@ CONSTRUCTION_DIGESTS = {
     ),
 }
 
+# q -> (generator points in id order, generators through each point)
+GENERATOR_DIGESTS = {
+    11: (
+        "64505c5781f8317f491daa88bb5e8184d54657d7e1a952b374bd031e23511111",
+        "7d929d6824836340b53a3f22b173c40e4d887aa61bcfb64ddc4f7ba983908d0b",
+    ),
+    13: (
+        "35f8c723efe62bcc264733588ec95bc66a05a9a67b51ad4534e68b9b115285ab",
+        "3d7184781efd227d57b54f4c810772cb2b4b89ca868e631c3f35d3e24ae7cfe6",
+    ),
+}
+
 # q -> (point coordinates, point keys)
 POINT_DIGESTS = {
     2: (
@@ -208,16 +223,20 @@ def thin_digest(q, seed):
 
 def construction_digests(q):
     model = get_model(q)
-    points = enumerate_generators(model)
-    through = model.generators_of(np.arange(model.num_points))
     rows = hashlib.sha256()  # the sorted tangent rows of every point, a block at a time
     for lo in range(0, model.num_points, 4096):
         rows.update(model.tangent_rows(np.arange(lo, min(lo + 4096, model.num_points))).tobytes())
-    return (
-        rows.hexdigest(),
-        sha256(points.tobytes()),
-        sha256(through.tobytes()),
-    )
+    return (rows.hexdigest(), *generator_hashes(model))
+
+
+def generator_hashes(model):
+    through = model.generators_of(np.arange(model.num_points))
+    return sha256(enumerate_generators(model).tobytes()), sha256(through.tobytes())
+
+
+def generator_digests(q):
+    # not from the model cache, where the model would stay resident
+    return generator_hashes(enumerate_surface(build_field(FieldSpec.for_q(q))))
 
 
 def point_digests(q):
@@ -286,6 +305,11 @@ def test_spectrum_digest_under_spawn():
 @pytest.mark.parametrize("q", sorted(CONSTRUCTION_DIGESTS))
 def test_construction_digests(q):
     assert construction_digests(q) == CONSTRUCTION_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", sorted(GENERATOR_DIGESTS))
+def test_generator_digests(q):
+    assert generator_digests(q) == GENERATOR_DIGESTS[q]
 
 
 @pytest.mark.parametrize("q", sorted(POINT_DIGESTS))

@@ -119,6 +119,42 @@ def test_repeated_generator_row_is_rejected(model_q3):
         hermitian._sorted_lines(bad)
 
 
+@pytest.mark.parametrize("corrupt", ["identity-conj", "ovoid-point-off-polar-plane"])
+def test_generated_point_off_the_surface_is_caught(corrupt):
+    # the closed form needs o_3 = 0 and the true conjugation; break either
+    # and some spanned point misses the surface
+    from hermcap import enumerate_surface
+    from hermcap.errors import ConfigurationError
+
+    model = enumerate_surface(get_model(3).field)  # a fresh model: the cached one stays intact
+    if corrupt == "identity-conj":
+        model.field = dataclasses.replace(model.field, conj=np.arange(model.q2, dtype=np.int32))
+    else:
+        ovoid = model._classical_ovoid.copy()
+        ovoid[0] = np.flatnonzero(model.coords[:, 3])[0]
+        model._classical_ovoid = ovoid
+    with pytest.raises(ConfigurationError, match="a generated point is off the surface"):
+        model._build_generators()
+
+
+@pytest.mark.parametrize("bad", [-1, "N"])
+@pytest.mark.parametrize(
+    "query", ["pencil", "coords_of", "is_conjugate-first", "is_conjugate-second"]
+)
+def test_scalar_queries_reject_ids_off_the_surface(model_q2, query, bad):
+    # -1 used to wrap round to point N - 1, and N raised a bare IndexError
+    n = model_q2.num_points
+    pid = n if bad == "N" else bad
+    call = {
+        "pencil": lambda: model_q2.pencil(pid),
+        "coords_of": lambda: model_q2.coords_of(pid),
+        "is_conjugate-first": lambda: model_q2.is_conjugate(pid, n - 1),
+        "is_conjugate-second": lambda: model_q2.is_conjugate(n - 1, pid),
+    }[query]
+    with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
+        call()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_tangent_sets_match_pairwise_oracle(q):
     model = get_model(q)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 # largest q built: on a 2-core host the surface takes 0.13 s and 85 MB peak RSS
-# at q = 11, and 1.5 s and 458 MB at q = 16, the peak in the sorts of the
+# at q = 11, and 1.5 s and 393 MB at q = 16, the peak in the argsort of the
 # generator rows; at q = 32 those rows hold (q^3 + 1)(q + 1)(q^2 + 1) = 1.1G
 # ids, and the int64 argsort that lists the generators through each point,
 # with its quotient, alone needs 18 GB

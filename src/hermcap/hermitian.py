@@ -38,6 +38,8 @@ when every generator holds exactly one.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -175,6 +177,7 @@ class SurfaceModel:
         if (ids < 0).any():
             raise ConfigurationError("a generated point is off the surface")
         lines = _sorted_lines(np.column_stack([np.repeat(self._classical_ovoid, q + 1), ids]))
+        del ids  # before the argsort, as the sorted rows hold its points
         flat = lines.ravel()
         if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
             raise ConfigurationError("a point is not on exactly q + 1 generators")
@@ -278,16 +281,20 @@ def classical_ovoid(model: SurfaceModel) -> np.ndarray:
 
 
 def checked_ids(model: SurfaceModel, points) -> np.ndarray:
-    """The points as an int64 id array; ValueError for an id outside [0, num_points)."""
-    ids = np.fromiter(points, dtype=np.int64)
+    """The points as an int64 id array.
+
+    TypeError for an id that is not an integer, ValueError for one outside
+    [0, num_points).
+    """
+    ids = np.fromiter(map(operator.index, points), dtype=np.int64)
     if ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
         raise ValueError(f"point ids must lie in [0, {model.num_points})")
     return ids
 
 
 def checked_id(model: SurfaceModel, pid) -> int:
-    """pid as an int; ``checked_ids``' ValueError outside [0, num_points)."""
-    pid = int(pid)
+    """pid as an int; ``checked_ids``' TypeError or ValueError for a bad id."""
+    pid = operator.index(pid)
     if not 0 <= pid < model.num_points:
         checked_ids(model, [pid])  # raises its ValueError
     return pid

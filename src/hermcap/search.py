@@ -18,8 +18,8 @@ cap is complete.  The point comes from the strategy's selection rule in
   with one point of each, and two generators share only t, which is not
   collinear with y.  c_t(y) counts the uncovered ones of those q + 1 points;
 * BACKTRACK: random completion, after which ``backtrack_enlarge`` removes
-  members of maximal relevance-after-removal, replaces them with
-  lower-relevance points and completes the cap again through ``_complete``
+  members of maximal relevance-after-removal until one lower-relevance point
+  can be added, adds it and completes the cap again through ``_complete``
   with the minimal weight-after-addition rule.
 
 All tie-breaking is uniform over the tied candidates under the run's own
@@ -36,7 +36,7 @@ import numpy as np
 
 from .capstate import CapState
 from .errors import HermcapError
-from .hermitian import SurfaceModel, enumerate_generators, is_ovoid
+from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
 from .rng import SplitMix64
 
 WEIGHT_TOL = 1e-9  # float weight comparisons
@@ -121,14 +121,13 @@ def _select_min_relevance(
 def _block_minima(phi: np.ndarray, rows: np.ndarray, off: np.ndarray, diag: np.ndarray):
     """Each row's minimum of off - c over phi's columns, and how many cells reach it.
 
-    c sums the phi rows that ``rows[i]`` names.  Cell diag[i] of row i is
-    dropped; diag[i] = phi.shape[1] drops nothing.
+    c sums the phi rows that ``rows[i]`` names.  Row i drops its cell diag[i]
+    when that lies in [0, phi.shape[1]); any other diag[i] drops nothing.
     """
     c = sum(phi.take(rows[:, j], axis=0) for j in range(rows.shape[1]))
-    v = np.empty((len(rows), phi.shape[1] + 1), dtype=np.int8)
-    np.subtract(off, c, out=v[:, :-1])
-    v[np.arange(len(rows)), diag] = np.iinfo(np.int8).max
-    v = v[:, :-1]
+    v = off - c
+    i = np.flatnonzero((0 <= diag) & (diag < v.shape[1]))
+    v[i, diag[i]] = np.iinfo(np.int8).max
     low = v.min(axis=1)
     return low, np.count_nonzero(v == low[:, None], axis=1)
 
@@ -160,11 +159,12 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     LOOKAHEAD_BLOCK_BYTES, and the cap is not mutated.
     """
     model = cap.model
-    n, q1 = model.num_points, model.q + 1
+    q1 = model.q + 1
     rmin = int(rel.min())
     in_band = rel <= rmin + q1
     band = m[in_band]
     off = (rel[in_band] - rmin).astype(np.int8)
+    diag = np.where(in_band, np.cumsum(in_band) - 1, -1)  # each candidate's own band column
     gens = model.generators_of(m)
     uncovered = cap.cmult == 0
     num_gens = len(enumerate_generators(model))
@@ -188,11 +188,9 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
             phi.ravel()[marks + (y + (a - lo))[:, None]] = 1
             through = model.generators_of(ys) * (hi - lo)
             phi.ravel()[through + np.arange(a - lo, a - lo + ys.size)[:, None]] = COVERED
-        pos_band = np.full(n, hi - lo, dtype=np.int32)  # off the block: the spare column
-        pos_band[band[lo:hi]] = np.arange(hi - lo, dtype=np.int32)
         for r0 in range(0, m.size, step):
             seg = slice(r0, min(r0 + step, m.size))
-            low, hits = _block_minima(phi, gens[seg], off[lo:hi], pos_band.take(m[seg]))
+            low, hits = _block_minima(phi, gens[seg], off[lo:hi], diag[seg] - lo)
             b, k = best[seg], count[seg]
             k[low == b] += hits[low == b]
             k[low < b] = hits[low < b]
@@ -234,52 +232,42 @@ _SELECT = {
 }
 
 
-def _backtrack_step(
-    cap: CapState, protected: frozenset, depth: int, rng: SplitMix64, config: SearchConfig
-) -> int | None:
-    """One removal level; returns the points added, or None after restoring the state."""
-    removable = np.array(sorted(cap.members - protected), dtype=np.int64)
-    if removable.size == 0 or depth <= 0:
-        return None
-    rvals = cap.removal_relevance_many(removable)
-    worst = int(rvals.max())
-    p = _pick(rng, removable[rvals == worst])
-    cap.remove_point(p)
-    m = cap.uncovered()
-    better = m[cap.relevance_many(m) < worst]
-    if better.size:
-        cap.add_point(_pick(rng, better))
-        added = 1
-    else:
-        added = _backtrack_step(cap, protected, depth - 1, rng, config)
-        if added is None:
-            cap.add_point(p)
-            return None
-    return added + _complete(cap, _select_min_weight, rng, config, None)
-
-
 def backtrack_enlarge(
     model: SurfaceModel, protected_seed, complete_cap, config: SearchConfig
 ) -> SearchOutcome:
     """Try to grow a complete cap by replacing high-relevance members.
 
-    Removals nest at most q levels deep, and points of the protected seed
-    are never removed.  Returns the enlarged complete cap when a replacement
-    both succeeds and does not lose ground; otherwise returns the input cap
-    unchanged.
+    Each of at most q levels removes a member of maximal relevance-after-
+    removal, never one of the protected seed.  At the first level that leaves
+    an uncovered point of lower relevance than the member removed, one such
+    point is added and the cap completed again by minimal weight-after-
+    addition; the result is returned unless it is smaller than the input.
+    Otherwise the input cap is returned unchanged.
     """
     rng = SplitMix64(config.rng_seed)
-    protected = frozenset(int(x) for x in protected_seed)
+    protected = frozenset(checked_ids(model, protected_seed).tolist())
     cap = CapState.from_ids(model, complete_cap)
     if not protected <= cap.members:
         raise ValueError("protected seed is not contained in the cap")
     if not cap.is_complete():
         raise ValueError("backtracking expects a complete cap as input")
     input_ids = cap.members_sorted()
-    added = _backtrack_step(cap, protected, model.q, rng, config)
-    if added is None or len(cap) < len(input_ids):
-        return _outcome(model, input_ids, 0, None)
-    return _outcome(model, cap.members_sorted(), added, None)
+    for _ in range(model.q):
+        removable = np.array(sorted(cap.members - protected), dtype=np.int64)
+        if removable.size == 0:
+            break
+        rvals = cap.removal_relevance_many(removable)
+        worst = int(rvals.max())
+        cap.remove_point(_pick(rng, removable[rvals == worst]))
+        m = cap.uncovered()
+        better = m[cap.relevance_many(m) < worst]
+        if better.size:
+            cap.add_point(_pick(rng, better))
+            added = 1 + _complete(cap, _select_min_weight, rng, config, None)
+            if len(cap) >= len(input_ids):
+                return _outcome(model, cap.members_sorted(), added, None)
+            break
+    return _outcome(model, input_ids, 0, None)
 
 
 def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:

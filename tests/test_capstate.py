@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcap import CapState, SplitMix64, classical_ovoid
+from hermcap import CapState, SplitMix64, classical_ovoid, is_cap
 from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
 
 from .conftest import get_model
@@ -91,6 +91,23 @@ def test_scalar_queries_reject_ids_off_the_surface(model_q2, query, bad):
     cap = CapState.from_ids(model_q2, [3])
     with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
         getattr(cap, query)(n if bad == "N" else bad)
+
+
+@pytest.mark.parametrize("bad", [1.7, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, x: CapState.from_ids(model, [x]),
+        lambda model, x: CapState(model).add_point(x),
+        lambda model, x: CapState.from_ids(model, [0]).relevance(x),
+        lambda model, x: is_cap(model, [x]),
+    ],
+    ids=["from_ids", "add_point", "relevance", "is_cap"],
+)
+def test_point_ids_must_be_integers(model_q2, call, bad):
+    # float and string ids used to be truncated or parsed to a point
+    with pytest.raises(TypeError):
+        call(model_q2, bad)
 
 
 def test_remove_nonmember_rejected(model_q2):

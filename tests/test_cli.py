@@ -198,6 +198,7 @@ _MALFORMED = {
     "modulus-float": "capfile-bad-field",
     "point-bool": "capfile-bad-coordinates",
     "point-float": "capfile-bad-coordinates",
+    "point-zero": "capfile-bad-coordinates",
 }
 
 
@@ -216,6 +217,8 @@ def _malformed_cap(kind, model):
         payload["k"] = True
     elif kind == "modulus-float":
         payload["modulus"][-1] = 1.0
+    elif kind == "point-zero":
+        points[0] = [0, 0, 0, 0]
     elif kind == "point-bool":
         # a point whose coordinates are all 0 or 1, so true/false compare equal
         i = next(i for i, pt in enumerate(points) if max(pt) == 1)
@@ -230,6 +233,10 @@ def test_malformed_cap_file_exits_1_without_traceback(kind, tmp_path, model_q2, 
     bad = tmp_path / "bad.json"
     bad.write_text(_malformed_cap(kind, model_q2))
     assert run_cli("complete", "--q", "2", "--input", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_MALFORMED[kind]}") and "Traceback" not in err
+    spectrum = ["spectrum", "--q", "2", "--runs", "2", "--master", "1"]
+    assert run_cli(*spectrum, "--seed-file", str(bad)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {_MALFORMED[kind]}") and "Traceback" not in err
     assert run_cli("verify", "--q", "2", "--cap", str(bad)) == 1

@@ -5,8 +5,11 @@ A run's digest covers its final cap, its iteration count and its
 RNG draws or trace entries still shows.  The spectrum digest covers the
 runlog and CSV histogram bytes of one q = 3 sweep, which must be identical
 for every ``jobs`` value.  The thinning digests cover the kept and removed
-points of ``thin_ovoid`` on the classical ovoid.  A digest may only change in
-a change that says why in ``CHANGES.md``.
+points of ``thin_ovoid`` on the classical ovoid.  The enlarge digests cover
+the final cap and iteration count of direct ``backtrack_enlarge`` calls, on a
+cap that grows, on the classical ovoid, where no removal level finds a
+replacement, and on a cap whose every member is protected.  A digest may only
+change in a change that says why in ``CHANGES.md``.
 
 The construction digests cover the surface's incidence structure itself:
 every sorted tangent row, the generator point arrays in id order and the
@@ -39,6 +42,7 @@ from hermcap import (
     SplitMix64,
     StrategyKind,
     TieMode,
+    backtrack_enlarge,
     build_field,
     emit_histogram,
     enumerate_generators,
@@ -81,6 +85,20 @@ MIN_COUNT_DIGESTS = {
     (3, None, 2): "cc19f5c23c637fe647c5ba348795eff2bbb29b09e53e4b83c01428c62471dceb",
     (5, 40, 1): "6669fd43e812275bed866b750ec421f92c4bda18cefc184a1540ee6fdf72f511",
     (5, 40, 2): "3163f41befc22dee9265ac4fe57e5a647f6a1bce874ad248970fcc17deb9d2f9",
+}
+
+# backtrack_enlarge on the classical ovoid or on the complete cap of a RANDOM
+# run from the empty cap under the given rng seed, with its first `protect`
+# members (all of them for None) protected, under rng seeds 4000, 4001, ...:
+# (q, "classical" or RANDOM seed, protect, number of seeds) -> digest.  The
+# seed-4 cap at q = 3 finds its replacement at level 2 or 3 under some seeds
+# and at no level under others
+ENLARGE_DIGESTS = {
+    (3, "classical", 0, 10): "bf436c9628bfe3d0696f7a56540820928a2891809f393f21134334bcb419c72b",
+    (3, 4, 0, 10): "2c4fdc44117e7d079d60fd64bc7817cd9e28a297849a190a219f5a4faa85d05e",
+    (3, 11, None, 10): "bbebf5d7dd6fae6b53579ed3e775ee928caba8b398843ac3effe272824bdaf0b",
+    (4, "classical", 0, 10): "79a75c41d3a027f342f1cbfc1bb4ed15c7b9565200754738a66b8151b193938c",
+    (5, 11, 3, 100): "f8e42267d484305a802f0b12dfeb73675c9f4fe35e077a5f1c5561a62336910c",
 }
 
 SPECTRUM_DIGEST = "4c12caddf90ae9122899a4ded20684afc80de47de867dc7c33b4b9fc7875ee61"
@@ -214,6 +232,21 @@ def run_digest(q, seed_size, strategy, seed, tie_mode=TieMode.MAX_COUNT):
     return sha256(json.dumps(payload, separators=(",", ":")).encode())
 
 
+def enlarge_digest(q, source, protect, n_seeds):
+    model = get_model(q)
+    if source == "classical":
+        cap = model.classical_ovoid_ids()
+    else:
+        config = SearchConfig(strategy=StrategyKind.RANDOM, rng_seed=source)
+        cap = run_strategy(model, [], config).final_cap
+    protected = cap[:protect]
+    payload = []
+    for seed in range(4000, 4000 + n_seeds):
+        out = backtrack_enlarge(model, protected, cap, SearchConfig(rng_seed=seed))
+        payload.append([[int(x) for x in out.final_cap], out.iterations])
+    return sha256(json.dumps(payload, separators=(",", ":")).encode())
+
+
 def thin_digest(q, seed):
     model = get_model(q)
     kept, removed = thin_ovoid(model, model.classical_ovoid_ids(), SplitMix64(seed))
@@ -269,6 +302,11 @@ def test_run_digest(case):
 def test_min_count_forward_digest(case):
     q, seed_size, seed = case
     assert run_digest(q, seed_size, "forward", seed, TieMode.MIN_COUNT) == MIN_COUNT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ENLARGE_DIGESTS, key=repr), ids=repr)
+def test_enlarge_digest(case):
+    assert enlarge_digest(*case) == ENLARGE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(THIN_DIGESTS), ids=repr)

@@ -133,8 +133,9 @@ def test_forward_tie_modes_complete(model_q2, mode):
 
 def test_forward_scores_match_trial_oracle():
     # every case of the delta scorer must occur: several column blocks,
-    # several row blocks, a block of one column and one row, a candidate that
-    # completes the cap and a band row that falls back to an exact count.  A
+    # several row blocks, a block of one column and one row, a band row whose
+    # own column lies in a block after the first, a candidate that completes
+    # the cap and a band row that falls back to an exact count.  A
     # one-byte budget gives one-cell blocks; it is only tried at q = 2, where
     # a step has few enough cells.  Every block passes through search._block_minima
     seen = set()
@@ -168,8 +169,12 @@ def test_forward_scores_match_trial_oracle():
         assert got.tolist() == [forward_score(r) for _, _, r in after]
         in_band = np.zeros(model.num_points, dtype=bool)
         in_band[m[rel <= rel.min() + q + 1]] = True
+        first = blocks.call_args_list[0].args[0]
         for call in blocks.call_args_list:
             cols, rows = call.args[0].shape[1], len(call.args[1])
+            diag = call.args[3]
+            if call.args[0] is not first and ((0 <= diag) & (diag < cols)).any():
+                seen.add("own column in a later block")
             if (rows, cols) == (1, 1):
                 seen.add("one cell")
             if cols < in_band.sum():
@@ -183,7 +188,14 @@ def test_forward_scores_match_trial_oracle():
                 seen.add("band fallback")
 
     check()
-    assert seen == {"one cell", "column blocks", "row blocks", "completes", "band fallback"}
+    assert seen == {
+        "one cell",
+        "column blocks",
+        "row blocks",
+        "own column in a later block",
+        "completes",
+        "band fallback",
+    }
 
 
 def test_forward_fallback_when_a_point_off_the_band_ties():
@@ -276,6 +288,21 @@ def test_backtrack_contract_and_growth(model_q5):
         assert out.size >= base.size
         grew += out.size > base.size
     assert grew >= 1
+
+
+def test_backtrack_returns_a_fully_protected_cap_unchanged(model_q3):
+    base = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=11)
+    out = backtrack_enlarge(model_q3, base.final_cap, base.final_cap, SearchConfig(rng_seed=1))
+    assert np.array_equal(out.final_cap, base.final_cap)
+    assert out.iterations == 0
+
+
+def test_search_rejects_point_ids_that_are_not_integers(model_q3):
+    base = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=11)
+    with pytest.raises(TypeError):
+        complete(model_q3, [0.5], StrategyKind.RANDOM)
+    with pytest.raises(TypeError):
+        backtrack_enlarge(model_q3, [float(base.final_cap[0])], base.final_cap, SearchConfig())
 
 
 def test_run_strategy_backtrack_dispatch(model_q3):

@@ -35,14 +35,16 @@ of the covered and uncovered sets is smaller (free on an empty cap), and
 until then ``add_point`` and ``remove_point`` only update the counters, so
 states that never read relevance pay nothing for it.
 
-A member's weight is an exact Fraction (identity checks); the search
-heuristics score the weight a candidate would have after joining as a float
-(comparisons there use a 1e-9 tolerance).
+Weights are exact Fractions from one kernel, ``_weights``: a member's own, and
+the weight a candidate would have right after joining, which backtracking
+minimizes, ties broken by equality.  A term is 1/m with m <= q + 2, so every
+weight is an integer over lcm(1, ..., q + 2).  Ids are read through
+``checked_id``/``checked_ids``, and member ids through ``_member`` after that.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -96,10 +98,15 @@ class CapState:
         self.cmult[row] = vals + 1
         self.members.add(x)
 
-    def remove_point(self, x: int) -> None:
-        x = int(x)
+    def _member(self, x) -> int:
+        """x as an int; checked_id's errors, or MemberNotFoundError for a non-member."""
+        x = checked_id(self.model, x)
         if x not in self.members:
             raise MemberNotFoundError(f"point {x} is not a cap member")
+        return x
+
+    def remove_point(self, x: int) -> None:
+        x = self._member(x)
         row = self.model.pencil(x)
         vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
@@ -127,18 +134,15 @@ class CapState:
         return int(self._relevance()[checked_id(self.model, x)])
 
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        return self._relevance()[np.asarray(ids, dtype=np.intp)]
+        return self._relevance()[checked_ids(self.model, ids)]
 
     def removal_relevance(self, x: int) -> int:
         """relevance(x) with respect to the cap minus x; x must be a member."""
-        x = int(x)
-        if x not in self.members:
-            raise MemberNotFoundError(f"point {x} is not a cap member")
-        return int(self.removal_relevance_many([x])[0])
+        return int(self.removal_relevance_many([self._member(x)])[0])
 
     def removal_relevance_many(self, ids: np.ndarray) -> np.ndarray:
         """removal_relevance of each of ids, which must all be members."""
-        rows = self.model.pencil_rows(np.asarray(ids))  # holds each member q + 1 times, at 1
+        rows = self.model.pencil_rows(checked_ids(self.model, ids))  # each member q + 1 times, at 1
         return np.count_nonzero(self.cmult.take(rows) == 1, axis=1) - self.model.q
 
     def coverage_mult(self, y: int) -> int:
@@ -150,18 +154,22 @@ class CapState:
         return covered - self.model.q if self.cmult[x] else covered
 
     def weight(self, x: int) -> Fraction:
-        """Exact sum over tangent(x) of reciprocal coverage multiplicities."""
-        x = int(x)
-        if x not in self.members:
-            raise MemberNotFoundError(f"weight is defined for members only, not {x}")
-        counts = Counter(self.cmult[self.model.pencil(x)].tolist())
-        counts[int(self.cmult[x])] -= self.model.q  # x is in its pencil q + 1 times
-        return sum((Fraction(n, m) for m, n in counts.items()), Fraction(0))
+        """Exact sum over tangent(x) of reciprocal coverage multiplicities; x a member."""
+        return self._weights([self._member(x)], 0)[0]
 
     def weight_after_add_many(self, ids: np.ndarray) -> np.ndarray:
-        """Weight each of the uncovered ids would have right after joining the cap."""
-        rows = self.model.pencil_rows(np.asarray(ids))  # each id's q extra copies add q
-        return np.sum(1.0 / (self.cmult.take(rows) + 1.0), axis=1) - self.model.q
+        """Exact weight each of the uncovered ids would have right after joining the cap."""
+        return self._weights(checked_ids(self.model, ids), 1)
+
+    def _weights(self, ids, added: int) -> np.ndarray:
+        """Sums over tangent(x) of 1 / (cmult[y] + added) for x in ids, as Fractions.
+
+        Each x is in its pencil q + 1 times at 1 (a member, or a candidate once added).
+        """
+        big = math.lcm(*range(1, self.model.q + 3))
+        mult = self.cmult.take(self.model.pencil_rows(ids)).astype(np.int64) + added
+        nums = (big // mult).sum(axis=1) - self.model.q * big  # x's q extra copies
+        return np.array([Fraction(int(n), big) for n in nums], dtype=object)
 
     def uncovered(self) -> np.ndarray:
         return np.flatnonzero(self.cmult == 0).astype(np.int32)

@@ -274,19 +274,21 @@ def enumerate_generators(model: SurfaceModel) -> np.ndarray:
 def classical_ovoid(model: SurfaceModel) -> np.ndarray:
     """Plane-section ovoid: surface points on the polar plane of CANONICAL_POLE.
 
-    Size q^3 + 1; meets every generator exactly once.
+    H(x, e_3) = x_3, so the plane is {x_3 = 0}.  Size q^3 + 1; meets every
+    generator exactly once.
     """
-    pole = np.array(CANONICAL_POLE)
-    return np.flatnonzero(_form(model.field, model.coords, pole) == 0).astype(np.int32)
+    return np.flatnonzero(model.coords[:, 3] == 0).astype(np.int32)
 
 
 def checked_ids(model: SurfaceModel, points) -> np.ndarray:
-    """The points as an int64 id array.
+    """The points as an integer id array; a signed integer ndarray is returned as it is.
 
     TypeError for an id that is not an integer, ValueError for one outside
     [0, num_points).
     """
-    ids = np.fromiter(map(operator.index, points), dtype=np.int64)
+    ids = points  # an integer array takes the range check alone, no per-element pass
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "i"):
+        ids = np.fromiter(map(operator.index, points), dtype=np.int64)
     if ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
         raise ValueError(f"point ids must lie in [0, {model.num_points})")
     return ids

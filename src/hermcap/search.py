@@ -30,6 +30,7 @@ determines the outcome.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +40,6 @@ from .errors import HermcapError
 from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
 from .rng import SplitMix64
 
-WEIGHT_TOL = 1e-9  # float weight comparisons
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
 COVERED = -64  # the forward scorer's phi mark on the generators through a column
 
@@ -220,7 +220,7 @@ def _select_lookahead(cap: CapState, m: np.ndarray, rng: SplitMix64, config: Sea
 
 def _select_min_weight(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
     w = cap.weight_after_add_many(m)
-    return _pick(rng, m[w <= w.min() + WEIGHT_TOL])
+    return _pick(rng, m[w == w.min()])
 
 
 # the completion rule of each strategy; BACKTRACK then enlarges its result
@@ -302,9 +302,8 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
     if not is_ovoid(model, ovoid):
         raise ValueError("thinning requires an ovoid")
     cs = CapState.from_ids(model, ovoid)
-    on_ovoid = np.zeros(model.num_points, dtype=bool)
-    on_ovoid[cs.members_sorted()] = True
-    off = np.flatnonzero(~on_ovoid).astype(np.int32)
+    # an ovoid covers each of its members once and every other point q + 1 times
+    off = np.flatnonzero(cs.cmult > 1)
     removed: list[int] = []
     used_witnesses: set[int] = set()
     for i in range(q):
@@ -314,7 +313,6 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
         if not pool:
             raise HermcapError("no admissible witness point; ovoid thinning failed")
         rng.shuffle(pool)
-        done = False
         for witness in pool:
             row = np.unique(model.pencil(witness))
             coverers = [int(z) for z in row if int(z) in cs.members]
@@ -331,11 +329,10 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
             if len(omega) == need:
                 removed.extend(omega)
                 used_witnesses.add(witness)
-                done = True
                 break
             for z in omega:  # witness failed, roll back its removals
                 cs.add_point(z)
-        if not done:
+        else:
             raise HermcapError("ovoid thinning could not honor the covering invariant")
     kept = cs.members_sorted()
     removed_arr = np.array(sorted(removed), dtype=np.int32)
@@ -345,6 +342,6 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
 
 
 def sample_subcap(points, n: int, rng: SplitMix64) -> np.ndarray:
-    """Uniformly random n-subset of a point set; sorted ids.  ValueError unless 0 <= n <= |points|."""
-    ids = sorted(int(x) for x in points)
+    """Sorted uniformly random n-subset of integer ids; ValueError unless 0 <= n <= |points|."""
+    ids = sorted(map(operator.index, points))
     return np.array(sorted(rng.sample(ids, n)), dtype=np.int32)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcap import CapState, SplitMix64, classical_ovoid, is_cap
+from hermcap import CapState, SplitMix64, classical_ovoid, is_cap, sample_subcap
 from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
 
 from .conftest import get_model
@@ -84,13 +84,38 @@ def test_add_point_rejects_ids_off_the_surface(model_q2, bad):
 
 
 @pytest.mark.parametrize("bad", [-1, "N"])
-@pytest.mark.parametrize("query", ["relevance", "coverage_mult", "coverage_intersect"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        "relevance",
+        "coverage_mult",
+        "coverage_intersect",
+        "remove_point",
+        "removal_relevance",
+        "weight",
+    ],
+)
 def test_scalar_queries_reject_ids_off_the_surface(model_q2, query, bad):
-    # -1 used to read point N - 1's value, and N raised a bare IndexError
+    # -1 used to read point N - 1's value, and N raised a bare IndexError; the
+    # member calls raised MemberNotFoundError for both
     n = model_q2.num_points
     cap = CapState.from_ids(model_q2, [3])
     with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
         getattr(cap, query)(n if bad == "N" else bad)
+    assert cap.members == {3}
+
+
+@pytest.mark.parametrize("container", [list, np.array])
+@pytest.mark.parametrize("bad", [-1, "N"])
+@pytest.mark.parametrize(
+    "query", ["relevance_many", "removal_relevance_many", "weight_after_add_many"]
+)
+def test_vector_queries_reject_ids_off_the_surface(model_q2, query, bad, container):
+    # -1 used to read point N - 1's value, and N raised a bare IndexError
+    n = model_q2.num_points
+    cap = CapState.from_ids(model_q2, [3])
+    with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
+        getattr(cap, query)(container([3, n if bad == "N" else bad]))
 
 
 @pytest.mark.parametrize("bad", [1.7, "3"])
@@ -101,8 +126,27 @@ def test_scalar_queries_reject_ids_off_the_surface(model_q2, query, bad):
         lambda model, x: CapState(model).add_point(x),
         lambda model, x: CapState.from_ids(model, [0]).relevance(x),
         lambda model, x: is_cap(model, [x]),
+        lambda model, x: CapState.from_ids(model, [3]).remove_point(x),
+        lambda model, x: CapState.from_ids(model, [3]).removal_relevance(x),
+        lambda model, x: CapState.from_ids(model, [3]).weight(x),
+        lambda model, x: CapState.from_ids(model, [3]).relevance_many([x]),
+        lambda model, x: CapState.from_ids(model, [3]).removal_relevance_many([x]),
+        lambda model, x: CapState(model).weight_after_add_many([x]),
+        lambda model, x: sample_subcap([0, x], 2, SplitMix64(0)),
     ],
-    ids=["from_ids", "add_point", "relevance", "is_cap"],
+    ids=[
+        "from_ids",
+        "add_point",
+        "relevance",
+        "is_cap",
+        "remove_point",
+        "removal_relevance",
+        "weight",
+        "relevance_many",
+        "removal_relevance_many",
+        "weight_after_add_many",
+        "sample_subcap",
+    ],
 )
 def test_point_ids_must_be_integers(model_q2, call, bad):
     # float and string ids used to be truncated or parsed to a point
@@ -335,5 +379,7 @@ def test_weight_after_add_many_matches_fraction(model_q5):
     w = cap.weight_after_add_many(m)
     for i, x in enumerate(map(int, m)):
         cap.add_point(x)
-        assert abs(float(cap.weight(x)) - w[i]) < 1e-9
+        section = set(model_q5.pencil(x).tolist())
+        by_loop = sum((Fraction(1, int(cap.cmult[y])) for y in section), Fraction(0))
+        assert isinstance(w[i], Fraction) and cap.weight(x) == w[i] == by_loop
         cap.remove_point(x)

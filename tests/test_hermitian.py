@@ -18,6 +18,8 @@ from hermcap import (
     run_strategy,
 )
 
+from hermcap.hermitian import checked_ids
+
 from .conftest import get_model
 from .oracles import (
     all_lines_pg3,
@@ -257,6 +259,20 @@ def test_classical_ovoid(q):
     mask = np.zeros(model.num_points, dtype=bool)
     mask[ov] = True
     assert (mask[enumerate_generators(model)].sum(axis=1) == 1).all()
+    # the polar plane of the pole, read through the scalar form
+    f, n = model.field, model.num_points
+    polar = [i for i in range(n) if hermitian_inner(f, model.coords_of(i), CANONICAL_POLE) == 0]
+    assert ov.tolist() == polar
+
+
+def test_checked_ids_takes_a_signed_integer_array_as_it_is(model_q2):
+    ids = np.arange(5, dtype=np.int32)
+    assert checked_ids(model_q2, ids) is ids
+    assert checked_ids(model_q2, np.arange(5, dtype=np.uint8)).tolist() == list(range(5))
+    with pytest.raises(TypeError):
+        checked_ids(model_q2, np.array([1.0]))
+    with pytest.raises(ValueError):
+        checked_ids(model_q2, np.array([0, model_q2.num_points], dtype=np.int16))
 
 
 def test_generator_array_is_read_only(model_q2):

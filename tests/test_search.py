@@ -329,6 +329,41 @@ def test_thin_ovoid_sizes_and_rigidity(q):
         assert np.array_equal(out.final_cap, ov)
 
 
+def test_thin_ovoid_rolls_back_a_witness_short_of_coverers(model_q3, monkeypatch):
+    # removing any member of an ovoid is safe, so the rollback never fires on
+    # its own: the wrapped removal_relevance refuses every coverer of the first
+    # witness after the first one, which thinning removes and must put back
+    model, q = model_q3, model_q3.q
+    ov = classical_ovoid(model)
+    on_ovoid = set(ov.tolist())
+    witnesses, calls = [], []  # calls: (witnesses tried so far, z, members then)
+    pencil, removal_relevance = model.pencil, CapState.removal_relevance
+
+    def tracking_pencil(pid):
+        if pid not in on_ovoid:  # members are added and removed, witnesses are off the ovoid
+            witnesses.append(pid)
+        return pencil(pid)
+
+    def refusing(cap, z):
+        calls.append((len(witnesses), z, set(cap.members)))
+        if len(witnesses) == 1 and len(calls) > 1:
+            return 0
+        return removal_relevance(cap, z)
+
+    monkeypatch.setattr(model, "pencil", tracking_pencil)
+    monkeypatch.setattr(CapState, "removal_relevance", refusing)
+    kept, removed = thin_ovoid(model, ov, SplitMix64(17))
+    first = [z for w, z, _ in calls if w == 1]
+    second = [(z, members) for w, z, members in calls if w == 2]
+    assert len(first) == q + 1  # every coverer of the first witness was tried
+    assert first[0] not in calls[1][2]  # the first coverer was removed...
+    assert second[0][1] == on_ovoid  # ...and restored before the next witness
+    assert len(second) == q and {z for z, _ in second} <= set(removed.tolist())
+    assert len(removed) == q * (q + 1) // 2
+    assert set(kept.tolist()) | set(removed.tolist()) == on_ovoid
+    assert np.array_equal(CapState.from_ids(model, kept).uncovered(), removed)
+
+
 def test_thin_ovoid_rejects_non_ovoid(model_q3):
     out = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=2)
     if not out.is_ovoid:

@@ -39,7 +39,8 @@ Weights are exact Fractions from one kernel, ``_weights``: a member's own, and
 the weight a candidate would have right after joining, which backtracking
 minimizes, ties broken by equality.  A term is 1/m with m <= q + 2, so every
 weight is an integer over lcm(1, ..., q + 2).  Ids are read through
-``checked_id``/``checked_ids``, and member ids through ``_member`` after that.
+``checked_id``/``checked_ids``, and member ids through ``_members`` after that;
+a candidate for joining must be uncovered (CapViolationError otherwise).
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ import numpy as np
 
 from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
 from .hermitian import SurfaceModel, checked_id, checked_ids
+
+
+def _covered(x) -> CapViolationError:
+    return CapViolationError(f"point {x} is covered; adding it breaks the cap")
 
 
 class CapState:
@@ -73,7 +78,7 @@ class CapState:
         cap.cmult[:] = model.section_counts(members)
         covered = members[cap.cmult[members] != 1]
         if covered.size:
-            raise CapViolationError(f"point {covered[0]} is covered; adding it breaks the cap")
+            raise _covered(covered[0])
         cap.members = set(members.tolist())
         return cap
 
@@ -89,7 +94,7 @@ class CapState:
         """Add an uncovered point: CapViolationError if it is covered, ValueError if off the surface."""
         x = checked_id(self.model, x)
         if self.cmult[x] != 0:
-            raise CapViolationError(f"point {x} is covered; adding it breaks the cap")
+            raise _covered(x)
         row = self.model.pencil(x)
         vals = self.cmult.take(row)
         if self._rel is not None:
@@ -98,15 +103,17 @@ class CapState:
         self.cmult[row] = vals + 1
         self.members.add(x)
 
-    def _member(self, x) -> int:
-        """x as an int; checked_id's errors, or MemberNotFoundError for a non-member."""
-        x = checked_id(self.model, x)
-        if x not in self.members:
+    def _members(self, ids) -> np.ndarray:
+        """checked_ids(ids), or MemberNotFoundError for the first non-member."""
+        ids = checked_ids(self.model, ids)
+        listed = ids.tolist()
+        if not self.members.issuperset(listed):
+            x = next(x for x in listed if x not in self.members)
             raise MemberNotFoundError(f"point {x} is not a cap member")
-        return x
+        return ids
 
     def remove_point(self, x: int) -> None:
-        x = self._member(x)
+        x = int(self._members([x])[0])
         row = self.model.pencil(x)
         vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
@@ -138,11 +145,11 @@ class CapState:
 
     def removal_relevance(self, x: int) -> int:
         """relevance(x) with respect to the cap minus x; x must be a member."""
-        return int(self.removal_relevance_many([self._member(x)])[0])
+        return int(self.removal_relevance_many([x])[0])
 
     def removal_relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        """removal_relevance of each of ids, which must all be members."""
-        rows = self.model.pencil_rows(checked_ids(self.model, ids))  # each member q + 1 times, at 1
+        """removal_relevance of each of ids; MemberNotFoundError unless all are members."""
+        rows = self.model.pencil_rows(self._members(ids))  # each member q + 1 times, at 1
         return np.count_nonzero(self.cmult.take(rows) == 1, axis=1) - self.model.q
 
     def coverage_mult(self, y: int) -> int:
@@ -155,11 +162,18 @@ class CapState:
 
     def weight(self, x: int) -> Fraction:
         """Exact sum over tangent(x) of reciprocal coverage multiplicities; x a member."""
-        return self._weights([self._member(x)], 0)[0]
+        return self._weights(self._members([x]), 0)[0]
 
     def weight_after_add_many(self, ids: np.ndarray) -> np.ndarray:
-        """Exact weight each of the uncovered ids would have right after joining the cap."""
-        return self._weights(checked_ids(self.model, ids), 1)
+        """Exact weight each of ids would have right after joining the cap.
+
+        CapViolationError unless all of ids are uncovered.
+        """
+        ids = checked_ids(self.model, ids)
+        covered = ids[self.cmult.take(ids) != 0]
+        if covered.size:
+            raise _covered(covered[0])
+        return self._weights(ids, 1)
 
     def _weights(self, ids, added: int) -> np.ndarray:
         """Sums over tangent(x) of 1 / (cmult[y] + added) for x in ids, as Fractions.

@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# largest q built: on a 2-core host the surface takes 0.13 s and 85 MB peak RSS
-# at q = 11, and 1.5 s and 393 MB at q = 16, the peak in the argsort of the
-# generator rows; at q = 32 those rows hold (q^3 + 1)(q + 1)(q^2 + 1) = 1.1G
-# ids, and the int64 argsort that lists the generators through each point,
-# with its quotient, alone needs 18 GB
+# largest q built: on a 2-core host the surface takes 0.14 s and 78 MB peak RSS
+# at q = 11, and 1.6 s and 376 MB at q = 16, the peak in the generator pass;
+# at q = 32 the generator rows hold (q^3 + 1)(q + 1)(q^2 + 1) = 1.1G ids, and
+# the int64 keys sorted to list the generators through each point alone need
+# 9 GB
 MAX_Q = 16
 
 

@@ -25,7 +25,13 @@ itself is never enumerated.
   written down in closed form, are every generator once, with no conjugacy
   test.  Their points off the ovoid all have x_3 = 1, and resolve to ids
   through a transient table of the surface points off {x_3 = 0}, scaled to
-  x_3 = 1 and indexed by their first three coordinates (q^6 entries).
+  x_3 = 1 and indexed by their first three coordinates (q^6 entries).  The
+  GF(q^2) tables are read there as flat gathers, a + b and a * b at
+  a * q^2 + b.
+- The generators through each point come from one plain sort of unique
+  keys: generator g contributes point * G + g for each of its points, with
+  G the generator count, and the sorted keys mod G list every point's q + 1
+  generators ascending.
 - No table of tangent sections is stored.  The pencil of x, the q + 1
   generator rows through it, is gathered with two takes and never sorted; it
   holds every other point of the section once and x itself q + 1 times, and
@@ -74,10 +80,11 @@ def hermitian_inner(field: FieldTables, x, y) -> int:
 
 def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """H(x, y) over the last axis of coordinate arrays, broadcast elsewhere."""
+    add, mul, q2 = field.add2.ravel(), field.mul2.ravel(), field.order2
     acc = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), dtype=np.int32)
-    cy = field.conj[y]
+    cy = field.conj.take(y)
     for i in range(4):
-        acc = field.add2[acc, field.mul2[x[..., i], cy[..., i]]]
+        acc = add.take(acc * q2 + mul.take(x[..., i] * q2 + cy[..., i]))
     return acc
 
 
@@ -85,11 +92,12 @@ class SurfaceModel:
     """Enumerated Hermitian surface with its generators and tangent sections.
 
     Points, classical ovoid and generators are built in the constructor, and
-    nothing changes afterwards, so a model is safe to share read-only across
-    workers.  Incidence is two arrays: ``_gen_points``, the sorted points of
-    each generator (``enumerate_generators``), and ``_gens_by_point``, the
-    q + 1 generator ids through each point (``generators_of``).  Tangent
-    sections are read from them as pencils (``pencil``, ``pencil_rows``).
+    every array is read-only afterwards (also once unpickled), so a model is
+    safe to share across workers.  Incidence is two arrays: ``_gen_points``,
+    the sorted points of each generator (``enumerate_generators``), and
+    ``_gens_by_point``, the q + 1 generator ids through each point
+    (``generators_of``).  Tangent sections are read from them as pencils
+    (``pencil``, ``pencil_rows``).
     """
 
     def __init__(self, field: FieldTables):
@@ -100,6 +108,15 @@ class SurfaceModel:
         self._build_points()
         self._classical_ovoid = classical_ovoid(self)
         self._build_generators()
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for arr in (self.coords, self.keys, self._classical_ovoid, self._gen_points, self._gens_by_point):
+            arr.flags.writeable = False
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._freeze()  # unpickled arrays come back writeable
 
     # -- construction -------------------------------------------------------
 
@@ -155,12 +172,19 @@ class SurfaceModel:
         ``_sorted_lines`` rejects two rows through the same two points, so the
         generators are distinct lines, which share at most one point: every
         pencil holds gx distinct points.
+
+        ``_gens_by_point`` is one in-place sort of the int64 keys point * G + g
+        over every entry of generator g, G the generator count.  The keys are
+        unique, so the sort need not be stable, and the sorted keys mod G are
+        each point's generator ids, ascending.
         """
         field, q, q2 = self.field, self.q, self.q2
+        add, mul = field.add2.ravel().astype(np.intp), field.mul2.ravel()  # a * b is mul[a * q2 + b]
         off = np.flatnonzero(self.coords[:, 3])  # keyed by x_0, x_1, x_2 once scaled to x_3 = 1
-        head = field.mul2[field.inv[self.coords[off, 3:]], self.coords[off, :3]]
+        head = mul.take(field.inv.take(self.coords[off, 3:]) * q2 + self.coords[off, :3])
         table = np.full(q2**3, -1, dtype=np.int32)
         table[(head[:, 0] * q2 + head[:, 1]) * q2 + head[:, 2]] = off
+        del off, head  # before the key loop, which sets the peak
         o = self.coords[self._classical_ovoid, :3]
         r, j = np.arange(len(o)), np.argmax(o != 0, axis=1)
         a, b = (j + 1) % 3, (j + 2) % 3
@@ -168,23 +192,33 @@ class SurfaceModel:
         w[r, a] = field.conj[o[r, b]]
         w[r, b] = np.argmax(field.add2 == 0, axis=1)[field.conj[o[r, a]]]  # minus conj(o_a)
         nu, lam = np.flatnonzero(field.norm == 1)[:, None], np.arange(q2)
+        # one intp buffer takes each coordinate's add-table indices and then,
+        # in place, the sums, so take converts and allocates no index array:
+        # it reads each index before writing its slot, and mode="clip" (a
+        # no-op on in-range indices) lets it write into idx unbuffered
         key = np.zeros((len(o), q + 1, q2), dtype=np.int32)
+        idx = np.empty(key.shape, dtype=np.intp)
         for i in range(3):
             key *= q2
-            key += field.add2[field.mul2[nu, w[:, i, None, None]], field.mul2[lam, o[:, i, None, None]]]
-        ids = table[key].reshape(-1, q2)
-        del key, table  # before the sorts, which set the peak
+            np.add(mul.take(nu * q2 + w[:, i, None, None]) * q2, mul.take(lam * q2 + o[:, i, None, None]), out=idx)
+            key += add.take(idx, out=idx, mode="clip")
+        idx[:] = key
+        del key
+        ids = table.take(idx).reshape(-1, q2)
+        del idx, table  # before the sorts
         if (ids < 0).any():
             raise ConfigurationError("a generated point is off the surface")
         lines = _sorted_lines(np.column_stack([np.repeat(self._classical_ovoid, q + 1), ids]))
-        del ids  # before the argsort, as the sorted rows hold its points
-        flat = lines.ravel()
-        if not (np.bincount(flat, minlength=self.num_points) == q + 1).all():
+        del ids  # before the key sort, as the sorted rows hold its points
+        if not (np.bincount(lines.ravel(), minlength=self.num_points) == q + 1).all():
             raise ConfigurationError("a point is not on exactly q + 1 generators")
-        by_point = np.argsort(flat, kind="stable") // (q2 + 1)
-        lines.flags.writeable = False
+        num_gens = len(lines)
+        key = lines.ravel() * np.int64(num_gens)
+        key.reshape(num_gens, q2 + 1)[:] += np.arange(num_gens)[:, None]
+        key.sort()
+        np.remainder(key, num_gens, out=key)
         self._gen_points = lines
-        self._gens_by_point = by_point.astype(np.int32).reshape(self.num_points, q + 1)
+        self._gens_by_point = key.astype(np.int32).reshape(self.num_points, q + 1)
 
     # -- point access --------------------------------------------------------
 
@@ -249,9 +283,15 @@ class SurfaceModel:
 
 
 def _sorted_lines(lines: np.ndarray) -> np.ndarray:
-    """Rows sorted within and by their two least points; no two may share two points."""
+    """Rows sorted within and by their two least points; no two may share two points.
+
+    Rows sort by the one key first * span + second, with every second point
+    below span, so two rows with the same two least points end up next to
+    each other.
+    """
     lines = np.sort(lines, axis=1)
-    lines = lines[np.lexsort((lines[:, 1], lines[:, 0]))]
+    span = np.int64(lines[:, 1].max()) + 1
+    lines = lines[np.argsort(lines[:, 0] * span + lines[:, 1])]
     distinct = (lines[1:, :2] != lines[:-1, :2]).any(axis=1)
     if not ((np.diff(lines, axis=1) > 0).all() and distinct.all()):
         raise ConfigurationError("the generator rows are not distinct lines of distinct points")

@@ -160,6 +160,24 @@ def test_remove_nonmember_rejected(model_q2):
         cap.remove_point(5)
 
 
+@pytest.mark.parametrize("container", [list, np.array])
+def test_vector_queries_check_their_preconditions(model_q2, container):
+    # 12 is covered by the member 3; these calls used to return [5] and [19/2, 11/2]
+    cap = CapState.from_ids(model_q2, [3])
+    uncovered = int(cap.uncovered()[0])
+    assert cap.cmult[12] > 0 and 12 not in cap.members
+    with pytest.raises(MemberNotFoundError, match="point 12 is not a cap member"):
+        cap.removal_relevance_many(container([3, 12]))
+    with pytest.raises(MemberNotFoundError, match=f"point {uncovered} is not a cap member"):
+        cap.removal_relevance_many(container([uncovered]))
+    with pytest.raises(CapViolationError, match="point 12 is covered"):
+        cap.weight_after_add_many(container([uncovered, 12, 3]))
+    with pytest.raises(CapViolationError, match="point 3 is covered"):
+        cap.weight_after_add_many(container([3]))
+    assert cap.members == {3}
+    assert cap.removal_relevance_many(container([3])).tolist() == [model_q2.gx_size]
+
+
 def test_member_multiplicity_is_one(model_q3):
     cap = random_cap(model_q3, SplitMix64(2), 8)
     for x in cap.members:

@@ -161,7 +161,9 @@ def test_verify_reports_raising_check_as_failure(monkeypatch, capsys):
     # a fresh model, not the shared cache: with the pencils of two points
     # swapped the search checks' random completion adds a covered point and raises
     model = cli._build_model(2)
-    model._gens_by_point[[0, 1]] = model._gens_by_point[[1, 0]]
+    gens = model._gens_by_point.copy()  # the model's own arrays are read-only
+    gens[[0, 1]] = gens[[1, 0]]
+    model._gens_by_point = gens
     monkeypatch.setattr(cli, "_build_model", lambda q: model)
     assert run_cli("verify", "--q", "2", "--deep") == 1
     out = capsys.readouterr()
@@ -425,6 +427,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "points=280 gx=37 generators=112 per_point=4 ovoid=28"
+
+
+def test_package_runs_as_module():
+    # python -m hermcap, from a source checkout as from an install
+    src = str(Path(hermcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermcap", "surface-info", "--q", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "points=45 gx=13 generators=27 per_point=3 ovoid=9"
 
 
 def test_emitted_files_reverify(tmp_path, capsys):

@@ -279,6 +279,25 @@ def test_generator_array_is_read_only(model_q2):
     gens = enumerate_generators(model_q2)
     with pytest.raises(ValueError):
         gens[0, 0] = 1
+    # every model array, the ovoid handed out by classical_ovoid_ids too, and
+    # again once a pickled model (a spawned worker's copy) is loaded
+    for model in (model_q2, pickle.loads(pickle.dumps(model_q2))):
+        arrays = [model.coords, model.keys, model.classical_ovoid_ids(), model._gen_points, model._gens_by_point]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr.ravel()[0] = 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_generators_through_each_point_ascend_and_hold_it(q):
+    # read against the generator rows themselves, not a digest
+    model = get_model(q)
+    points = np.arange(model.num_points)
+    gens = model.generators_of(points)
+    assert gens.shape == (model.num_points, q + 1)
+    assert (np.diff(gens, axis=1) > 0).all()
+    lines = enumerate_generators(model)
+    assert (lines[gens] == points[:, None, None]).any(axis=2).all()
 
 
 @pytest.mark.parametrize("q", [2, 3])

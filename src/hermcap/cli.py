@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .capfile import load_cap_ids, write_cap
-from .capstate import CapState
 from .errors import ConfigurationError, HermcapError
 from .galois import FieldSpec, build_field
 from .harness import SeedSpec, emit_histogram, emit_runlog, gap_check, run_spectrum
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_group.add_argument("--seed-size", type=int, help="fresh random sub-ovoid of this size per run")
     seed_group.add_argument("--seed-file", help="fixed seed cap file")
     p.add_argument("--master", type=int, required=True, help="master seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count (default: 1)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_output(p, "--out", "histogram file (default: stdout)")
     _add_output(p, "--runlog", "JSON-lines run log file")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -173,7 +174,7 @@ def run_spectrum(
     master_seed: int,
     jobs: int = 1,
 ) -> tuple[Histogram, list[RunRecord]]:
-    """n_runs seeded runs on min(jobs, n_runs) processes; the same records for any jobs."""
+    """n_runs seeded runs on min(jobs, n_runs, CPU count) processes; the same records for any jobs."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if jobs < 1:
@@ -186,7 +187,7 @@ def run_spectrum(
 
         fixed_ids = load_cap_ids(model, seed_spec.path)
     args = (model, seed_spec, strategy, master_seed, fixed_ids)
-    workers = min(jobs, n_runs)
+    workers = min(jobs, n_runs, os.cpu_count() or 1)
     if workers == 1:
         records = [_execute_run(model, seed_spec, strategy, master_seed, i, fixed_ids) for i in range(n_runs)]
     else:

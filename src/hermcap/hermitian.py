@@ -328,8 +328,11 @@ def checked_ids(model: SurfaceModel, points) -> np.ndarray:
     """
     ids = points  # an integer array takes the range check alone, no per-element pass
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "i"):
-        ids = np.fromiter(map(operator.index, points), dtype=np.int64)
-    if ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
+        try:
+            ids = np.fromiter(map(operator.index, points), dtype=np.int64)
+        except OverflowError:  # an id beyond int64 is off the surface too
+            ids = None
+    if ids is None or ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
         raise ValueError(f"point ids must lie in [0, {model.num_points})")
     return ids
 

@@ -2,29 +2,33 @@
 
 ``run_strategy`` is the one driver.  It seeds a ``CapState`` with the input
 cap and runs ``_complete``, which adds one uncovered point per step until the
-cap is complete.  The point comes from the strategy's selection rule in
-``_SELECT``; every rule is called as ``rule(cap, uncovered, rng, config)``:
+cap is complete.  Each strategy's selection rule in ``_SELECT`` is a pure
+function ``rule(cap, uncovered, config)`` that returns the nonempty subarray
+of the uncovered points it ties on; ``_complete`` then makes the step's one
+draw, uniform over that tie set:
 
-* RANDOM: a uniformly random uncovered point;
-* MIN_RELEVANCE: an uncovered point of minimal relevance (it locally covers
-  the fewest new points);
+* RANDOM: every uncovered point;
+* MIN_RELEVANCE: the uncovered points of minimal relevance (each locally
+  covers the fewest new points);
 * FORWARD: each uncovered candidate t is scored by the number of
   minimal-relevance points the cap would have after adding t (0 if t
-  completes it), and a candidate scoring best under the configured tie mode
-  is added.  The scores are deltas, read without mutating the cap: adding t
-  covers Z_t = T(t) & U of the uncovered set U, and every uncovered y
-  outside Z_t loses c_t(y) = |T(t) & T(y) & U| relevance.  The surface is a
-  generalized quadrangle: y is off each generator through t and collinear
-  with one point of each, and two generators share only t, which is not
-  collinear with y.  c_t(y) counts the uncovered ones of those q + 1 points;
+  completes it); the rule ties on the candidates scoring best under the
+  configured tie mode.  The scores are deltas, read without mutating the
+  cap: adding t covers Z_t = T(t) & U of the uncovered set U, and every
+  uncovered y outside Z_t loses c_t(y) = |T(t) & T(y) & U| relevance.  The
+  surface is a generalized quadrangle: y is off each generator through t and
+  collinear with one point of each, and two generators share only t, which
+  is not collinear with y.  c_t(y) counts the uncovered ones of those q + 1
+  points;
 * BACKTRACK: random completion, after which ``backtrack_enlarge`` removes
   members of maximal relevance-after-removal until one lower-relevance point
   can be added, adds it and completes the cap again through ``_complete``
   with the minimal weight-after-addition rule.
 
-All tie-breaking is uniform over the tied candidates under the run's own
-deterministic RNG stream, so a (model, seed cap, config) triple fully
-determines the outcome.
+The rules draw nothing: every draw comes from the run's own deterministic
+RNG stream, one per completion step in ``_complete`` and at most two per
+backtracking level, so a (model, seed cap, config) triple fully determines
+the outcome.
 """
 
 from __future__ import annotations
@@ -90,15 +94,16 @@ def _outcome(model: SurfaceModel, final: np.ndarray, iterations: int, trace) -> 
 
 
 def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trace) -> int:
-    """Add select(cap, uncovered, rng, config) until the cap is complete; returns the count.
+    """Add one point drawn from select(cap, uncovered, config) until the cap is complete.
 
+    Each step makes one draw, uniform over the tie set the rule returns.
     ``uncovered`` is the sorted array of uncovered points, filtered in place
-    of a fresh scan after every addition.
+    of a fresh scan after every addition.  Returns the number of additions.
     """
     m = cap.uncovered()
     iterations = 0
     while m.size:
-        x = select(cap, m, rng, config)
+        x = _pick(rng, select(cap, m, config))
         if trace is not None:
             trace.append((x, cap.relevance(x)))
         cap.add_point(x)
@@ -107,15 +112,13 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trac
     return iterations
 
 
-def _select_random(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
-    return _pick(rng, m)
+def _select_random(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
+    return m
 
 
-def _select_min_relevance(
-    cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig
-) -> int:
+def _select_min_relevance(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
     rel = cap.relevance_many(m)
-    return _pick(rng, m[rel == rel.min()])
+    return m[rel == rel.min()]
 
 
 def _block_minima(phi: np.ndarray, rows: np.ndarray, off: np.ndarray, diag: np.ndarray):
@@ -203,24 +206,23 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     return count
 
 
-def _select_lookahead(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
+def _select_lookahead(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
     if len(cap) <= 1:
         # PGU(4, q^2) is transitive on the points, and a point's stabilizer on the
         # points not conjugate to it: every candidate scores the same
-        return _pick(rng, m)
+        return m
     rel = cap.relevance_many(m)
     if int(rel.min()) == 1:
         # a relevance-1 point covers only itself; adding one is always safe
-        return _pick(rng, m[rel == 1])
+        return m[rel == 1]
     rho = _forward_scores(cap, m, rel)
-    if config.forward_tie_mode is TieMode.MAX_COUNT:
-        return _pick(rng, m[rho == rho.max()])
-    return _pick(rng, m[rho == rho.min()])
+    best = rho.max() if config.forward_tie_mode is TieMode.MAX_COUNT else rho.min()
+    return m[rho == best]
 
 
-def _select_min_weight(cap: CapState, m: np.ndarray, rng: SplitMix64, config: SearchConfig) -> int:
+def _select_min_weight(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
     w = cap.weight_after_add_many(m)
-    return _pick(rng, m[w == w.min()])
+    return m[w == w.min()]
 
 
 # the completion rule of each strategy; BACKTRACK then enlarges its result

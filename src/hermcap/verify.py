@@ -91,15 +91,17 @@ def _surface_checks(model: SurfaceModel) -> list[CheckResult]:
     own = np.count_nonzero(rows == sample[:, None], axis=1)
     size_ok = bool(((distinct == model.gx_size) & (own == q + 1)).all())
     out.append(CheckResult("surface-tangent-size", size_ok))
+    # conjugacy read off the generators against the scalar form, at this q
     rng = SplitMix64(2024)
-    sym = all(
-        model.is_conjugate(a, b) == model.is_conjugate(b, a)
+    form = all(
+        model.is_conjugate(a, b)
+        == (hermitian_inner(model.field, model.coords_of(a), model.coords_of(b)) == 0)
         for a, b in (
             (rng.randbelow(model.num_points), rng.randbelow(model.num_points))
             for _ in range(256)
         )
     )
-    out.append(CheckResult("surface-conjugacy-symmetric", sym))
+    out.append(CheckResult("surface-conjugacy-form", form))
     out.append(CheckResult("surface-self-tangency", bool((own > 0).all())))
     ov = model.classical_ovoid_ids()
     out.append(CheckResult("ovoid-size", len(ov) == q**3 + 1, f"{len(ov)}"))

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcap import CapState, SplitMix64, classical_ovoid, is_cap, sample_subcap
+from hermcap import (
+    CapState,
+    SearchConfig,
+    SplitMix64,
+    classical_ovoid,
+    is_cap,
+    run_strategy,
+    sample_subcap,
+)
 from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
 
 from .conftest import get_model
@@ -152,6 +160,29 @@ def test_point_ids_must_be_integers(model_q2, call, bad):
     # float and string ids used to be truncated or parsed to a point
     with pytest.raises(TypeError):
         call(model_q2, bad)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[2**63], [2**70], [-(2**63) - 1], np.array([2**63], dtype=np.uint64)],
+    ids=["2**63", "2**70", "-2**63-1", "uint64"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, ids: CapState.from_ids(model, ids),
+        lambda model, ids: CapState(model).add_point(ids[0]),
+        lambda model, ids: CapState(model).relevance(ids[0]),
+        lambda model, ids: CapState(model).relevance_many(ids),
+        lambda model, ids: is_cap(model, ids),
+        lambda model, ids: run_strategy(model, ids, SearchConfig()),
+    ],
+    ids=["from_ids", "add_point", "relevance", "relevance_many", "is_cap", "run_strategy"],
+)
+def test_ids_beyond_int64_are_off_the_surface(model_q2, call, ids):
+    # these used to escape as OverflowError from the int64 conversion
+    with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {model_q2.num_points}\)"):
+        call(model_q2, ids)
 
 
 def test_remove_nonmember_rejected(model_q2):

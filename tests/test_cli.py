@@ -173,6 +173,20 @@ def test_verify_reports_raising_check_as_failure(monkeypatch, capsys):
     assert "Traceback" not in out.out + out.err
 
 
+def test_verify_checks_conjugacy_against_the_form(monkeypatch, capsys):
+    # a fresh model with the generator lists of points 0 and 1 swapped:
+    # conjugacy read off them stays symmetric, and the scalar form catches it
+    model = cli._build_model(2)
+    gens = model._gens_by_point.copy()
+    gens[[0, 1]] = gens[[1, 0]]
+    model._gens_by_point = gens
+    monkeypatch.setattr(cli, "_build_model", lambda q: model)
+    assert run_cli("verify", "--q", "2") == 1
+    out = capsys.readouterr()
+    assert "FAIL surface-conjugacy-form" in out.out
+    assert "Traceback" not in out.out + out.err
+
+
 def test_verify_deep_counts_generators_per_point(monkeypatch, capsys):
     # a fresh model, not the shared cache: point 0 of generator 0 is replaced by
     # a point off it, which then lies on q + 2 generators and point 0 on q; the

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hermcap import (
     parse_histogram_csv,
     run_spectrum,
 )
+from hermcap import harness
 from hermcap.rng import GOLDEN_GAMMA, MASK64
 
 
@@ -60,6 +63,37 @@ def test_run_spectrum_reproducible_across_jobs(model_q3):
     h4, r4 = run_spectrum(model_q3, jobs=4, **kwargs)
     assert emit_runlog(r1) == emit_runlog(r2) == emit_runlog(r4)
     assert h1.bins == h2.bins == h4.bins
+
+
+def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        """Records the worker count asked for and runs the map here; starts no process."""
+
+        def __init__(self, processes, initializer, initargs):
+            requested.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return [fn(i) for i in iterable]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_args", None)  # restored after the in-process pool
+    kwargs = dict(seed_spec=SeedSpec.empty(), strategy=StrategyKind.RANDOM, n_runs=20, master_seed=5)
+    hist, records = run_spectrum(model_q2, jobs=10_000, **kwargs)
+    assert requested == [2]
+    serial_hist, serial = run_spectrum(model_q2, jobs=1, **kwargs)
+    assert requested == [2]
+    assert [r.log_fields() for r in records] == [r.log_fields() for r in serial]
+    assert hist.bins == serial_hist.bins
 
 
 def test_run_spectrum_subovoid_seeds_resampled(model_q3):

@@ -240,10 +240,51 @@ def test_lookahead_leaves_the_state_untouched(q, k):
     assert cap.relevance_many(m).min() > 1  # no relevance-1 shortcut
     members, cmult, rel = set(cap.members), cap.cmult.tobytes(), cap._rel.tobytes()
     config = SearchConfig(strategy=StrategyKind.FORWARD)
-    search._select_lookahead(cap, m, SplitMix64(q), config)
+    search._select_lookahead(cap, m, config)
     assert cap.members == members
     assert cap.cmult.tobytes() == cmult
     assert cap._rel.tobytes() == rel
+
+
+@pytest.mark.parametrize("q,k", [(3, 0), (5, 40)])
+@pytest.mark.parametrize(
+    "strategy,tie_mode",
+    [(s, TieMode.MAX_COUNT) for s in PURE_COMPLETIONS] + [(StrategyKind.FORWARD, TieMode.MIN_COUNT)],
+    ids=lambda v: v.value.replace("-", "_"),
+)
+def test_each_completion_step_draws_once(q, k, strategy, tie_mode, monkeypatch):
+    model = get_model(q)
+    seed = sample_subcap(classical_ovoid(model), k, SplitMix64(k))
+    bounds = []
+    randbelow = SplitMix64.randbelow
+
+    def counted(rng, n):
+        bounds.append(n)
+        return randbelow(rng, n)
+
+    monkeypatch.setattr(SplitMix64, "randbelow", counted)
+    config = SearchConfig(strategy=strategy, rng_seed=q, forward_tie_mode=tie_mode)
+    out = run_strategy(model, seed, config)
+    assert len(bounds) == out.iterations == out.size - k > 0
+
+
+@pytest.mark.parametrize(
+    "rule,tie_mode",
+    [
+        ("_select_random", TieMode.MAX_COUNT),
+        ("_select_min_relevance", TieMode.MAX_COUNT),
+        ("_select_lookahead", TieMode.MAX_COUNT),
+        ("_select_lookahead", TieMode.MIN_COUNT),
+        ("_select_min_weight", TieMode.MAX_COUNT),
+    ],
+)
+def test_rules_return_the_same_tie_set_twice(model_q5, rule, tie_mode):
+    cap = CapState.from_ids(model_q5, sample_subcap(classical_ovoid(model_q5), 40, SplitMix64(40)))
+    m = cap.uncovered()
+    select, config = getattr(search, rule), SearchConfig(forward_tie_mode=tie_mode)
+    ties = select(cap, m, config)
+    assert ties.size and np.isin(ties, m).all()
+    assert np.array_equal(select(cap, m, config), ties)
 
 
 def test_relevance_one_implies_cap_size_bound(model_q3):

@@ -70,17 +70,14 @@ def cmd_surface_info(args) -> int:
 def cmd_verify(args) -> int:
     model = _build_model(args.q)
     results = run_checks(model, deep=args.deep, cap_path=args.cap)
-    status = 0
     for r in results:
         mark = "ok" if r.ok else "FAIL"
         detail = f" ({r.detail})" if r.detail else ""
         print(f"{mark:4s} {r.name}{detail}")
-        if not r.ok and status == 0:
-            status = 1
-            first = r.name
-    if status:
-        print(f"first failing invariant: {first}", file=sys.stderr)
-    return status
+    failed = [r.name for r in results if not r.ok]
+    if failed:
+        print(f"first failing invariant: {failed[0]}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_complete(args) -> int:

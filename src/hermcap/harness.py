@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capfile import load_cap_ids
 from .hermitian import SurfaceModel
 from .rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
 from .search import SearchConfig, SearchOutcome, StrategyKind, run_strategy, sample_subcap
@@ -183,8 +184,6 @@ def run_spectrum(
         raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
     fixed_ids = None
     if seed_spec.kind == "fromfile":
-        from .capfile import load_cap_ids
-
         fixed_ids = load_cap_ids(model, seed_spec.path)
     args = (model, seed_spec, strategy, master_seed, fixed_ids)
     workers = min(jobs, n_runs, os.cpu_count() or 1)

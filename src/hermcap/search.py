@@ -80,10 +80,6 @@ class SearchOutcome:
         return len(self.final_cap)
 
 
-def _pick(rng: SplitMix64, arr: np.ndarray) -> int:
-    return int(arr[rng.randbelow(len(arr))])
-
-
 def _outcome(model: SurfaceModel, final: np.ndarray, iterations: int, trace) -> SearchOutcome:
     return SearchOutcome(
         final_cap=final,
@@ -98,17 +94,23 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trac
 
     Each step makes one draw, uniform over the tie set the rule returns.
     ``uncovered`` is the sorted array of uncovered points, filtered in place
-    of a fresh scan after every addition.  Returns the number of additions.
+    of a fresh scan after every addition.  On a sound model each step covers
+    at least the point it adds, so a step that leaves the filtered array as
+    long as before means a corrupted model: it raises ``HermcapError`` naming
+    the point instead of looping forever.  Returns the number of additions.
     """
     m = cap.uncovered()
     iterations = 0
     while m.size:
-        x = _pick(rng, select(cap, m, config))
+        x = int(rng.choice(select(cap, m, config)))
         if trace is not None:
             trace.append((x, cap.relevance(x)))
         cap.add_point(x)
         iterations += 1
-        m = m[cap.cmult.take(m) == 0]
+        left = m[cap.cmult.take(m) == 0]
+        if left.size == m.size:
+            raise HermcapError(f"adding point {x} covered no uncovered point, itself included")
+        m = left
     return iterations
 
 
@@ -260,11 +262,11 @@ def backtrack_enlarge(
             break
         rvals = cap.removal_relevance_many(removable)
         worst = int(rvals.max())
-        cap.remove_point(_pick(rng, removable[rvals == worst]))
+        cap.remove_point(int(rng.choice(removable[rvals == worst])))
         m = cap.uncovered()
         better = m[cap.relevance_many(m) < worst]
         if better.size:
-            cap.add_point(_pick(rng, better))
+            cap.add_point(int(rng.choice(better)))
             added = 1 + _complete(cap, _select_min_weight, rng, config, None)
             if len(cap) >= len(input_ids):
                 return _outcome(model, cap.members_sorted(), added, None)

@@ -1,22 +1,26 @@
 """Invariant suites behind the `verify` subcommand.
 
-Each check returns (name, ok, detail); the CLI prints one line per check and
-exits nonzero on the first failure.  A check group that raises (a corrupted
-model can break the cap state it builds) reports one failing
+Each check group is a generator that yields one (name, ok, detail) result per
+check as it computes it, and ``run_checks`` collects every group's results
+into one list; the CLI prints one line per result and exits nonzero when one
+fails.  A group that raises (a corrupted model can break the cap state it
+builds) keeps the results it already yielded, then adds one failing
 ``<group>-checks-raised`` result carrying the exception text, and the
-remaining groups still run.  The deep suite adds generator
-enumeration and small-q brute-force oracles (set-algebra recomputations
-independent of the incremental counters).
+remaining groups still run.  The deep suite adds generator enumeration and
+small-q brute-force oracles (set-algebra recomputations independent of the
+incremental counters).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from .capfile import parse_cap, read_cap, resolve_cap, serialize_cap
 from .capstate import CapState
 from .errors import CapFileError
 from .galois import FieldSpec, FieldTables, build_field
@@ -38,8 +42,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _field_checks(field: FieldTables) -> list[CheckResult]:
-    out = []
+def _field_checks(field: FieldTables) -> Iterator[CheckResult]:
     n = field.order2
     idx = np.arange(n)
     a, b, c = idx[:, None, None], idx[None, :, None], idx[None, None, :]
@@ -48,17 +51,13 @@ def _field_checks(field: FieldTables) -> list[CheckResult]:
         and (field.mul2[field.mul2[a, b], c] == field.mul2[a, field.mul2[b, c]]).all()
         and (field.mul2[a, field.add2[b, c]] == field.add2[field.mul2[a, b], field.mul2[a, c]]).all()
     )
-    out.append(CheckResult("field-ring-axioms", ok))
+    yield CheckResult("field-ring-axioms", ok)
     nz = idx[1:]
-    out.append(CheckResult("field-inverses", bool((field.mul2[nz, field.inv[nz]] == 1).all())))
-    out.append(
-        CheckResult("field-conjugation-involutory", bool((field.conj[field.conj] == idx).all()))
-    )
+    yield CheckResult("field-inverses", bool((field.mul2[nz, field.inv[nz]] == 1).all()))
+    yield CheckResult("field-conjugation-involutory", bool((field.conj[field.conj] == idx).all()))
     fixed = int(np.count_nonzero(field.conj == idx))
-    out.append(
-        CheckResult(
-            "field-subfield-size", fixed == field.q, f"conj fixes {fixed}, want {field.q}"
-        )
+    yield CheckResult(
+        "field-subfield-size", fixed == field.q, f"conj fixes {fixed}, want {field.q}"
     )
     homo = bool(
         (field.conj[field.mul2[a[:, :, 0], b[:, :, 0]]]
@@ -66,23 +65,19 @@ def _field_checks(field: FieldTables) -> list[CheckResult]:
         and (field.conj[field.add2[a[:, :, 0], b[:, :, 0]]]
              == field.add2[field.conj[a[:, :, 0]], field.conj[b[:, :, 0]]]).all()
     )
-    out.append(CheckResult("field-conjugation-homomorphism", homo))
+    yield CheckResult("field-conjugation-homomorphism", homo)
     vals, counts = np.unique(field.norm[1:], return_counts=True)
     ok = len(vals) == field.q - 1 and bool((counts == field.q + 1).all())
     ok = ok and all(field.in_subfield(int(v)) for v in vals)
-    out.append(CheckResult("field-norm-fibers", ok))
-    return out
+    yield CheckResult("field-norm-fibers", ok)
 
 
-def _surface_checks(model: SurfaceModel) -> list[CheckResult]:
-    out = []
+def _surface_checks(model: SurfaceModel) -> Iterator[CheckResult]:
     q = model.q
-    out.append(
-        CheckResult(
-            "surface-point-count",
-            model.num_points == (q**3 + 1) * (q**2 + 1),
-            f"{model.num_points}",
-        )
+    yield CheckResult(
+        "surface-point-count",
+        model.num_points == (q**3 + 1) * (q**2 + 1),
+        f"{model.num_points}",
     )
     sample = np.arange(0, model.num_points, max(1, model.num_points // 64))
     # a pencil of gx + q ids holds gx distinct ones, its own point q + 1 times
@@ -90,7 +85,7 @@ def _surface_checks(model: SurfaceModel) -> list[CheckResult]:
     distinct = 1 + np.count_nonzero(np.diff(rows, axis=1), axis=1)
     own = np.count_nonzero(rows == sample[:, None], axis=1)
     size_ok = bool(((distinct == model.gx_size) & (own == q + 1)).all())
-    out.append(CheckResult("surface-tangent-size", size_ok))
+    yield CheckResult("surface-tangent-size", size_ok)
     # conjugacy read off the generators against the scalar form, at this q
     rng = SplitMix64(2024)
     form = all(
@@ -101,19 +96,17 @@ def _surface_checks(model: SurfaceModel) -> list[CheckResult]:
             for _ in range(256)
         )
     )
-    out.append(CheckResult("surface-conjugacy-form", form))
-    out.append(CheckResult("surface-self-tangency", bool((own > 0).all())))
+    yield CheckResult("surface-conjugacy-form", form)
+    yield CheckResult("surface-self-tangency", bool((own > 0).all()))
     ov = model.classical_ovoid_ids()
-    out.append(CheckResult("ovoid-size", len(ov) == q**3 + 1, f"{len(ov)}"))
+    yield CheckResult("ovoid-size", len(ov) == q**3 + 1, f"{len(ov)}")
     cs = CapState.from_ids(model, ov)
-    out.append(CheckResult("ovoid-complete", cs.is_complete()))
+    yield CheckResult("ovoid-complete", cs.is_complete())
     w_ok = cs.weight(int(ov[0])) == Fraction(q**2 + 1)
-    out.append(CheckResult("ovoid-member-weight", w_ok))
-    return out
+    yield CheckResult("ovoid-member-weight", w_ok)
 
 
-def _capstate_checks(model: SurfaceModel) -> list[CheckResult]:
-    out = []
+def _capstate_checks(model: SurfaceModel) -> Iterator[CheckResult]:
     rng = SplitMix64(99)
     cap = CapState(model)
     for _ in range(64):
@@ -123,54 +116,44 @@ def _capstate_checks(model: SurfaceModel) -> list[CheckResult]:
         elif cap.members:
             cap.remove_point(rng.choice(sorted(cap.members)))
     fresh = CapState.from_ids(model, cap.members)
-    out.append(
-        CheckResult("capstate-incremental-exact", bool(np.array_equal(fresh.cmult, cap.cmult)))
-    )
+    yield CheckResult("capstate-incremental-exact", bool(np.array_equal(fresh.cmult, cap.cmult)))
     gx = model.gx_size
     ident = all(
         cap.relevance(x) + cap.coverage_intersect(x) == gx
         for x in range(0, model.num_points, max(1, model.num_points // 128))
     )
-    out.append(CheckResult("capstate-relevance-coverage-identity", ident))
+    yield CheckResult("capstate-relevance-coverage-identity", ident)
     if cap.members:
         members_mult = all(cap.coverage_mult(x) == 1 for x in cap.members)
-        out.append(CheckResult("capstate-member-multiplicity-one", members_mult))
-    return out
+        yield CheckResult("capstate-member-multiplicity-one", members_mult)
 
 
-def _search_checks(model: SurfaceModel) -> list[CheckResult]:
-    out = []
+def _search_checks(model: SurfaceModel) -> Iterator[CheckResult]:
     q = model.q
     sizes_ok = True
     for i in range(5):
         o = run_strategy(model, [], SearchConfig(rng_seed=500 + i))
         cs = CapState.from_ids(model, o.final_cap)
         sizes_ok = sizes_ok and cs.is_complete() and q**2 + 1 <= o.size <= q**3 + 1
-    out.append(CheckResult("search-random-complete-in-bounds", sizes_ok))
+    yield CheckResult("search-random-complete-in-bounds", sizes_ok)
     a = run_strategy(model, [], SearchConfig(rng_seed=321))
     b = run_strategy(model, [], SearchConfig(rng_seed=321))
-    out.append(CheckResult("search-deterministic", bool(np.array_equal(a.final_cap, b.final_cap))))
-    return out
+    yield CheckResult("search-deterministic", bool(np.array_equal(a.final_cap, b.final_cap)))
 
 
-def _generator_checks(model: SurfaceModel) -> list[CheckResult]:
-    out = []
+def _generator_checks(model: SurfaceModel) -> Iterator[CheckResult]:
     q = model.q
     gens = enumerate_generators(model)
-    out.append(
-        CheckResult("generators-count", len(gens) == (q**3 + 1) * (q + 1), f"{len(gens)}")
-    )
-    out.append(CheckResult("generators-line-size", gens.shape[1] == q**2 + 1))
+    yield CheckResult("generators-count", len(gens) == (q**3 + 1) * (q + 1), f"{len(gens)}")
+    yield CheckResult("generators-line-size", gens.shape[1] == q**2 + 1)
     per_point = np.bincount(gens.ravel(), minlength=model.num_points) == q + 1
-    out.append(CheckResult("generators-per-point", bool(per_point.all())))
+    yield CheckResult("generators-per-point", bool(per_point.all()))
     once = is_ovoid(model, model.classical_ovoid_ids())
-    out.append(CheckResult("ovoid-meets-generators-once", once))
-    return out
+    yield CheckResult("ovoid-meets-generators-once", once)
 
 
-def _brute_force_small_q_checks() -> list[CheckResult]:
+def _brute_force_small_q_checks() -> Iterator[CheckResult]:
     """Set-algebra oracles at q = 2, 3, independent of the counters."""
-    out = []
     for p in (2, 3):
         field = build_field(FieldSpec(p, 1))
         model = enumerate_surface(field)
@@ -184,7 +167,7 @@ def _brute_force_small_q_checks() -> list[CheckResult]:
                 if cap.coverage_mult(x) == 0:
                     if cap.relevance(x) != len(tsets[x] - tsets[y]):
                         ok = False
-        out.append(CheckResult(f"oracle-relevance-singletons-q{q}", ok))
+        yield CheckResult(f"oracle-relevance-singletons-q{q}", ok)
         # conjugacy vs shared generator membership
         pair_on_line = {p for g in enumerate_generators(model) for p in combinations(g.tolist(), 2)}
         # the same pairs against the scalar form, independent of the construction
@@ -200,45 +183,43 @@ def _brute_force_small_q_checks() -> list[CheckResult]:
                 agree = False
             if conj != (hermitian_inner(field, model.coords_of(a), model.coords_of(b)) == 0):
                 form_agrees = False
-        out.append(CheckResult(f"oracle-conjugacy-generators-q{q}", agree))
-        out.append(CheckResult(f"oracle-conjugacy-form-q{q}", form_agrees))
-    return out
+        yield CheckResult(f"oracle-conjugacy-generators-q{q}", agree)
+        yield CheckResult(f"oracle-conjugacy-form-q{q}", form_agrees)
 
 
-def _capfile_checks(model: SurfaceModel, path) -> list[CheckResult]:
-    from .capfile import parse_cap, read_cap, resolve_cap, serialize_cap
-
+def _capfile_checks(model: SurfaceModel, path) -> Iterator[CheckResult]:
     try:
         payload = read_cap(path)
         ids = resolve_cap(model, payload)
     except CapFileError as exc:
-        return [CheckResult("capfile-valid", False, str(exc))]
-    out = [CheckResult("capfile-valid", True, f"{len(ids)} points")]
+        yield CheckResult("capfile-valid", False, str(exc))
+        return
+    yield CheckResult("capfile-valid", True, f"{len(ids)} points")
     data = serialize_cap(model, ids)
     reparsed = resolve_cap(model, parse_cap(data))
-    out.append(CheckResult("capfile-roundtrip", bool(np.array_equal(ids, reparsed))))
-    return out
-
-
-def _run_group(group: str, check, *args) -> list[CheckResult]:
-    try:
-        return check(*args)
-    except Exception as exc:  # a raising check is a failed invariant, not a crash
-        return [CheckResult(f"{group}-checks-raised", False, f"{type(exc).__name__}: {exc}")]
+    yield CheckResult("capfile-roundtrip", bool(np.array_equal(ids, reparsed)))
 
 
 def run_checks(model: SurfaceModel, deep: bool = False, cap_path=None) -> list[CheckResult]:
     groups = [
-        ("field", _field_checks, model.field),
-        ("surface", _surface_checks, model),
-        ("capstate", _capstate_checks, model),
-        ("search", _search_checks, model),
+        ("field", _field_checks(model.field)),
+        ("surface", _surface_checks(model)),
+        ("capstate", _capstate_checks(model)),
+        ("search", _search_checks(model)),
     ]
     if deep:
-        groups += [("generators", _generator_checks, model), ("oracle", _brute_force_small_q_checks)]
+        groups += [
+            ("generators", _generator_checks(model)),
+            ("oracle", _brute_force_small_q_checks()),
+        ]
     if cap_path is not None:
-        groups.append(("capfile", _capfile_checks, model, cap_path))
+        groups.append(("capfile", _capfile_checks(model, cap_path)))
     results = []
-    for group, check, *args in groups:
-        results += _run_group(group, check, *args)
+    for group, checks in groups:
+        try:
+            for r in checks:
+                results.append(r)
+        except Exception as exc:  # a raising check is a failed invariant, not a crash
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(f"{group}-checks-raised", False, detail))
     return results

@@ -13,6 +13,7 @@ from hermcap.capfile import load_cap_ids, read_cap, resolve_cap, serialize_cap, 
 from hermcap import cli
 from hermcap.cli import main
 from hermcap.errors import CapFileError
+from hermcap.verify import run_checks
 
 
 def run_cli(*argv):
@@ -185,6 +186,82 @@ def test_verify_checks_conjugacy_against_the_form(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "FAIL surface-conjugacy-form" in out.out
     assert "Traceback" not in out.out + out.err
+
+
+_ROLLED_VERIFY = """
+import numpy as np
+from hermcap import cli
+model = cli._build_model(2)
+model._gens_by_point = np.roll(model._gens_by_point, 1, axis=0)
+cli._build_model = lambda q: model
+raise SystemExit(cli.main(["verify", "--q", "2"]))
+"""
+
+
+def test_verify_fails_on_a_rolled_model_without_hanging():
+    # each point gets its neighbour's generators, so adding a point need not
+    # cover it; a child process, so that a hang ends at the timeout
+    src = str(Path(hermcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROLLED_VERIFY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    # the surface group's failures stay in front of the result for its raise
+    failing = [line for line in lines if line.startswith("FAIL surface-")]
+    assert failing[:3] == [
+        "FAIL surface-tangent-size",
+        "FAIL surface-conjugacy-form",
+        "FAIL surface-self-tangency",
+    ]
+    assert failing[3].startswith("FAIL surface-checks-raised")
+    assert any(line.startswith("FAIL search-checks-raised (HermcapError") for line in lines)
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_verify_check_names_keep_their_order(model_q2, tmp_path):
+    # every check of the full suite, in the order verify prints them
+    path = tmp_path / "ovoid.json"
+    write_cap(path, model_q2, model_q2.classical_ovoid_ids())
+    results = run_checks(model_q2, deep=True, cap_path=path)
+    assert all(r.ok for r in results)
+    assert [r.name for r in results] == [
+        "field-ring-axioms",
+        "field-inverses",
+        "field-conjugation-involutory",
+        "field-subfield-size",
+        "field-conjugation-homomorphism",
+        "field-norm-fibers",
+        "surface-point-count",
+        "surface-tangent-size",
+        "surface-conjugacy-form",
+        "surface-self-tangency",
+        "ovoid-size",
+        "ovoid-complete",
+        "ovoid-member-weight",
+        "capstate-incremental-exact",
+        "capstate-relevance-coverage-identity",
+        "capstate-member-multiplicity-one",
+        "search-random-complete-in-bounds",
+        "search-deterministic",
+        "generators-count",
+        "generators-line-size",
+        "generators-per-point",
+        "ovoid-meets-generators-once",
+        "oracle-relevance-singletons-q2",
+        "oracle-conjugacy-generators-q2",
+        "oracle-conjugacy-form-q2",
+        "oracle-relevance-singletons-q3",
+        "oracle-conjugacy-generators-q3",
+        "oracle-conjugacy-form-q3",
+        "capfile-valid",
+        "capfile-roundtrip",
+    ]
 
 
 def test_verify_deep_counts_generators_per_point(monkeypatch, capsys):

@@ -8,7 +8,15 @@ the member itself q + 1 times; the functionals read pencils too and take the
 q extra copies off by arithmetic.  ``from_ids`` is the batch formula, cmult =
 the members' ``section_counts``, and ``add_point``/``remove_point`` are its
 increments.  A member's multiplicity is 1 unless another member is conjugate
-to it, which is how ``from_ids`` rejects a non-cap.  The functionals are
+to it, which is how ``from_ids`` rejects a non-cap.
+
+On a cap every generator holds at most one member, and a point lies on q + 1
+generators, so no multiplicity exceeds q + 1 <= 17: ``cmult`` is one byte per
+point (uint8), and ``add_point``'s increments and ``remove_point``'s
+decrements stay within [0, q + 1].  ``from_ids`` therefore tests the cap
+condition on the int64 section counts and only then narrows them; a count
+narrowed first wraps mod 256, and the q^2 + 1 = 257 points of one generator
+at q = 16 would each read 1.  The functionals are
 
     relevance(x)          #{y in tangent(x) : cmult[y] == 0}
     coverage_mult(y)      cmult[y]
@@ -64,7 +72,7 @@ class CapState:
     def __init__(self, model: SurfaceModel):
         self.model = model
         self.members: set[int] = set()
-        self.cmult = np.zeros(model.num_points, dtype=np.int32)
+        self.cmult = np.zeros(model.num_points, dtype=np.uint8)
         self._rel: np.ndarray | None = None  # relevance of every point, once read
 
     @classmethod
@@ -74,12 +82,20 @@ class CapState:
         Raises CapViolationError if it is not a cap, ValueError for an id off the surface.
         """
         members = np.unique(checked_ids(model, ids))
-        cap = cls(model)
-        cap.cmult[:] = model.section_counts(members)
-        covered = members[cap.cmult[members] != 1]
+        counts = model.section_counts(members)
+        covered = members[counts[members] != 1]
         if covered.size:
             raise _covered(covered[0])
+        cap = cls(model)
+        cap.cmult[:] = counts  # a cap's counts are at most q + 1
         cap.members = set(members.tolist())
+        return cap
+
+    def copy(self) -> "CapState":
+        """A state with this one's members and counters; it rebuilds relevance on its first read."""
+        cap = CapState(self.model)
+        cap.cmult[:] = self.cmult
+        cap.members = set(self.members)
         return cap
 
     def __len__(self) -> int:
@@ -186,7 +202,8 @@ class CapState:
         return np.array([Fraction(int(n), big) for n in nums], dtype=object)
 
     def uncovered(self) -> np.ndarray:
-        return np.flatnonzero(self.cmult == 0).astype(np.int32)
+        """The sorted uncovered ids as intp, numpy's native index type."""
+        return np.flatnonzero(self.cmult == 0)
 
     def is_complete(self) -> bool:
         return bool(self.cmult.all())

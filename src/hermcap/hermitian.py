@@ -237,8 +237,13 @@ class SurfaceModel:
     # -- incidence -----------------------------------------------------------
 
     def pencil(self, pid: int) -> np.ndarray:
-        """The q + 1 generator rows through pid, flat and unsorted."""
-        return self._gen_points.take(self._gens_by_point[checked_id(self, pid)], axis=0).ravel()
+        """The q + 1 generator rows through pid, flat and unsorted, as intp ids.
+
+        intp is numpy's native index type, so the callers' gathers and
+        scatters on the row convert nothing.
+        """
+        rows = self._gen_points.take(self._gens_by_point[checked_id(self, pid)], axis=0)
+        return rows.ravel().astype(np.intp)
 
     def generators_of(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), q + 1) matrix; row i holds the generators through pids[i]."""

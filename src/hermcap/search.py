@@ -20,10 +20,11 @@ draw, uniform over that tie set:
   collinear with one point of each, and two generators share only t, which
   is not collinear with y.  c_t(y) counts the uncovered ones of those q + 1
   points;
-* BACKTRACK: random completion, after which ``backtrack_enlarge`` removes
-  members of maximal relevance-after-removal until one lower-relevance point
-  can be added, adds it and completes the cap again through ``_complete``
-  with the minimal weight-after-addition rule.
+* BACKTRACK: random completion, after which ``backtrack_enlarge`` takes a
+  copy of the completed state and removes members of maximal relevance-
+  after-removal until one lower-relevance point can be added, adds it and
+  completes the cap again through ``_complete`` with the minimal weight-
+  after-addition rule.
 
 The rules draw nothing: every draw comes from the run's own deterministic
 RNG stream, one per completion step in ``_complete`` and at most two per
@@ -241,6 +242,8 @@ def backtrack_enlarge(
 ) -> SearchOutcome:
     """Try to grow a complete cap by replacing high-relevance members.
 
+    complete_cap is the cap's ids or a complete ``CapState`` of this model;
+    the search runs on a copy of a state, which is left as it was passed.
     Each of at most q levels removes a member of maximal relevance-after-
     removal, never one of the protected seed.  At the first level that leaves
     an uncovered point of lower relevance than the member removed, one such
@@ -250,7 +253,12 @@ def backtrack_enlarge(
     """
     rng = SplitMix64(config.rng_seed)
     protected = frozenset(checked_ids(model, protected_seed).tolist())
-    cap = CapState.from_ids(model, complete_cap)
+    if isinstance(complete_cap, CapState):
+        if complete_cap.model is not model:
+            raise ValueError("the cap state belongs to another model")
+        cap = complete_cap.copy()
+    else:
+        cap = CapState.from_ids(model, complete_cap)
     if not protected <= cap.members:
         raise ValueError("protected seed is not contained in the cap")
     if not cap.is_complete():
@@ -286,7 +294,7 @@ def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchO
     if config.strategy is not StrategyKind.BACKTRACK:
         return _outcome(model, cap.members_sorted(), iterations, trace)
     inner = replace(config, rng_seed=rng.next_u64())
-    out = backtrack_enlarge(model, seed_cap, cap.members_sorted(), inner)
+    out = backtrack_enlarge(model, seed_cap, cap, inner)
     return _outcome(model, out.final_cap, iterations + out.iterations, trace)
 
 

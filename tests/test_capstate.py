@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from hermcap import (
     CapState,
+    FieldSpec,
     SearchConfig,
     SplitMix64,
+    build_field,
     classical_ovoid,
+    enumerate_generators,
+    enumerate_surface,
     is_cap,
     run_strategy,
     sample_subcap,
@@ -68,6 +72,31 @@ def test_add_covered_point_rejected(model_q2):
         cap.add_point(0)
     with pytest.raises(CapViolationError):
         CapState.from_ids(model_q2, [0, conj])
+
+
+def test_from_ids_checks_the_cap_before_narrowing_the_counts():
+    # each of the q^2 + 1 = 257 points of a generator at q = 16 lies in all
+    # 257 sections, which a uint8 count reads as 1; not from the model cache,
+    # where the model would stay resident
+    model = enumerate_surface(build_field(FieldSpec.for_q(16)))
+    with pytest.raises(CapViolationError):
+        CapState.from_ids(model, enumerate_generators(model)[0])
+
+
+def test_copy_is_independent_of_the_original(model_q3):
+    cap = random_cap(model_q3, SplitMix64(5), 6)
+    every = np.arange(model_q3.num_points)
+    members, cmult, rel = set(cap.members), cap.cmult.copy(), cap.relevance_many(every).copy()
+    dup = cap.copy()
+    dup.relevance_many(every)
+    dup.remove_point(min(dup.members))
+    dup.add_point(int(dup.uncovered()[-1]))
+    assert cap.members == members
+    assert np.array_equal(cap.cmult, cmult)
+    assert np.array_equal(cap.relevance_many(every), rel)
+    fresh = CapState.from_ids(model_q3, dup.members)
+    assert np.array_equal(dup.cmult, fresh.cmult)
+    assert np.array_equal(dup.relevance_many(every), fresh.relevance_many(every))
 
 
 def test_from_ids_rejects_ids_off_the_surface(model_q2):
@@ -261,6 +290,9 @@ def test_relevance_vector_tracks_mutations(q, steps, tsets_q2):
                 cap.add_point(int(m[i % m.size]))
         elif op == "remove" and cap.members:
             cap.remove_point(sorted(cap.members)[i % len(cap.members)])
+        assert cap.cmult.dtype == np.uint8 and cap.cmult.max() <= q + 1
+        assert cap.uncovered().dtype == np.intp
+        assert model.pencil(i % n).dtype == np.intp
         read = read or op == "read"
         if not read:
             continue

@@ -298,16 +298,22 @@ def test_relevance_one_implies_cap_size_bound(model_q3):
                     assert step >= q * q
 
 
-def test_backtrack_requires_complete_input(model_q2):
+def test_backtrack_requires_complete_input(model_q2, model_q3):
     with pytest.raises(ValueError):
         backtrack_enlarge(model_q2, [], [0], SearchConfig(rng_seed=0))
+    with pytest.raises(ValueError):
+        backtrack_enlarge(model_q2, [], CapState.from_ids(model_q2, [0]), SearchConfig(rng_seed=0))
+    ovoid = CapState.from_ids(model_q3, classical_ovoid(model_q3))
+    with pytest.raises(ValueError):  # a complete state, of another model
+        backtrack_enlarge(model_q2, [], ovoid, SearchConfig(rng_seed=0))
 
 
 def test_backtrack_requires_seed_inside_cap(model_q2):
     out = complete(model_q2, [], StrategyKind.RANDOM, rng_seed=0)
     outside = [x for x in range(model_q2.num_points) if x not in set(map(int, out.final_cap))]
-    with pytest.raises(ValueError):
-        backtrack_enlarge(model_q2, [outside[0]], out.final_cap, SearchConfig(rng_seed=0))
+    for cap in (out.final_cap, CapState.from_ids(model_q2, out.final_cap)):
+        with pytest.raises(ValueError):
+            backtrack_enlarge(model_q2, [outside[0]], cap, SearchConfig(rng_seed=0))
 
 
 def test_backtrack_on_ovoid_returns_it(model_q3):
@@ -344,6 +350,34 @@ def test_search_rejects_point_ids_that_are_not_integers(model_q3):
         complete(model_q3, [0.5], StrategyKind.RANDOM)
     with pytest.raises(TypeError):
         backtrack_enlarge(model_q3, [float(base.final_cap[0])], base.final_cap, SearchConfig())
+
+
+@pytest.mark.parametrize("q,k", [(3, 0), (3, 6), (5, 0), (5, 40)])
+def test_backtrack_enlarges_a_copy_of_the_completed_state(q, k):
+    model = get_model(q)
+    seed = sample_subcap(classical_ovoid(model), k, SplitMix64(k))
+    enlarge, calls = search.backtrack_enlarge, []
+
+    def spy(model, protected, cap, config):
+        assert isinstance(cap, CapState)
+        size, members, cmult = len(cap), set(cap.members), cap.cmult.copy()
+        out = enlarge(model, protected, cap, config)
+        assert len(cap) == size and cap.members == members
+        assert np.array_equal(cap.cmult, cmult)
+        calls.append((cap.members_sorted(), config, out))
+        return out
+
+    for rng_seed in range(3):
+        with mock.patch.object(search, "backtrack_enlarge", spy), mock.patch.object(
+            CapState, "from_ids", wraps=CapState.from_ids
+        ) as from_ids:
+            complete(model, seed, StrategyKind.BACKTRACK, rng_seed=rng_seed)
+        assert from_ids.call_count == 1
+    assert len(calls) == 3
+    for ids, config, out in calls:  # the state and its ids enlarge alike
+        by_ids = enlarge(model, seed, ids, config)
+        assert np.array_equal(by_ids.final_cap, out.final_cap)
+        assert by_ids.iterations == out.iterations
 
 
 def test_run_strategy_backtrack_dispatch(model_q3):

@@ -96,10 +96,11 @@ def resolve_cap(model: SurfaceModel, payload: dict) -> np.ndarray:
         raise CapFileError(f"capfile-unknown-form: {payload['form']!r}")
     ids = []
     for raw in payload["points"]:
-        if len(raw) != 4 or not all(0 <= c < model.q2 for c in raw) or not any(raw):
-            raise CapFileError(f"capfile-bad-coordinates: {raw}")
-        coords = tuple(raw)
-        if normalize_point(model.field, coords) != coords:
+        try:
+            coords = normalize_point(model.field, raw)
+        except ValueError:  # not four field elements, or all zero
+            raise CapFileError(f"capfile-bad-coordinates: {raw}") from None
+        if coords != tuple(raw):
             raise CapFileError(f"capfile-point-not-normalized: {raw}")
         try:
             ids.append(model.point_id(coords))

@@ -23,8 +23,6 @@ from .rng import SplitMix64
 from .search import SearchConfig, StrategyKind, TieMode, run_strategy, thin_ovoid
 from .verify import run_checks
 
-_STRATEGIES = {s.value: s for s in StrategyKind}
-
 
 def _build_model(q: int):
     return enumerate_surface(build_field(FieldSpec.for_q(q)))
@@ -86,11 +84,7 @@ def cmd_complete(args) -> int:
     seed_ids = np.zeros(0, dtype=np.int32)
     if args.input:
         seed_ids = load_cap_ids(model, args.input)
-    config = SearchConfig(
-        strategy=_STRATEGIES[args.strategy],
-        rng_seed=args.seed,
-        forward_tie_mode=TieMode(args.tie_mode),
-    )
+    config = SearchConfig(strategy=args.strategy, rng_seed=args.seed, forward_tie_mode=args.tie_mode)
     outcome = run_strategy(model, seed_ids, config)
     if args.output:
         write_cap(args.output, model, outcome.final_cap)
@@ -119,7 +113,7 @@ def cmd_spectrum(args) -> int:
     hist, records = run_spectrum(
         model,
         spec,
-        _STRATEGIES[args.strategy],
+        StrategyKind(args.strategy),
         n_runs=args.runs,
         master_seed=args.master,
         jobs=args.jobs,
@@ -177,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="complete a cap")
     _add_q(p)
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="random")
+    p.add_argument("--strategy", choices=sorted(s.value for s in StrategyKind), default="random")
     p.add_argument("--input", help="seed cap file (default: empty seed)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_output(p, "--output", "write the completed cap here")
@@ -188,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="seeded batch runs and histogram")
     _add_q(p)
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="random")
+    p.add_argument("--strategy", choices=sorted(s.value for s in StrategyKind), default="random")
     p.add_argument("--runs", type=int, required=True)
     seed_group = p.add_mutually_exclusive_group(required=True)
     seed_group.add_argument("--empty", action="store_true", help="empty seed cap")

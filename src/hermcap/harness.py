@@ -22,7 +22,7 @@ import multiprocessing
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,14 +45,20 @@ class SeedSpec:
     size: int | None = None
     path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("empty", "subovoid", "fromfile"):
+            raise ValueError(f"unknown seed kind {self.kind!r}")
+        if self.kind == "subovoid" and (type(self.size) is not int or self.size < 0):
+            raise ValueError(f"subovoid size must be an int >= 0, got {self.size!r}")
+        if self.kind == "fromfile" and not self.path:
+            raise ValueError("a fromfile seed needs a path")
+
     @classmethod
     def empty(cls) -> "SeedSpec":
         return cls(kind="empty")
 
     @classmethod
     def subovoid(cls, n: int) -> "SeedSpec":
-        if n < 0:
-            raise ValueError("subovoid size must be >= 0")
         return cls(kind="subovoid", size=n)
 
     @classmethod
@@ -79,14 +85,9 @@ class RunRecord:
 
     def log_fields(self) -> dict:
         # wall time is deliberately not logged: logs must be reproducible
-        return {
-            "run_index": self.run_index,
-            "derived_seed": self.derived_seed,
-            "strategy": self.strategy,
-            "input_size": self.input_size,
-            "final_size": self.final_size,
-            "is_ovoid": self.is_ovoid,
-        }
+        fields = asdict(self)
+        del fields["wall_time_ms"]
+        return fields
 
 
 @dataclass
@@ -126,14 +127,9 @@ def _seed_ids(model: SurfaceModel, spec: SeedSpec, rng: SplitMix64, fixed_ids):
     return fixed_ids
 
 
-def _execute_run(
-    model: SurfaceModel,
-    spec: SeedSpec,
-    strategy: StrategyKind,
-    master_seed: int,
-    run_index: int,
-    fixed_ids,
-) -> RunRecord:
+def _execute_run(args, run_index: int) -> RunRecord:
+    """Run run_index of the sweep args = (model, spec, strategy, master_seed, fixed_ids)."""
+    model, spec, strategy, master_seed, fixed_ids = args
     derived = derive_seed(master_seed, run_index)
     rng = SplitMix64(derived)
     seed_ids = _seed_ids(model, spec, rng, fixed_ids)
@@ -152,8 +148,9 @@ def _execute_run(
     )
 
 
-# a pool worker's (model, spec, strategy, master_seed, fixed_ids), set once by
-# _pool_init; under fork the worker inherits it, so the model is not pickled
+# a pool worker's _execute_run args, set once by _pool_init; under fork the
+# worker inherits them, so the model is not pickled.  pool.map returns the
+# records in run order, and multiprocessing picks the chunk size
 _worker_args = None
 
 
@@ -163,8 +160,7 @@ def _pool_init(args) -> None:
 
 
 def _pool_run(run_index: int) -> RunRecord:
-    model, spec, strategy, master_seed, fixed_ids = _worker_args
-    return _execute_run(model, spec, strategy, master_seed, run_index, fixed_ids)
+    return _execute_run(_worker_args, run_index)
 
 
 def run_spectrum(
@@ -188,12 +184,10 @@ def run_spectrum(
     args = (model, seed_spec, strategy, master_seed, fixed_ids)
     workers = min(jobs, n_runs, os.cpu_count() or 1)
     if workers == 1:
-        records = [_execute_run(model, seed_spec, strategy, master_seed, i, fixed_ids) for i in range(n_runs)]
+        records = [_execute_run(args, i) for i in range(n_runs)]
     else:
         with multiprocessing.Pool(workers, initializer=_pool_init, initargs=(args,)) as pool:
-            chunk = max(1, n_runs // (workers * 8))
-            records = pool.map(_pool_run, range(n_runs), chunksize=chunk)
-    records.sort(key=lambda r: r.run_index)
+            records = pool.map(_pool_run, range(n_runs))
     hist = make_histogram(records, model.q, strategy.value, seed_spec.describe())
     return hist, records
 

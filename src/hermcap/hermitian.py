@@ -61,6 +61,8 @@ CANONICAL_POLE: ProjPoint = (0, 0, 0, 1)
 def normalize_point(field: FieldTables, coords) -> ProjPoint:
     """Scale so the first nonzero coordinate is 1 (canonical representative)."""
     coords = tuple(int(c) for c in coords)
+    if len(coords) != 4 or not all(0 <= c < field.order2 for c in coords):
+        raise ValueError(f"{coords} is not four coordinates in [0, {field.order2})")
     for c in coords:
         if c:
             if c == 1:
@@ -223,7 +225,11 @@ class SurfaceModel:
     # -- point access --------------------------------------------------------
 
     def point_id(self, coords) -> int:
-        """PointId of a (not necessarily normalized) surface point."""
+        """PointId of a (not necessarily normalized) surface point.
+
+        ValueError unless coords are four elements of [0, q^2), KeyError off
+        the surface.
+        """
         norm = normalize_point(self.field, coords)
         key = self._encode_coords(np.array([norm], dtype=np.int32))[0]
         i = int(np.searchsorted(self.keys, key))

@@ -21,10 +21,10 @@ draw, uniform over that tie set:
   is not collinear with y.  c_t(y) counts the uncovered ones of those q + 1
   points;
 * BACKTRACK: random completion, after which ``backtrack_enlarge`` takes a
-  copy of the completed state and removes members of maximal relevance-
-  after-removal until one lower-relevance point can be added, adds it and
-  completes the cap again through ``_complete`` with the minimal weight-
-  after-addition rule.
+  copy of the completed ``CapState`` (the only cap it accepts) and removes
+  members of maximal relevance-after-removal until one lower-relevance point
+  can be added, adds it and completes the cap again through ``_complete``
+  with the minimal weight-after-addition rule.
 
 The rules draw nothing: every draw comes from the run's own deterministic
 RNG stream, one per completion step in ``_complete`` and at most two per
@@ -67,6 +67,11 @@ class SearchConfig:
     rng_seed: int = 0
     forward_tie_mode: TieMode = TieMode.MAX_COUNT
     keep_trace: bool = False
+
+    def __post_init__(self) -> None:
+        # a member or its value; anything else raises ValueError here, not mid-run
+        self.strategy = StrategyKind(self.strategy)
+        self.forward_tie_mode = TieMode(self.forward_tie_mode)
 
 
 @dataclass
@@ -242,23 +247,22 @@ def backtrack_enlarge(
 ) -> SearchOutcome:
     """Try to grow a complete cap by replacing high-relevance members.
 
-    complete_cap is the cap's ids or a complete ``CapState`` of this model;
-    the search runs on a copy of a state, which is left as it was passed.
-    Each of at most q levels removes a member of maximal relevance-after-
-    removal, never one of the protected seed.  At the first level that leaves
-    an uncovered point of lower relevance than the member removed, one such
-    point is added and the cap completed again by minimal weight-after-
-    addition; the result is returned unless it is smaller than the input.
-    Otherwise the input cap is returned unchanged.
+    complete_cap is a complete ``CapState`` of this model (``TypeError`` for
+    anything else); the search runs on a copy, and the state is left as it
+    was passed.  Each of at most q levels removes a member of maximal
+    relevance-after-removal, never one of the protected seed.  At the first
+    level that leaves an uncovered point of lower relevance than the member
+    removed, one such point is added and the cap completed again by minimal
+    weight-after-addition; the result is returned unless it is smaller than
+    the input.  Otherwise the input cap is returned unchanged.
     """
     rng = SplitMix64(config.rng_seed)
     protected = frozenset(checked_ids(model, protected_seed).tolist())
-    if isinstance(complete_cap, CapState):
-        if complete_cap.model is not model:
-            raise ValueError("the cap state belongs to another model")
-        cap = complete_cap.copy()
-    else:
-        cap = CapState.from_ids(model, complete_cap)
+    if not isinstance(complete_cap, CapState):
+        raise TypeError(f"backtracking takes a CapState, not {type(complete_cap).__name__}")
+    if complete_cap.model is not model:
+        raise ValueError("the cap state belongs to another model")
+    cap = complete_cap.copy()
     if not protected <= cap.members:
         raise ValueError("protected seed is not contained in the cap")
     if not cap.is_complete():
@@ -284,9 +288,7 @@ def backtrack_enlarge(
 
 def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
     """Complete the seed cap by config.strategy's rule; BACKTRACK then enlarges the result."""
-    select = _SELECT.get(config.strategy)
-    if select is None:
-        raise HermcapError(f"unknown strategy {config.strategy!r}")
+    select = _SELECT[config.strategy]
     rng = SplitMix64(config.rng_seed)
     cap = CapState.from_ids(model, seed_cap)
     trace = [] if config.keep_trace else None

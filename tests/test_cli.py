@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hermcap
-from hermcap import classical_ovoid
+from hermcap import GapReport, classical_ovoid
 from hermcap.capfile import load_cap_ids, read_cap, resolve_cap, serialize_cap, write_cap
 from hermcap import cli
 from hermcap.cli import main
@@ -292,6 +292,15 @@ _MALFORMED = {
     "point-bool": "capfile-bad-coordinates",
     "point-float": "capfile-bad-coordinates",
     "point-zero": "capfile-bad-coordinates",
+    "point-short": "capfile-bad-coordinates",
+    "point-long": "capfile-bad-coordinates",
+    "point-negative": "capfile-bad-coordinates",
+    "point-outside-field": "capfile-bad-coordinates",
+    "form-missing": "capfile-missing-field",
+    "k-mismatch": "capfile-field-mismatch",
+    "form-unknown": "capfile-unknown-form",
+    "point-scaled": "capfile-point-not-normalized",
+    "point-repeated": "capfile-duplicate-points",
 }
 
 
@@ -312,6 +321,25 @@ def _malformed_cap(kind, model):
         payload["modulus"][-1] = 1.0
     elif kind == "point-zero":
         points[0] = [0, 0, 0, 0]
+    elif kind == "point-short":
+        points[0] = points[0][:3]
+    elif kind == "point-long":
+        points[0] = points[0] + [0]
+    elif kind == "point-negative":
+        points[0][-1] = -1
+    elif kind == "point-outside-field":
+        points[0][-1] = model.q2
+    elif kind == "form-missing":
+        del payload["form"]
+    elif kind == "k-mismatch":
+        payload["k"] = 2
+    elif kind == "form-unknown":
+        payload["form"] = "hermitian"
+    elif kind == "point-scaled":
+        # the first nonzero coordinate becomes 2 instead of 1
+        points[0] = [model.field.mul(2, c) for c in points[0]]
+    elif kind == "point-repeated":
+        points.append(points[0])
     elif kind == "point-bool":
         # a point whose coordinates are all 0 or 1, so true/false compare equal
         i = next(i for i, pt in enumerate(points) if max(pt) == 1)
@@ -337,6 +365,15 @@ def test_malformed_cap_file_exits_1_without_traceback(kind, tmp_path, model_q2, 
     assert f"FAIL capfile-valid ({_MALFORMED[kind]}" in out.out
     assert "first failing invariant: capfile-valid" in out.err
     assert "Traceback" not in out.out + out.err
+
+
+def test_unreadable_cap_file_exits_1_without_traceback(tmp_path, capsys):
+    # a directory: reading it raises an OSError, not a JSON error
+    assert run_cli("complete", "--q", "2", "--input", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: capfile-unreadable") and "Traceback" not in err
+    assert run_cli("verify", "--q", "2", "--cap", str(tmp_path)) == 1
+    assert "FAIL capfile-valid (capfile-unreadable" in capsys.readouterr().out
 
 
 _OUTPUT_ARGVS = [
@@ -422,6 +459,24 @@ def test_spectrum_outputs(tmp_path, capsys):
     assert sum(int(r.split(",")[1]) for r in rows) == 40
     lines = log_path.read_text().strip().split("\n")
     assert len(lines) == 40 and json.loads(lines[0])["run_index"] == 0
+
+
+def test_spectrum_prints_a_gap_report_to_stderr(monkeypatch, capsys):
+    spectrum = ["spectrum", "--q", "2", "--runs", "3", "--empty", "--master", "1"]
+    assert run_cli(*spectrum) == 0
+    assert capsys.readouterr().err == ""
+    seen = []
+
+    def gap_check(records, q):
+        seen.append((len(records), q))
+        return GapReport(q=q, lower=7, upper=9, offenders={8: 3})
+
+    monkeypatch.setattr(cli, "gap_check", gap_check)
+    assert run_cli(*spectrum) == 0
+    out = capsys.readouterr()
+    assert seen == [(3, 2)]
+    assert out.out.startswith("size,count,percent\n")
+    assert out.err == "cap sizes inside (7, 9): 8x3\n"
 
 
 def test_spectrum_jobs_determinism(tmp_path):

@@ -36,6 +36,7 @@ import pytest
 
 import hermcap
 from hermcap import (
+    CapState,
     SearchConfig,
     SeedSpec,
     FieldSpec,
@@ -240,9 +241,10 @@ def enlarge_digest(q, source, protect, n_seeds):
         config = SearchConfig(strategy=StrategyKind.RANDOM, rng_seed=source)
         cap = run_strategy(model, [], config).final_cap
     protected = cap[:protect]
+    state = CapState.from_ids(model, cap)  # backtrack_enlarge leaves it as it was
     payload = []
     for seed in range(4000, 4000 + n_seeds):
-        out = backtrack_enlarge(model, protected, cap, SearchConfig(rng_seed=seed))
+        out = backtrack_enlarge(model, protected, state, SearchConfig(rng_seed=seed))
         payload.append([[int(x) for x in out.final_cap], out.iterations])
     return sha256(json.dumps(payload, separators=(",", ":")).encode())
 

@@ -96,6 +96,14 @@ def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
     assert hist.bins == serial_hist.bins
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_spectrum_returns_records_in_run_order(model_q2, jobs):
+    _, records = run_spectrum(
+        model_q2, SeedSpec.empty(), StrategyKind.RANDOM, n_runs=25, master_seed=8, jobs=jobs
+    )
+    assert [r.run_index for r in records] == list(range(25))
+
+
 def test_run_spectrum_subovoid_seeds_resampled(model_q3):
     _, records = run_spectrum(
         model_q3,
@@ -202,9 +210,26 @@ def test_gap_check_boundaries():
     assert report.lower == 121 and report.upper == 126
 
 
+def test_gap_report_names_its_offenders():
+    assert str(gap_check([], 5)) == "no cap sizes in (121, 126)"
+    report = harness.GapReport(q=5, lower=121, upper=126, offenders={124: 1, 123: 2})
+    assert str(report) == "cap sizes inside (121, 126): 123x2, 124x1"
+
+
+@pytest.mark.parametrize("data", [b"", b"126,1,100.0\n", b"size,count\n126,1\n"])
+def test_parse_histogram_csv_needs_its_header(data):
+    with pytest.raises(ValueError, match="not a histogram CSV"):
+        parse_histogram_csv(data)
+
+
 def test_run_spectrum_rejects_zero_runs(model_q2):
     with pytest.raises(ValueError):
         run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 0, 1)
+
+
+def test_run_spectrum_rejects_zero_jobs(model_q2):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 1, 1, jobs=0)
 
 
 @pytest.mark.parametrize("master", [-1, 2**64])
@@ -219,3 +244,21 @@ def test_seedspec_validation():
     assert SeedSpec.fromfile("x.json").describe() == "file:x.json"
     with pytest.raises(ValueError):
         SeedSpec.subovoid(-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(kind="bogus"),
+        dict(kind="subovoid"),
+        dict(kind="subovoid", size=-1),
+        dict(kind="subovoid", size=True),
+        dict(kind="subovoid", size=2.0),
+        dict(kind="fromfile"),
+        dict(kind="fromfile", path=""),
+    ],
+    ids=repr,
+)
+def test_seedspec_rejects_incomplete_specs(kwargs):
+    with pytest.raises(ValueError):
+        SeedSpec(**kwargs)

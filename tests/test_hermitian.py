@@ -77,6 +77,25 @@ def test_normalization_canonical(model_q3):
         assert normalize_point(f, scaled) == x
 
 
+def test_malformed_coordinates_are_rejected(model_q3):
+    f, q2 = model_q3.field, model_q3.q2
+    with pytest.raises(ValueError, match="four coordinates"):
+        model_q3.point_id((0, 1, 2, -8))  # would wrap to (0, 1, 1, 1)
+    for coords in [(0, 0, 1), (0, 0, 0, 1, 0)]:  # (0, 0, 0, 1, 0) would read as (0, 0, 0, 1)
+        with pytest.raises(ValueError, match="four coordinates"):
+            model_q3.point_id(coords)
+    for pid in range(model_q3.num_points):
+        x = model_q3.coords_of(pid)
+        for i in range(4):
+            for shift in (-q2, q2):
+                bad = list(x)
+                bad[i] += shift
+                with pytest.raises(ValueError, match="four coordinates"):
+                    model_q3.point_id(bad)
+                with pytest.raises(ValueError, match="four coordinates"):
+                    normalize_point(f, bad)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_tangent_sections(q):
     model = get_model(q)

@@ -131,6 +131,34 @@ def test_forward_tie_modes_complete(model_q2, mode):
     assert 5 <= out.size <= 9
 
 
+def test_config_takes_members_or_their_values(model_q3):
+    seed = sample_subcap(classical_ovoid(model_q3), 6, SplitMix64(1))
+
+    def trace(strategy, mode):
+        config = SearchConfig(strategy=strategy, rng_seed=5, forward_tie_mode=mode, keep_trace=True)
+        assert config.strategy is StrategyKind.FORWARD and config.forward_tie_mode is TieMode(mode)
+        return run_strategy(model_q3, seed, config).trace
+
+    for mode in TieMode:
+        assert trace("forward", mode.value) == trace(StrategyKind.FORWARD, mode)
+    assert trace("forward", "max-count") != trace("forward", "min-count")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("strategy", "bogus"),
+        ("strategy", None),
+        ("strategy", TieMode.MAX_COUNT),
+        ("forward_tie_mode", "max"),
+        ("forward_tie_mode", StrategyKind.FORWARD),
+    ],
+)
+def test_config_rejects_unknown_values(field, value):
+    with pytest.raises(ValueError):
+        SearchConfig(**{field: value})
+
+
 def test_forward_scores_match_trial_oracle():
     # every case of the delta scorer must occur: several column blocks,
     # several row blocks, a block of one column and one row, a band row whose
@@ -300,8 +328,6 @@ def test_relevance_one_implies_cap_size_bound(model_q3):
 
 def test_backtrack_requires_complete_input(model_q2, model_q3):
     with pytest.raises(ValueError):
-        backtrack_enlarge(model_q2, [], [0], SearchConfig(rng_seed=0))
-    with pytest.raises(ValueError):
         backtrack_enlarge(model_q2, [], CapState.from_ids(model_q2, [0]), SearchConfig(rng_seed=0))
     ovoid = CapState.from_ids(model_q3, classical_ovoid(model_q3))
     with pytest.raises(ValueError):  # a complete state, of another model
@@ -311,14 +337,21 @@ def test_backtrack_requires_complete_input(model_q2, model_q3):
 def test_backtrack_requires_seed_inside_cap(model_q2):
     out = complete(model_q2, [], StrategyKind.RANDOM, rng_seed=0)
     outside = [x for x in range(model_q2.num_points) if x not in set(map(int, out.final_cap))]
-    for cap in (out.final_cap, CapState.from_ids(model_q2, out.final_cap)):
-        with pytest.raises(ValueError):
-            backtrack_enlarge(model_q2, [outside[0]], cap, SearchConfig(rng_seed=0))
+    cap = CapState.from_ids(model_q2, out.final_cap)
+    with pytest.raises(ValueError):
+        backtrack_enlarge(model_q2, [outside[0]], cap, SearchConfig(rng_seed=0))
+
+
+def test_backtrack_rejects_ids(model_q3):
+    ov = classical_ovoid(model_q3)
+    for ids in (ov, [int(x) for x in ov]):  # a complete cap, but not as a CapState
+        with pytest.raises(TypeError, match="CapState"):
+            backtrack_enlarge(model_q3, [], ids, SearchConfig(rng_seed=0))
 
 
 def test_backtrack_on_ovoid_returns_it(model_q3):
     ov = classical_ovoid(model_q3)
-    out = backtrack_enlarge(model_q3, [], ov, SearchConfig(rng_seed=6))
+    out = backtrack_enlarge(model_q3, [], CapState.from_ids(model_q3, ov), SearchConfig(rng_seed=6))
     assert np.array_equal(out.final_cap, ov)
 
 
@@ -326,11 +359,10 @@ def test_backtrack_contract_and_growth(model_q5):
     base = complete(model_q5, [], StrategyKind.RANDOM, rng_seed=11)
     assert base.size <= 91
     protected = [int(x) for x in base.final_cap[:3]]
+    cap = CapState.from_ids(model_q5, base.final_cap)
     grew = 0
     for i in range(100):
-        out = backtrack_enlarge(
-            model_q5, protected, base.final_cap, SearchConfig(rng_seed=4000 + i)
-        )
+        out = backtrack_enlarge(model_q5, protected, cap, SearchConfig(rng_seed=4000 + i))
         assert_complete_cap(model_q5, out, protected)
         assert out.size >= base.size
         grew += out.size > base.size
@@ -339,7 +371,8 @@ def test_backtrack_contract_and_growth(model_q5):
 
 def test_backtrack_returns_a_fully_protected_cap_unchanged(model_q3):
     base = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=11)
-    out = backtrack_enlarge(model_q3, base.final_cap, base.final_cap, SearchConfig(rng_seed=1))
+    cap = CapState.from_ids(model_q3, base.final_cap)
+    out = backtrack_enlarge(model_q3, base.final_cap, cap, SearchConfig(rng_seed=1))
     assert np.array_equal(out.final_cap, base.final_cap)
     assert out.iterations == 0
 
@@ -348,8 +381,9 @@ def test_search_rejects_point_ids_that_are_not_integers(model_q3):
     base = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=11)
     with pytest.raises(TypeError):
         complete(model_q3, [0.5], StrategyKind.RANDOM)
+    cap = CapState.from_ids(model_q3, base.final_cap)
     with pytest.raises(TypeError):
-        backtrack_enlarge(model_q3, [float(base.final_cap[0])], base.final_cap, SearchConfig())
+        backtrack_enlarge(model_q3, [float(base.final_cap[0])], cap, SearchConfig())
 
 
 @pytest.mark.parametrize("q,k", [(3, 0), (3, 6), (5, 0), (5, 40)])
@@ -374,8 +408,8 @@ def test_backtrack_enlarges_a_copy_of_the_completed_state(q, k):
             complete(model, seed, StrategyKind.BACKTRACK, rng_seed=rng_seed)
         assert from_ids.call_count == 1
     assert len(calls) == 3
-    for ids, config, out in calls:  # the state and its ids enlarge alike
-        by_ids = enlarge(model, seed, ids, config)
+    for ids, config, out in calls:  # the state and one built afresh from its ids enlarge alike
+        by_ids = enlarge(model, seed, CapState.from_ids(model, ids), config)
         assert np.array_equal(by_ids.final_cap, out.final_cap)
         assert by_ids.iterations == out.iterations
 

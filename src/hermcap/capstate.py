@@ -38,8 +38,8 @@ has to visit the pencils of the points whose coverage it flips: adding a
 member subtracts the section counts of the points it newly covers, removing
 one adds the section counts of the points it newly uncovers.
 
-The vector is lazy.  It is built on the first relevance read, from whichever
-of the covered and uncovered sets is smaller (free on an empty cap), and
+The vector is lazy.  It is built on the first relevance read, as
+``section_counts(uncovered())`` (which picks its own method by size), and
 until then ``add_point`` and ``remove_point`` only update the counters, so
 states that never read relevance pay nothing for it.
 
@@ -142,12 +142,7 @@ class CapState:
 
     def _relevance(self) -> np.ndarray:
         if self._rel is None:
-            uncovered = np.flatnonzero(self.cmult == 0)
-            if 2 * len(uncovered) <= self.model.num_points:
-                self._rel = self.model.section_counts(uncovered)
-            else:
-                covered = np.flatnonzero(self.cmult)
-                self._rel = self.model.gx_size - self.model.section_counts(covered)
+            self._rel = self.model.section_counts(self.uncovered())
         return self._rel
 
     # -- queries -------------------------------------------------------------

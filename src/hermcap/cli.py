@@ -113,7 +113,7 @@ def cmd_spectrum(args) -> int:
     hist, records = run_spectrum(
         model,
         spec,
-        StrategyKind(args.strategy),
+        args.strategy,
         n_runs=args.runs,
         master_seed=args.master,
         jobs=args.jobs,

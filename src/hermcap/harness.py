@@ -166,12 +166,13 @@ def _pool_run(run_index: int) -> RunRecord:
 def run_spectrum(
     model: SurfaceModel,
     seed_spec: SeedSpec,
-    strategy: StrategyKind,
+    strategy: StrategyKind | str,
     n_runs: int,
     master_seed: int,
     jobs: int = 1,
 ) -> tuple[Histogram, list[RunRecord]]:
     """n_runs seeded runs on min(jobs, n_runs, CPU count) processes; the same records for any jobs."""
+    strategy = StrategyKind(strategy)  # a member or its value, as in SearchConfig; checked before any run
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if jobs < 1:

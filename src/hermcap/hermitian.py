@@ -36,6 +36,9 @@ itself is never enumerated.
   generator rows through it, is gathered with two takes and never sorted; it
   holds every other point of the section once and x itself q + 1 times, and
   the hot paths take the q extra copies of x off by arithmetic.
+- Section counts bincount the pencils of up to T = 2(q^3 + 1) points, and
+  sum a larger set's per-generator counts over each point's q + 1
+  generators, so no count reads more than 2N(q + 1) ids.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -261,9 +264,21 @@ class SurfaceModel:
         return members.reshape(len(members), self.gx_size + self.q)
 
     def section_counts(self, pids: np.ndarray) -> np.ndarray:
-        """How many of the tangent sections of the distinct pids contain each point."""
-        counts = np.bincount(self.pencil_rows(pids).ravel(), minlength=self.num_points)
-        counts[pids] -= self.q  # a pencil holds its own point q + 1 times
+        """How many of the tangent sections of the distinct pids contain each point.
+
+        Up to T = 2(q^3 + 1) pids, one bincount of their pencils; more are
+        counted on the generators, where a pid conjugate to a point shares
+        exactly one of its q + 1 generators and so counts once.  T pencils
+        hold 2N(q + 1) ids, what the generator path reads, so no count reads
+        more, and a per-step update (at most gx < T pids) stays on pencils.
+        """
+        q = self.q
+        if len(pids) <= 2 * (q**3 + 1):
+            counts = np.bincount(self.pencil_rows(pids).ravel(), minlength=self.num_points)
+        else:
+            gens = _generator_sums(self, pids)
+            counts = sum(gens.take(self._gens_by_point[:, j]) for j in range(q + 1))
+        counts[pids] -= q  # a pid is in its own pencil, and on its own generators, q + 1 times
         return counts
 
     def tangent_rows(self, pids: np.ndarray) -> np.ndarray:
@@ -357,9 +372,14 @@ def checked_id(model: SurfaceModel, pid) -> int:
 
 
 def _generator_sums(model: SurfaceModel, points) -> np.ndarray:
-    """How many of the points lie on each generator, a repeated point counted each time."""
-    counts = np.bincount(checked_ids(model, points), minlength=model.num_points)
-    return counts[model._gen_points].sum(axis=1)
+    """How many of the points lie on each generator, a repeated point counted each time.
+
+    One bincount of length G (the generator count) over each point's q + 1
+    generators: 2G ids at the T = 2(q^3 + 1) points past which
+    ``section_counts`` sums these counts, G(q^2 + 1) for all N points.
+    """
+    gens = model.generators_of(checked_ids(model, points))
+    return np.bincount(gens.ravel(), minlength=len(model._gen_points))
 
 
 def is_cap(model: SurfaceModel, points) -> bool:

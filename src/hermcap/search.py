@@ -72,6 +72,7 @@ class SearchConfig:
         # a member or its value; anything else raises ValueError here, not mid-run
         self.strategy = StrategyKind(self.strategy)
         self.forward_tie_mode = TieMode(self.forward_tie_mode)
+        SplitMix64(self.rng_seed)  # its seed check: ValueError or TypeError here, not in run_strategy
 
 
 @dataclass

@@ -10,6 +10,7 @@ from hermcap import (
     FieldSpec,
     SearchConfig,
     SplitMix64,
+    SurfaceModel,
     build_field,
     classical_ovoid,
     enumerate_generators,
@@ -303,6 +304,28 @@ def test_relevance_vector_tracks_mutations(q, steps, tsets_q2):
                 assert rel[x] + cap.coverage_intersect(x) == gx
                 if q == 2:
                     assert rel[x] == relevance_by_sets(tsets_q2, cap.members, x)
+
+
+def test_large_section_counts_gather_no_pencils_beyond_t(model_q7, monkeypatch):
+    # the relevance build of a seeded cap and from_ids on every point count
+    # on the generators: no pencil_rows call takes more than T = 2(q^3 + 1) ids
+    gathered = []
+    pencil_rows = SurfaceModel.pencil_rows
+
+    def spy(self, pids):
+        gathered.append(len(pids))
+        return pencil_rows(self, pids)
+
+    monkeypatch.setattr(SurfaceModel, "pencil_rows", spy)
+    seed = sample_subcap(model_q7.classical_ovoid_ids(), 60, SplitMix64(1))
+    cap = CapState.from_ids(model_q7, seed)
+    m = cap.uncovered()
+    rel = cap.relevance_many(m)
+    with pytest.raises(CapViolationError, match="point 0 is covered"):
+        CapState.from_ids(model_q7, range(model_q7.num_points))
+    assert max(gathered) <= 2 * (7**3 + 1) == 688
+    for j in range(0, m.size, 97):
+        assert rel[j] == model_q7.gx_size - cap.coverage_intersect(int(m[j]))
 
 
 def test_relevance_against_set_oracle_q2(model_q2):

@@ -222,6 +222,15 @@ def test_parse_histogram_csv_needs_its_header(data):
         parse_histogram_csv(data)
 
 
+def test_run_spectrum_takes_a_strategy_or_its_value(model_q2, monkeypatch):
+    h1, r1 = run_spectrum(model_q2, SeedSpec.empty(), "random", 2, 1)
+    h2, r2 = run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 2, 1)
+    assert h1 == h2 and emit_runlog(r1) == emit_runlog(r2)
+    monkeypatch.setattr(harness, "_execute_run", None)  # a run would raise TypeError
+    with pytest.raises(ValueError):
+        run_spectrum(model_q2, SeedSpec.empty(), "bogus", 2, 1)
+
+
 def test_run_spectrum_rejects_zero_runs(model_q2):
     with pytest.raises(ValueError):
         run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 0, 1)

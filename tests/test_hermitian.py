@@ -123,6 +123,39 @@ def test_pencil_contract(q):
     assert model.pencil_rows(pids[:0]).shape == (0, model.gx_size + q)
 
 
+def _section_count_sizes(model, seed):
+    """Distinct id sets of 0, 1, T, T + 1 and N points, T = 2(q^3 + 1) where section_counts switches."""
+    t, rng = 2 * (model.q**3 + 1), SplitMix64(seed)
+    for size in (0, 1, t, t + 1, model.num_points):
+        yield np.array(rng.sample(range(model.num_points), size), dtype=np.intp)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_section_counts_match_pairwise_oracle(q):
+    model = get_model(q)
+    tsets = tangent_sets_by_pairs(model)
+    for pids in _section_count_sizes(model, 70 + q):
+        expected = [sum(y in tsets[x] for x in pids.tolist()) for y in range(model.num_points)]
+        assert model.section_counts(pids).tolist() == expected
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_section_counts_by_pencils_and_by_generators_agree(q):
+    # both forms, written out here, at every size and with every id twice:
+    # each size takes one path of section_counts, so each path is checked
+    # against the other's form
+    model = get_model(q)
+    on_each = model.generators_of(np.arange(model.num_points))
+    for distinct in _section_count_sizes(model, 80 + q):
+        for pids in (distinct, np.concatenate([distinct, distinct])):
+            by_pencils = np.bincount(model.pencil_rows(pids).ravel(), minlength=model.num_points)
+            per_point = np.bincount(pids, minlength=model.num_points)
+            by_generators = per_point[enumerate_generators(model)].sum(axis=1)[on_each].sum(axis=1)
+            assert np.array_equal(by_pencils, by_generators)
+            by_pencils[pids] -= q
+            assert np.array_equal(model.section_counts(pids), by_pencils)
+
+
 def test_pickled_model_is_small():
     # a spawned worker receives the model by pickle; no per-point section table rides along
     assert len(pickle.dumps(get_model(7))) < 3 * 2**20

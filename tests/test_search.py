@@ -159,6 +159,17 @@ def test_config_rejects_unknown_values(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "seed,error", [(-1, ValueError), (2**64, ValueError), (1.5, TypeError)]
+)
+def test_config_checks_its_rng_seed(seed, error):
+    with pytest.raises(error) as built:
+        SearchConfig(rng_seed=seed)
+    with pytest.raises(error) as drawn:
+        SplitMix64(seed)
+    assert str(built.value) == str(drawn.value)
+
+
 def test_forward_scores_match_trial_oracle():
     # every case of the delta scorer must occur: several column blocks,
     # several row blocks, a block of one column and one row, a band row whose

@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
-from .hermitian import SurfaceModel, checked_id, checked_ids
+from .hermitian import SurfaceModel, _sorted_distinct, checked_id, checked_ids
 
 
 def _covered(x) -> CapViolationError:
@@ -81,7 +81,7 @@ class CapState:
 
         Raises CapViolationError if it is not a cap, ValueError for an id off the surface.
         """
-        members = np.unique(checked_ids(model, ids))
+        members = _sorted_distinct(checked_ids(model, ids))
         counts = model.section_counts(members)
         covered = members[counts[members] != 1]
         if covered.size:

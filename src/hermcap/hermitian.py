@@ -255,11 +255,17 @@ class SurfaceModel:
         return rows.ravel().astype(np.intp)
 
     def generators_of(self, pids: np.ndarray) -> np.ndarray:
-        """(len(pids), q + 1) matrix; row i holds the generators through pids[i]."""
+        """(len(pids), q + 1) matrix; row i holds the generators through pids[i].
+
+        The ids are not checked; callers pass checked ids or ids read off the model.
+        """
         return self._gens_by_point.take(pids, axis=0)
 
     def pencil_rows(self, pids: np.ndarray) -> np.ndarray:
-        """(len(pids), gx_size + q) matrix; row i is ``pencil(pids[i])``."""
+        """(len(pids), gx_size + q) matrix; row i is ``pencil(pids[i])``.
+
+        The ids are not checked; callers pass checked ids or ids read off the model.
+        """
         members = self._gen_points.take(self.generators_of(pids), axis=0)
         return members.reshape(len(members), self.gx_size + self.q)
 
@@ -271,6 +277,7 @@ class SurfaceModel:
         exactly one of its q + 1 generators and so counts once.  T pencils
         hold 2N(q + 1) ids, what the generator path reads, so no count reads
         more, and a per-step update (at most gx < T pids) stays on pencils.
+        The ids are not checked; callers pass checked ids or ids read off the model.
         """
         q = self.q
         if len(pids) <= 2 * (q**3 + 1):
@@ -286,9 +293,10 @@ class SurfaceModel:
 
         The point's copies in q of its generators become the sentinel N, so one
         sort of the pencil leaves the gx distinct ids in front (checked).  No
-        caller in the package; the benchmark tracer wraps it by name.
+        caller in the package; the benchmark tracer wraps it by name.  The ids
+        are read through ``checked_ids``: ValueError for one off the surface.
         """
-        pids = np.asarray(pids, dtype=np.intp)
+        pids = checked_ids(self, pids)
         block = self.pencil_rows(pids)
         rest = block[:, self.q2 + 1 :]
         rest[rest == pids[:, None]] = self.num_points
@@ -369,6 +377,20 @@ def checked_id(model: SurfaceModel, pid) -> int:
     if not 0 <= pid < model.num_points:
         checked_ids(model, [pid])  # raises its ValueError
     return pid
+
+
+def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer id array, as ``np.unique(ids)`` returns them.
+
+    One sort, then a value is kept when it differs from the one before it.
+    ``np.unique`` in numpy 2.4 imports ``numpy.ma`` on its first call, 10-16
+    ms and 1.3 MB of resident memory that every search process would carry.
+    """
+    ids = np.sort(ids, axis=None)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def _generator_sums(model: SurfaceModel, points) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .capstate import CapState
 from .errors import HermcapError
-from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
+from .hermitian import SurfaceModel, _sorted_distinct, checked_ids, enumerate_generators, is_ovoid
 from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
@@ -165,8 +165,11 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     real score and below the int8 limit: a block whose cells are all covered
     leaves its row above 0, which the fallback then counts.  Only the
     diagonal t = y, where q + 1 marks of -64 wrap, is dropped row by row.
-    The fallback drops Z_t from U by position in m, which needs m sorted
-    (Z_t lies in m), and a candidate that leaves no point uncovered counts 0.
+    The fallback counts on the generators too: a y in U outside Z_t meets
+    each point of T(y) & Z_t on exactly one of its q + 1 generators, so y
+    loses the sum of how many points of Z_t each of them holds.  It drops
+    Z_t from U by position in m, which needs m sorted (Z_t lies in m), and a
+    candidate that leaves no point uncovered counts 0.
     phi, its scatter indices and the row temporaries stay within
     LOOKAHEAD_BLOCK_BYTES, and the cap is not mutated.
     """
@@ -209,8 +212,10 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
             np.minimum(b, low, out=b)
     for j in np.flatnonzero(best > 0):
         row = model.pencil(int(m[j]))
-        z = np.unique(row[uncovered.take(row)])  # m[j] is in its pencil q + 1 times
-        after = np.delete(rel - model.section_counts(z)[m], np.searchsorted(m, z))
+        z = _sorted_distinct(row[uncovered.take(row)])  # m[j] is in its pencil q + 1 times
+        on = np.bincount(model.generators_of(z).ravel(), minlength=num_gens)
+        hits = sum(on.take(gens[:, c]) for c in range(q1))
+        after = np.delete(rel - hits, np.searchsorted(m, z))
         count[j] = np.count_nonzero(after == after.min()) if after.size else 0
     return count
 
@@ -329,7 +334,7 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
             raise HermcapError("no admissible witness point; ovoid thinning failed")
         rng.shuffle(pool)
         for witness in pool:
-            row = np.unique(model.pencil(witness))
+            row = _sorted_distinct(model.pencil(witness))
             coverers = [int(z) for z in row if int(z) in cs.members]
             rng.shuffle(coverers)
             omega: list[int] = []

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermcap import (
     CANONICAL_POLE,
@@ -18,7 +20,7 @@ from hermcap import (
     run_strategy,
 )
 
-from hermcap.hermitian import checked_ids
+from hermcap.hermitian import _sorted_distinct, checked_ids
 
 from .conftest import get_model
 from .oracles import (
@@ -325,6 +327,31 @@ def test_checked_ids_takes_a_signed_integer_array_as_it_is(model_q2):
         checked_ids(model_q2, np.array([1.0]))
     with pytest.raises(ValueError):
         checked_ids(model_q2, np.array([0, model_q2.num_points], dtype=np.int16))
+
+
+def test_tangent_rows_check_their_ids(model_q2):
+    # bad input is a ValueError, not a corrupted-model ConfigurationError or an IndexError
+    n = model_q2.num_points
+    for bad in ([-1], [n], [0, n]):
+        with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
+            model_q2.tangent_rows(np.array(bad))
+    assert np.array_equal(model_q2.tangent_rows([3, 0]), model_q2.tangent_rows(np.array([3, 0])))
+
+
+@settings(deadline=None)
+@given(
+    dtype=st.sampled_from([np.int32, np.int64, np.intp]),
+    values=st.lists(st.integers(-(2**31), 2**31 - 1) | st.integers(0, 9), max_size=30),
+    repeats=st.integers(1, 3),
+)
+@example(dtype=np.int32, values=[], repeats=1)
+@example(dtype=np.int64, values=[7], repeats=1)
+@example(dtype=np.intp, values=[7], repeats=3)
+def test_sorted_distinct_matches_np_unique(dtype, values, repeats):
+    ids = np.array(values * repeats, dtype=dtype)
+    got, want = _sorted_distinct(ids), np.unique(ids)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_generator_array_is_read_only(model_q2):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,52 @@ def test_the_check_sees_a_nested_package_import():
 )
 def test_module_imports_the_package_at_module_level(path):
     assert nested_package_imports(path.read_text()) == []
+
+
+_SEARCH_WITHOUT_MASKED_ARRAYS = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    raise SystemExit(77)  # numpy 1.x imports it with numpy itself
+from hermcap import (
+    CapState, FieldSpec, SearchConfig, SeedSpec, SplitMix64, StrategyKind, build_field,
+    classical_ovoid, enumerate_surface, run_spectrum, run_strategy, sample_subcap, thin_ovoid,
+)
+from hermcap import search
+
+model = enumerate_surface(build_field(FieldSpec(3, 1)))
+ov = classical_ovoid(model)
+CapState.from_ids(model, [ov[0], ov[3], ov[0], ov[3]])
+seed = sample_subcap(ov, 5, SplitMix64(1))
+for strategy in StrategyKind:
+    for ids in ([], seed):
+        run_strategy(model, ids, SearchConfig(strategy=strategy, rng_seed=1, keep_trace=True))
+# the q = 4 state of test_forward_fallback_when_a_point_off_the_band_ties,
+# whose candidate 441 the forward scorer counts by its exact fallback
+model4 = enumerate_surface(build_field(FieldSpec(2, 2)))
+cap = CapState(model4)
+for x in [973, 446, 788, 461, 952, 558, 407, 790, 635, 727, 320, 207, 139, 941, 876, 432, 749]:
+    cap.add_point(x)
+m = cap.uncovered()
+search._forward_scores(cap, m, cap.relevance_many(m))
+thin_ovoid(model, ov, SplitMix64(2))
+run_spectrum(model, SeedSpec.subovoid(5), StrategyKind.FORWARD, 3, 1, jobs=1)
+assert "numpy.ma" not in sys.modules, "a search run imported numpy.ma"
+"""
+
+
+def test_search_runs_do_not_import_masked_arrays():
+    # np.unique imports numpy.ma on its first call in numpy 2.4, about 1.3 MB
+    # of resident memory in every run process; a fresh child starts without it
+    src = str(Path(hermcap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEARCH_WITHOUT_MASKED_ARRAYS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    if proc.returncode == 77:
+        pytest.skip("this numpy imports numpy.ma on import")
+    assert proc.returncode == 0, proc.stderr

@@ -27,21 +27,30 @@ relevance + coverage_intersect is identically the tangent-section size.  The
 two coverage notions differ: the multiplicity drives the weight, while the
 intersection count complements relevance.
 
-Relevance is read from a vector kept next to the counters, with the invariant
+Relevance is read from per-generator counts kept next to the counters, one
+per generator g (G = (q^3 + 1)(q + 1) of them), with the invariant
 
-    _rel[x] == #{y in tangent(x) : cmult[y] == 0}    for every point x.
+    _unc[g] == #{y on g : cmult[y] == 0}    for every generator g.
 
-Conjugacy is symmetric (x in tangent(y) exactly when y in tangent(x)), so
-_rel[x] also counts the uncovered points whose tangent section holds x, which
-is the ``section_counts`` of the uncovered points.  A mutation therefore only
-has to visit the pencils of the points whose coverage it flips: adding a
-member subtracts the section counts of the points it newly covers, removing
-one adds the section counts of the points it newly uncovers.
+H(3, q^2) is a generalized quadrangle: the tangent section of x is the union
+of the q + 1 generators through x, and any two of them meet only in x.  So
+summing _unc over x's generators counts every uncovered point of tangent(x)
+once, except x itself, counted q + 1 times when it is uncovered:
 
-The vector is lazy.  It is built on the first relevance read, as
-``section_counts(uncovered())`` (which picks its own method by size), and
-until then ``add_point`` and ``remove_point`` only update the counters, so
-states that never read relevance pay nothing for it.
+    relevance(x) == sum of _unc[g] over g through x  -  q * (cmult[x] == 0),
+
+exact for members, covered and uncovered points alike.  A mutation only has
+to update the generators of the points whose coverage it flips: adding a
+member subtracts ``_generator_sums`` of the points it newly covers, removing
+one adds that of the points it newly uncovers.  A step thus reads one pencil
+(gx + q ids) and bincounts at most (q + 1) gx generator ids into G counts,
+and a read gathers each point's q + 1 generators and adds q + 1 takes of
+_unc; nothing a step does is of length N.
+
+The counts are lazy.  They are built on the first relevance read, as
+``_generator_sums(uncovered())``, and until then ``add_point`` and
+``remove_point`` only update the counters, so states that never read
+relevance pay nothing for it.
 
 Weights are exact Fractions from one kernel, ``_weights``: a member's own, and
 the weight a candidate would have right after joining, which backtracking
@@ -59,7 +68,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
-from .hermitian import SurfaceModel, _sorted_distinct, checked_id, checked_ids
+from .hermitian import SurfaceModel, _generator_sums, _sorted_distinct, checked_id, checked_ids
 
 
 def _covered(x) -> CapViolationError:
@@ -67,13 +76,13 @@ def _covered(x) -> CapViolationError:
 
 
 class CapState:
-    __slots__ = ("model", "members", "cmult", "_rel")
+    __slots__ = ("model", "members", "cmult", "_unc")
 
     def __init__(self, model: SurfaceModel):
         self.model = model
         self.members: set[int] = set()
         self.cmult = np.zeros(model.num_points, dtype=np.uint8)
-        self._rel: np.ndarray | None = None  # relevance of every point, once read
+        self._unc: np.ndarray | None = None  # uncovered points on each generator, once read
 
     @classmethod
     def from_ids(cls, model: SurfaceModel, ids) -> "CapState":
@@ -113,9 +122,9 @@ class CapState:
             raise _covered(x)
         row = self.model.pencil(x)
         vals = self.cmult.take(row)
-        if self._rel is not None:
-            new = row[vals == 0]  # holds x q + 1 times; section_counts wants it once
-            self._rel -= self.model.section_counts(np.append(new[new != x], x))
+        if self._unc is not None:
+            new = row[vals == 0]  # holds x q + 1 times; counted once
+            self._unc -= _generator_sums(self.model, np.append(new[new != x], x))
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -133,26 +142,38 @@ class CapState:
         row = self.model.pencil(x)
         vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
-        if self._rel is not None:
+        if self._unc is not None:
             new = row[vals == 0]
-            self._rel += self.model.section_counts(np.append(new[new != x], x))
+            self._unc += _generator_sums(self.model, np.append(new[new != x], x))
         self.members.remove(x)
 
-    # -- relevance vector ----------------------------------------------------
+    # -- relevance -----------------------------------------------------------
 
-    def _relevance(self) -> np.ndarray:
-        if self._rel is None:
-            self._rel = self.model.section_counts(self.uncovered())
-        return self._rel
+    def _relevance(self, ids: np.ndarray) -> np.ndarray:
+        """Relevance of checked ids: _unc summed over each one's q + 1 generators.
+
+        An uncovered id is on all q + 1 of them, so it is taken off q times.
+        One row take of _unc per generator index reads contiguous ids, which
+        is faster than one take of the whole (len(ids), q + 1) matrix summed
+        along its short axis.
+        """
+        if self._unc is None:
+            self._unc = _generator_sums(self.model, self.uncovered())
+        gens = self.model.generators_of(ids).T.astype(np.intp, order="C")
+        rel = self._unc.take(gens[0])
+        for row in gens[1:]:
+            rel += self._unc.take(row)
+        rel[self.cmult.take(ids) == 0] -= self.model.q
+        return rel
 
     # -- queries -------------------------------------------------------------
 
     def relevance(self, x: int) -> int:
         """Number of points newly covered if x joined the cap (0 for members)."""
-        return int(self._relevance()[checked_id(self.model, x)])
+        return int(self._relevance(np.array([checked_id(self.model, x)]))[0])
 
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        return self._relevance()[checked_ids(self.model, ids)]
+        return self._relevance(checked_ids(self.model, ids))
 
     def removal_relevance(self, x: int) -> int:
         """relevance(x) with respect to the cap minus x; x must be a member."""

@@ -38,7 +38,8 @@ itself is never enumerated.
   the hot paths take the q extra copies of x off by arithmetic.
 - Section counts bincount the pencils of up to T = 2(q^3 + 1) points, and
   sum a larger set's per-generator counts over each point's q + 1
-  generators, so no count reads more than 2N(q + 1) ids.
+  generators, so no count reads more than 2N(q + 1) ids.  They seed a cap's
+  coverage counters; relevance is kept on the generators instead.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -276,8 +277,8 @@ class SurfaceModel:
         counted on the generators, where a pid conjugate to a point shares
         exactly one of its q + 1 generators and so counts once.  T pencils
         hold 2N(q + 1) ids, what the generator path reads, so no count reads
-        more, and a per-step update (at most gx < T pids) stays on pencils.
-        The ids are not checked; callers pass checked ids or ids read off the model.
+        more.  ``CapState.from_ids`` is the one caller in the package.  The
+        ids are not checked; callers pass checked ids or ids read off the model.
         """
         q = self.q
         if len(pids) <= 2 * (q**3 + 1):
@@ -399,6 +400,7 @@ def _generator_sums(model: SurfaceModel, points) -> np.ndarray:
     One bincount of length G (the generator count) over each point's q + 1
     generators: 2G ids at the T = 2(q^3 + 1) points past which
     ``section_counts`` sums these counts, G(q^2 + 1) for all N points.
+    ``CapState`` keeps these counts of its uncovered points to read relevance.
     """
     gens = model.generators_of(checked_ids(model, points))
     return np.bincount(gens.ravel(), minlength=len(model._gen_points))

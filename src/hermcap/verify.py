@@ -109,6 +109,8 @@ def _surface_checks(model: SurfaceModel) -> Iterator[CheckResult]:
 def _capstate_checks(model: SurfaceModel) -> Iterator[CheckResult]:
     rng = SplitMix64(99)
     cap = CapState(model)
+    sample = np.arange(0, model.num_points, max(1, model.num_points // 128))
+    cap.relevance_many(sample)  # builds the relevance counts, so the mutations update them
     for _ in range(64):
         m = cap.uncovered()
         if m.size and (not cap.members or rng.randbelow(3)):
@@ -116,12 +118,12 @@ def _capstate_checks(model: SurfaceModel) -> Iterator[CheckResult]:
         elif cap.members:
             cap.remove_point(rng.choice(sorted(cap.members)))
     fresh = CapState.from_ids(model, cap.members)
-    yield CheckResult("capstate-incremental-exact", bool(np.array_equal(fresh.cmult, cap.cmult)))
-    gx = model.gx_size
-    ident = all(
-        cap.relevance(x) + cap.coverage_intersect(x) == gx
-        for x in range(0, model.num_points, max(1, model.num_points // 128))
+    exact = np.array_equal(fresh.cmult, cap.cmult) and np.array_equal(
+        fresh.relevance_many(sample), cap.relevance_many(sample)
     )
+    yield CheckResult("capstate-incremental-exact", bool(exact))
+    gx = model.gx_size
+    ident = all(cap.relevance(x) + cap.coverage_intersect(x) == gx for x in sample.tolist())
     yield CheckResult("capstate-relevance-coverage-identity", ident)
     if cap.members:
         members_mult = all(cap.coverage_mult(x) == 1 for x in cap.members)

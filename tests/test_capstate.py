@@ -10,6 +10,7 @@ from hermcap import (
     FieldSpec,
     SearchConfig,
     SplitMix64,
+    StrategyKind,
     SurfaceModel,
     build_field,
     classical_ovoid,
@@ -326,6 +327,30 @@ def test_large_section_counts_gather_no_pencils_beyond_t(model_q7, monkeypatch):
     assert max(gathered) <= 2 * (7**3 + 1) == 688
     for j in range(0, m.size, 97):
         assert rel[j] == model_q7.gx_size - cap.coverage_intersect(int(m[j]))
+
+
+@pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)
+def test_completion_steps_count_no_sections(model_q5, strategy, monkeypatch):
+    # relevance is kept on the generators, so a run's one section count is
+    # from_ids seeding the cap, and under min-relevance that count's own
+    # pencil rows are the only ones gathered
+    gathered = {"section_counts": [], "pencil_rows": []}
+    for name, seen in gathered.items():
+        method = getattr(SurfaceModel, name)
+
+        def spy(self, pids, method=method, seen=seen):
+            seen.append(len(pids))
+            return method(self, pids)
+
+        monkeypatch.setattr(SurfaceModel, name, spy)
+    seed = sample_subcap(model_q5.classical_ovoid_ids(), 10, SplitMix64(10))
+    out = run_strategy(model_q5, seed, SearchConfig(strategy=strategy, rng_seed=5))
+    assert out.iterations > 1
+    assert gathered["section_counts"] == [10]
+    if strategy is StrategyKind.MIN_RELEVANCE:
+        assert gathered["pencil_rows"] == [10]
+    cap = CapState.from_ids(model_q5, seed)
+    assert cap.relevance_many(cap.uncovered()).dtype == np.int64  # the forward scorer subtracts from it
 
 
 def test_relevance_against_set_oracle_q2(model_q2):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hermcap
-from hermcap import GapReport, classical_ovoid
+from hermcap import CapState, GapReport, classical_ovoid
 from hermcap.capfile import load_cap_ids, read_cap, resolve_cap, serialize_cap, write_cap
 from hermcap import cli
 from hermcap.cli import main
@@ -222,6 +222,22 @@ def test_verify_fails_on_a_rolled_model_without_hanging():
     assert failing[3].startswith("FAIL surface-checks-raised")
     assert any(line.startswith("FAIL search-checks-raised (HermcapError") for line in lines)
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_verify_catches_a_dropped_relevance_update(model_q3, monkeypatch):
+    # add_point keeps its coverage counters but undoes its relevance update:
+    # only the comparison of relevance with a fresh state can tell
+    add_point = CapState.add_point
+
+    def dropped(cap, x):
+        unc = None if cap._unc is None else cap._unc.copy()
+        add_point(cap, x)
+        cap._unc = unc
+
+    monkeypatch.setattr(CapState, "add_point", dropped)
+    results = {r.name: r.ok for r in run_checks(model_q3)}
+    assert results["capstate-incremental-exact"] is False
+    assert results["field-ring-axioms"] and results["search-deterministic"]
 
 
 def test_verify_check_names_keep_their_order(model_q2, tmp_path):

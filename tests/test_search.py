@@ -277,12 +277,12 @@ def test_lookahead_leaves_the_state_untouched(q, k):
     cap = CapState.from_ids(model, sample_subcap(classical_ovoid(model), k, SplitMix64(k)))
     m = cap.uncovered()
     assert cap.relevance_many(m).min() > 1  # no relevance-1 shortcut
-    members, cmult, rel = set(cap.members), cap.cmult.tobytes(), cap._rel.tobytes()
+    members, cmult, unc = set(cap.members), cap.cmult.tobytes(), cap._unc.tobytes()
     config = SearchConfig(strategy=StrategyKind.FORWARD)
     search._select_lookahead(cap, m, config)
     assert cap.members == members
     assert cap.cmult.tobytes() == cmult
-    assert cap._rel.tobytes() == rel
+    assert cap._unc.tobytes() == unc
 
 
 @pytest.mark.parametrize("q,k", [(3, 0), (5, 40)])

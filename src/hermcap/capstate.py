@@ -39,13 +39,26 @@ once, except x itself, counted q + 1 times when it is uncovered:
 
     relevance(x) == sum of _unc[g] over g through x  -  q * (cmult[x] == 0),
 
-exact for members, covered and uncovered points alike.  A mutation only has
-to update the generators of the points whose coverage it flips: adding a
-member subtracts ``_generator_sums`` of the points it newly covers, removing
-one adds that of the points it newly uncovers.  A step thus reads one pencil
-(gx + q ids) and bincounts at most (q + 1) gx generator ids into G counts,
-and a read gathers each point's q + 1 generators and adds q + 1 takes of
-_unc; nothing a step does is of length N.
+exact for members, covered and uncovered points alike.  Both reads share one
+kernel, ``_generator_relevance``: one transposed ``generators_of`` gather and
+q + 1 row takes of _unc, added up in place.  ``relevance_many`` checks its
+ids and takes q off those it finds uncovered; ``uncovered_relevance`` is the
+search's read, and its ids are uncovered by precondition (the array
+``uncovered()`` returns, or a filtered copy of it), so it checks nothing and
+takes q off every one as a scalar.  A covered id passed to it reads q too
+low.
+
+A mutation only has to update the generators of the points whose coverage
+it flips: adding a member subtracts the per-generator counts of the points
+it newly covers, removing one adds those of the points it newly uncovers.
+Those points are the zeros of the member's pencil (before the increment, or
+after the decrement), which hold the member itself q + 1 times, once per
+generator through it; one bincount of their generators counts it q + 1
+times on each of its own q + 1 generators, so the q surplus copies are put
+back there.  A step thus reads one pencil (gx + q ids) and bincounts at most
+(q + 1)(gx + q) generator ids into G counts, and a read gathers each point's
+q + 1 generators and adds q + 1 takes of _unc; nothing a step does is of
+length N.
 
 The counts are lazy.  They are built on the first relevance read, as
 ``_generator_sums(uncovered())``, and until then ``add_point`` and
@@ -123,8 +136,7 @@ class CapState:
         row = self.model.pencil(x)
         vals = self.cmult.take(row)
         if self._unc is not None:
-            new = row[vals == 0]  # holds x q + 1 times; counted once
-            self._unc -= _generator_sums(self.model, np.append(new[new != x], x))
+            self._unc -= self._flipped(x, row[vals == 0])
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -143,19 +155,29 @@ class CapState:
         vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
         if self._unc is not None:
-            new = row[vals == 0]
-            self._unc += _generator_sums(self.model, np.append(new[new != x], x))
+            self._unc += self._flipped(x, row[vals == 0])
         self.members.remove(x)
 
     # -- relevance -----------------------------------------------------------
 
-    def _relevance(self, ids: np.ndarray) -> np.ndarray:
-        """Relevance of checked ids: _unc summed over each one's q + 1 generators.
+    def _flipped(self, x: int, flipped: np.ndarray) -> np.ndarray:
+        """How many of the points whose coverage x flips lie on each generator.
 
-        An uncovered id is on all q + 1 of them, so it is taken off q times.
-        One row take of _unc per generator index reads contiguous ids, which
-        is faster than one take of the whole (len(ids), q + 1) matrix summed
-        along its short axis.
+        flipped is the zeros of x's pencil, where x stands q + 1 times: the
+        bincount counts x q + 1 times on each of x's generators, and the q
+        surplus copies come off there.
+        """
+        on = np.bincount(self.model.generators_of(flipped).ravel(), minlength=self._unc.size)
+        on[self.model.generators_of(x)] -= self.model.q
+        return on
+
+    def _generator_relevance(self, ids: np.ndarray) -> np.ndarray:
+        """_unc summed over each of the ids' q + 1 generators, as int64.
+
+        Uncovered ids still count themselves q + 1 times.  One row take of
+        _unc per generator index reads contiguous ids, which is faster than
+        one take of the whole (len(ids), q + 1) matrix summed along its short
+        axis.
         """
         if self._unc is None:
             self._unc = _generator_sums(self.model, self.uncovered())
@@ -163,17 +185,33 @@ class CapState:
         rel = self._unc.take(gens[0])
         for row in gens[1:]:
             rel += self._unc.take(row)
-        rel[self.cmult.take(ids) == 0] -= self.model.q
         return rel
 
     # -- queries -------------------------------------------------------------
 
     def relevance(self, x: int) -> int:
         """Number of points newly covered if x joined the cap (0 for members)."""
-        return int(self._relevance(np.array([checked_id(self.model, x)]))[0])
+        x = checked_id(self.model, x)
+        rel = int(self._generator_relevance(np.array([x]))[0])
+        return rel - self.model.q if self.cmult[x] == 0 else rel
 
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        return self._relevance(checked_ids(self.model, ids))
+        """relevance of each of ids, as int64; ValueError for an id off the surface."""
+        ids = checked_ids(self.model, ids)
+        rel = self._generator_relevance(ids)
+        rel[self.cmult.take(ids) == 0] -= self.model.q
+        return rel
+
+    def uncovered_relevance(self, m: np.ndarray) -> np.ndarray:
+        """relevance_many(m) for uncovered ids m, as int64.
+
+        Every id of m must be uncovered, as in ``uncovered()`` or a filtered
+        copy of it.  This is not checked, as for ``generators_of``: a covered
+        id reads q too low, and an id off the surface is not caught.
+        """
+        rel = self._generator_relevance(m)
+        rel -= self.model.q
+        return rel
 
     def removal_relevance(self, x: int) -> int:
         """relevance(x) with respect to the cap minus x; x must be a member."""
@@ -229,5 +267,5 @@ class CapState:
         m = self.uncovered()
         if len(m) == 0:
             raise CapCompleteError("cap is complete; no uncovered points")
-        rel = self.relevance_many(m)
+        rel = self.uncovered_relevance(m)
         return int(rel.min()), int(rel.max())

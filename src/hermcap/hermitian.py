@@ -394,23 +394,24 @@ def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
-def _generator_sums(model: SurfaceModel, points) -> np.ndarray:
-    """How many of the points lie on each generator, a repeated point counted each time.
+def _generator_sums(model: SurfaceModel, pids: np.ndarray) -> np.ndarray:
+    """How many of the pids lie on each generator, a repeated pid counted each time.
 
-    One bincount of length G (the generator count) over each point's q + 1
+    One bincount of length G (the generator count) over each pid's q + 1
     generators: 2G ids at the T = 2(q^3 + 1) points past which
     ``section_counts`` sums these counts, G(q^2 + 1) for all N points.
     ``CapState`` keeps these counts of its uncovered points to read relevance.
+    The ids are not checked; callers pass checked ids or ids read off the model.
     """
-    gens = model.generators_of(checked_ids(model, points))
+    gens = model.generators_of(pids)
     return np.bincount(gens.ravel(), minlength=len(model._gen_points))
 
 
 def is_cap(model: SurfaceModel, points) -> bool:
     """True iff every generator holds at most one of the points (a repeated id counts twice)."""
-    return bool((_generator_sums(model, points) <= 1).all())
+    return bool((_generator_sums(model, checked_ids(model, points)) <= 1).all())
 
 
 def is_ovoid(model: SurfaceModel, points) -> bool:
     """True iff every generator holds exactly one of the points."""
-    return bool((_generator_sums(model, points) == 1).all())
+    return bool((_generator_sums(model, checked_ids(model, points)) == 1).all())

@@ -126,7 +126,7 @@ def _select_random(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.nda
 
 
 def _select_min_relevance(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
-    rel = cap.relevance_many(m)
+    rel = cap.uncovered_relevance(m)
     return m[rel == rel.min()]
 
 
@@ -145,7 +145,7 @@ def _block_minima(phi: np.ndarray, rows: np.ndarray, off: np.ndarray, diag: np.n
 
 
 def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """rho(t) for every t in m, the sorted uncovered set, where rel = cap.relevance_many(m).
+    """rho(t) for every t in m, the sorted uncovered set, where rel = cap.uncovered_relevance(m).
 
     Only the band B of points with rel(y) <= min rel + q + 1 is scored: as
     c_t(y) <= q + 1, no point outside B can be minimal once some point of B
@@ -225,7 +225,7 @@ def _select_lookahead(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.
         # PGU(4, q^2) is transitive on the points, and a point's stabilizer on the
         # points not conjugate to it: every candidate scores the same
         return m
-    rel = cap.relevance_many(m)
+    rel = cap.uncovered_relevance(m)
     if int(rel.min()) == 1:
         # a relevance-1 point covers only itself; adding one is always safe
         return m[rel == 1]
@@ -282,7 +282,7 @@ def backtrack_enlarge(
         worst = int(rvals.max())
         cap.remove_point(int(rng.choice(removable[rvals == worst])))
         m = cap.uncovered()
-        better = m[cap.relevance_many(m) < worst]
+        better = m[cap.uncovered_relevance(m) < worst]
         if better.size:
             cap.add_point(int(rng.choice(better)))
             added = 1 + _complete(cap, _select_min_weight, rng, config, None)

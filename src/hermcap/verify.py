@@ -118,8 +118,11 @@ def _capstate_checks(model: SurfaceModel) -> Iterator[CheckResult]:
         elif cap.members:
             cap.remove_point(rng.choice(sorted(cap.members)))
     fresh = CapState.from_ids(model, cap.members)
-    exact = np.array_equal(fresh.cmult, cap.cmult) and np.array_equal(
-        fresh.relevance_many(sample), cap.relevance_many(sample)
+    m = cap.uncovered()
+    exact = (
+        np.array_equal(fresh.cmult, cap.cmult)
+        and np.array_equal(fresh.relevance_many(sample), cap.relevance_many(sample))
+        and np.array_equal(fresh.relevance_many(m), cap.uncovered_relevance(m))
     )
     yield CheckResult("capstate-incremental-exact", bool(exact))
     gx = model.gx_size

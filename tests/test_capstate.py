@@ -21,6 +21,7 @@ from hermcap import (
     sample_subcap,
 )
 from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
+from hermcap.hermitian import _generator_sums
 
 from .conftest import get_model
 from .oracles import relevance_by_sets, tangent_sets_by_pairs
@@ -307,6 +308,30 @@ def test_relevance_vector_tracks_mutations(q, steps, tsets_q2):
                     assert rel[x] == relevance_by_sets(tsets_q2, cap.members, x)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(["add", "remove", "copy"]), st.integers(0, 2**16)), max_size=30))
+def test_uncovered_read_matches_the_checked_read(q, steps):
+    # the unchecked read's scalar shift and the count updates' put-back of
+    # the member's surplus copies, after every mutation and on fresh copies
+    model = get_model(q)
+    cap = CapState(model)
+    for op, i in steps + [("copy", 0)]:
+        if op == "add":
+            m = cap.uncovered()
+            if m.size:
+                cap.add_point(int(m[i % m.size]))
+        elif op == "remove" and cap.members:
+            cap.remove_point(sorted(cap.members)[i % len(cap.members)])
+        elif op == "copy":
+            cap = cap.copy()
+        m = cap.uncovered()
+        rel = cap.uncovered_relevance(m)
+        assert rel.dtype == np.int64
+        assert np.array_equal(rel, cap.relevance_many(m))
+        assert np.array_equal(cap._unc, _generator_sums(model, m))
+
+
 def test_large_section_counts_gather_no_pencils_beyond_t(model_q7, monkeypatch):
     # the relevance build of a seeded cap and from_ids on every point count
     # on the generators: no pencil_rows call takes more than T = 2(q^3 + 1) ids
@@ -350,7 +375,32 @@ def test_completion_steps_count_no_sections(model_q5, strategy, monkeypatch):
     if strategy is StrategyKind.MIN_RELEVANCE:
         assert gathered["pencil_rows"] == [10]
     cap = CapState.from_ids(model_q5, seed)
-    assert cap.relevance_many(cap.uncovered()).dtype == np.int64  # the forward scorer subtracts from it
+    # the forward scorer subtracts from it
+    assert cap.relevance_many(cap.uncovered()).dtype == np.int64
+    assert cap.uncovered_relevance(cap.uncovered()).dtype == np.int64
+
+
+@pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)
+def test_completion_steps_read_relevance_of_uncovered_ids_only(model_q5, strategy, monkeypatch):
+    # the rules read relevance over their own uncovered array: no run checks
+    # ids or reads coverage through relevance_many, and min-relevance reads
+    # once per step
+    reads = {"relevance_many": [], "uncovered_relevance": []}
+    for name, seen in reads.items():
+        method = getattr(CapState, name)
+
+        def spy(self, ids, method=method, seen=seen):
+            seen.append(len(ids))
+            return method(self, ids)
+
+        monkeypatch.setattr(CapState, name, spy)
+    seed = sample_subcap(model_q5.classical_ovoid_ids(), 10, SplitMix64(10))
+    out = run_strategy(model_q5, seed, SearchConfig(strategy=strategy, rng_seed=5))
+    assert out.iterations > 1
+    assert reads["relevance_many"] == []
+    assert reads["uncovered_relevance"]
+    if strategy is StrategyKind.MIN_RELEVANCE:
+        assert len(reads["uncovered_relevance"]) == out.iterations
 
 
 def test_relevance_against_set_oracle_q2(model_q2):

@@ -240,6 +240,33 @@ def test_verify_catches_a_dropped_relevance_update(model_q3, monkeypatch):
     assert results["field-ring-axioms"] and results["search-deterministic"]
 
 
+def _read_skips_its_shift(monkeypatch):
+    read = CapState.uncovered_relevance
+    monkeypatch.setattr(CapState, "uncovered_relevance", lambda cap, m: read(cap, m) + cap.model.q)
+
+
+def _add_skips_the_put_back(monkeypatch):
+    # x's pencil holds x q + 1 times; leave its q surplus copies subtracted
+    add_point = CapState.add_point
+
+    def skipped(cap, x):
+        add_point(cap, x)
+        if cap._unc is not None:
+            cap._unc[cap.model.generators_of(x)] -= cap.model.q
+
+    monkeypatch.setattr(CapState, "add_point", skipped)
+
+
+@pytest.mark.parametrize("fault", [_read_skips_its_shift, _add_skips_the_put_back], ids=lambda f: f.__name__[1:])
+def test_verify_catches_a_wrong_uncovered_read(model_q3, monkeypatch, fault):
+    # the check compares the uncovered read of the mutated state with a fresh
+    # state's relevance_many of the same ids
+    fault(monkeypatch)
+    results = {r.name: r.ok for r in run_checks(model_q3)}
+    assert results["capstate-incremental-exact"] is False
+    assert results["field-ring-axioms"] and results["search-deterministic"]
+
+
 def test_verify_check_names_keep_their_order(model_q2, tmp_path):
     # every check of the full suite, in the order verify prints them
     path = tmp_path / "ovoid.json"

@@ -5,18 +5,16 @@ covered when its multiplicity is positive; the cap is complete when every
 surface point is covered.  Adding or removing a member reads its pencil
 (``SurfaceModel.pencil``): every other point of its tangent section once and
 the member itself q + 1 times; the functionals read pencils too and take the
-q extra copies off by arithmetic.  ``from_ids`` is the batch formula, cmult =
-the members' ``section_counts``, and ``add_point``/``remove_point`` are its
-increments.  A member's multiplicity is 1 unless another member is conjugate
-to it, which is how ``from_ids`` rejects a non-cap.
+q extra copies off by arithmetic.  ``from_ids`` is the batch formula, one
+bincount of the members' pencils, and ``add_point``/``remove_point`` are its
+increments.  It first tests the cap on the generators, as ``is_cap`` does:
+two members on one generator are conjugate, and the first member on such a
+generator is named in the CapViolationError.
 
 On a cap every generator holds at most one member, and a point lies on q + 1
 generators, so no multiplicity exceeds q + 1 <= 17: ``cmult`` is one byte per
 point (uint8), and ``add_point``'s increments and ``remove_point``'s
-decrements stay within [0, q + 1].  ``from_ids`` therefore tests the cap
-condition on the int64 section counts and only then narrows them; a count
-narrowed first wraps mod 256, and the q^2 + 1 = 257 points of one generator
-at q = 16 would each read 1.  The functionals are
+decrements stay within [0, q + 1].  The functionals are
 
     relevance(x)          #{y in tangent(x) : cmult[y] == 0}
     coverage_mult(y)      cmult[y]
@@ -39,11 +37,12 @@ once, except x itself, counted q + 1 times when it is uncovered:
 
     relevance(x) == sum of _unc[g] over g through x  -  q * (cmult[x] == 0),
 
-exact for members, covered and uncovered points alike.  Both reads share one
-kernel, ``_generator_relevance``: one transposed ``generators_of`` gather and
-q + 1 row takes of _unc, added up in place.  ``relevance_many`` checks its
-ids and takes q off those it finds uncovered; ``uncovered_relevance`` is the
-search's read, and its ids are uncovered by precondition (the array
+exact for members, covered and uncovered points alike.  Both reads sum
+through ``hermitian._summed_over_generators``: one transposed
+``generators_of`` gather and q + 1 row takes of _unc, added up in place.
+``relevance_many`` checks its ids and takes q off those it finds uncovered,
+and ``relevance`` reads through it; ``uncovered_relevance`` is the search's
+read, and its ids are uncovered by precondition (the array
 ``uncovered()`` returns, or a filtered copy of it), so it checks nothing and
 takes q off every one as a scalar.  A covered id passed to it reads q too
 low.
@@ -53,12 +52,11 @@ it flips: adding a member subtracts the per-generator counts of the points
 it newly covers, removing one adds those of the points it newly uncovers.
 Those points are the zeros of the member's pencil (before the increment, or
 after the decrement), which hold the member itself q + 1 times, once per
-generator through it; one bincount of their generators counts it q + 1
-times on each of its own q + 1 generators, so the q surplus copies are put
-back there.  A step thus reads one pencil (gx + q ids) and bincounts at most
-(q + 1)(gx + q) generator ids into G counts, and a read gathers each point's
-q + 1 generators and adds q + 1 takes of _unc; nothing a step does is of
-length N.
+generator through it; ``hermitian._pencil_sums`` bincounts their generators
+and puts the q surplus copies back.  A step thus reads one pencil (gx + q
+ids) and bincounts at most (q + 1)(gx + q) generator ids into G counts, and
+a read gathers each point's q + 1 generators and adds q + 1 takes of _unc;
+nothing a step does is of length N.
 
 The counts are lazy.  They are built on the first relevance read, as
 ``_generator_sums(uncovered())``, and until then ``add_point`` and
@@ -81,7 +79,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
-from .hermitian import SurfaceModel, _generator_sums, _sorted_distinct, checked_id, checked_ids
+from .hermitian import SurfaceModel, checked_id, checked_ids
+from .hermitian import _generator_sums, _pencil_sums, _sorted_distinct, _summed_over_generators
 
 
 def _covered(x) -> CapViolationError:
@@ -104,12 +103,13 @@ class CapState:
         Raises CapViolationError if it is not a cap, ValueError for an id off the surface.
         """
         members = _sorted_distinct(checked_ids(model, ids))
-        counts = model.section_counts(members)
-        covered = members[counts[members] != 1]
-        if covered.size:
-            raise _covered(covered[0])
+        shared = _generator_sums(model, members) > 1
+        if shared.any():  # name the first member conjugate to another one
+            raise _covered(members[shared.take(model.generators_of(members)).any(axis=1)][0])
+        counts = np.bincount(model.pencil_rows(members).ravel(), minlength=model.num_points)
+        counts[members] -= model.q  # a member is in its own pencil q + 1 times
         cap = cls(model)
-        cap.cmult[:] = counts  # a cap's counts are at most q + 1
+        cap.cmult[:] = counts
         cap.members = set(members.tolist())
         return cap
 
@@ -136,7 +136,7 @@ class CapState:
         row = self.model.pencil(x)
         vals = self.cmult.take(row)
         if self._unc is not None:
-            self._unc -= self._flipped(x, row[vals == 0])
+            self._unc -= _pencil_sums(self.model, x, row[vals == 0])
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -155,45 +155,25 @@ class CapState:
         vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
         if self._unc is not None:
-            self._unc += self._flipped(x, row[vals == 0])
+            self._unc += _pencil_sums(self.model, x, row[vals == 0])
         self.members.remove(x)
 
     # -- relevance -----------------------------------------------------------
 
-    def _flipped(self, x: int, flipped: np.ndarray) -> np.ndarray:
-        """How many of the points whose coverage x flips lie on each generator.
-
-        flipped is the zeros of x's pencil, where x stands q + 1 times: the
-        bincount counts x q + 1 times on each of x's generators, and the q
-        surplus copies come off there.
-        """
-        on = np.bincount(self.model.generators_of(flipped).ravel(), minlength=self._unc.size)
-        on[self.model.generators_of(x)] -= self.model.q
-        return on
-
     def _generator_relevance(self, ids: np.ndarray) -> np.ndarray:
-        """_unc summed over each of the ids' q + 1 generators, as int64.
+        """_unc summed over each of the ids' q + 1 generators, as int64; built on first read.
 
-        Uncovered ids still count themselves q + 1 times.  One row take of
-        _unc per generator index reads contiguous ids, which is faster than
-        one take of the whole (len(ids), q + 1) matrix summed along its short
-        axis.
+        Uncovered ids still count themselves q + 1 times.
         """
         if self._unc is None:
             self._unc = _generator_sums(self.model, self.uncovered())
-        gens = self.model.generators_of(ids).T.astype(np.intp, order="C")
-        rel = self._unc.take(gens[0])
-        for row in gens[1:]:
-            rel += self._unc.take(row)
-        return rel
+        return _summed_over_generators(self.model, self._unc, ids)
 
     # -- queries -------------------------------------------------------------
 
     def relevance(self, x: int) -> int:
         """Number of points newly covered if x joined the cap (0 for members)."""
-        x = checked_id(self.model, x)
-        rel = int(self._generator_relevance(np.array([x]))[0])
-        return rel - self.model.q if self.cmult[x] == 0 else rel
+        return int(self.relevance_many([x])[0])
 
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
         """relevance of each of ids, as int64; ValueError for an id off the surface."""

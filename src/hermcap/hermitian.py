@@ -36,10 +36,11 @@ itself is never enumerated.
   generator rows through it, is gathered with two takes and never sorted; it
   holds every other point of the section once and x itself q + 1 times, and
   the hot paths take the q extra copies of x off by arithmetic.
-- Section counts bincount the pencils of up to T = 2(q^3 + 1) points, and
-  sum a larger set's per-generator counts over each point's q + 1
-  generators, so no count reads more than 2N(q + 1) ids.  They seed a cap's
-  coverage counters; relevance is kept on the generators instead.
+- Incidence counts run through one kernel each way.  ``_generator_sums``
+  counts points on each generator (``_pencil_sums`` for the zeros of a
+  pencil, its point counted once), and ``_summed_over_generators`` sums
+  per-generator values over each point's q + 1 generators; a cap's
+  relevance and the forward scores are read this way.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -270,25 +271,6 @@ class SurfaceModel:
         members = self._gen_points.take(self.generators_of(pids), axis=0)
         return members.reshape(len(members), self.gx_size + self.q)
 
-    def section_counts(self, pids: np.ndarray) -> np.ndarray:
-        """How many of the tangent sections of the distinct pids contain each point.
-
-        Up to T = 2(q^3 + 1) pids, one bincount of their pencils; more are
-        counted on the generators, where a pid conjugate to a point shares
-        exactly one of its q + 1 generators and so counts once.  T pencils
-        hold 2N(q + 1) ids, what the generator path reads, so no count reads
-        more.  ``CapState.from_ids`` is the one caller in the package.  The
-        ids are not checked; callers pass checked ids or ids read off the model.
-        """
-        q = self.q
-        if len(pids) <= 2 * (q**3 + 1):
-            counts = np.bincount(self.pencil_rows(pids).ravel(), minlength=self.num_points)
-        else:
-            gens = _generator_sums(self, pids)
-            counts = sum(gens.take(self._gens_by_point[:, j]) for j in range(q + 1))
-        counts[pids] -= q  # a pid is in its own pencil, and on its own generators, q + 1 times
-        return counts
-
     def tangent_rows(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), gx_size) id matrix; row i is the sorted section of pids[i].
 
@@ -398,13 +380,40 @@ def _generator_sums(model: SurfaceModel, pids: np.ndarray) -> np.ndarray:
     """How many of the pids lie on each generator, a repeated pid counted each time.
 
     One bincount of length G (the generator count) over each pid's q + 1
-    generators: 2G ids at the T = 2(q^3 + 1) points past which
-    ``section_counts`` sums these counts, G(q^2 + 1) for all N points.
-    ``CapState`` keeps these counts of its uncovered points to read relevance.
-    The ids are not checked; callers pass checked ids or ids read off the model.
+    generators.  The ids are not checked; callers pass checked ids or ids
+    read off the model.
     """
     gens = model.generators_of(pids)
     return np.bincount(gens.ravel(), minlength=len(model._gen_points))
+
+
+def _pencil_sums(model: SurfaceModel, x: int, ids: np.ndarray) -> np.ndarray:
+    """``_generator_sums(ids)`` for ids drawn from x's pencil, x among them, x counted once.
+
+    x stands q + 1 times in its pencil, once per generator through it, so
+    the bincount counts it q + 1 times on each of them; the q surplus copies
+    come off there.
+    """
+    on = _generator_sums(model, ids)
+    on[model.generators_of(x)] -= model.q
+    return on
+
+
+def _summed_over_generators(model: SurfaceModel, values: np.ndarray, pids: np.ndarray) -> np.ndarray:
+    """values, indexed by generator along axis 0, summed over each pid's q + 1 generators.
+
+    Row i of the result (an element when values is 1-D) is the sum of the
+    values of the generators through pids[i], in values' dtype, so int8
+    sums wrap.  One take per generator index reads contiguous ids, which is
+    faster than one take of the whole (len(pids), q + 1) matrix summed along
+    its short axis.  The ids are not checked; callers pass checked ids or
+    ids read off the model.
+    """
+    gens = model.generators_of(pids).T.astype(np.intp, order="C")
+    total = values.take(gens[0], axis=0)
+    for row in gens[1:]:
+        total += values.take(row, axis=0)
+    return total
 
 
 def is_cap(model: SurfaceModel, points) -> bool:

@@ -42,7 +42,8 @@ import numpy as np
 
 from .capstate import CapState
 from .errors import HermcapError
-from .hermitian import SurfaceModel, _sorted_distinct, checked_ids, enumerate_generators, is_ovoid
+from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
+from .hermitian import _pencil_sums, _sorted_distinct, _summed_over_generators
 from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
@@ -130,14 +131,14 @@ def _select_min_relevance(cap: CapState, m: np.ndarray, config: SearchConfig) ->
     return m[rel == rel.min()]
 
 
-def _block_minima(phi: np.ndarray, rows: np.ndarray, off: np.ndarray, diag: np.ndarray):
+def _block_minima(model: SurfaceModel, phi: np.ndarray, pids: np.ndarray, off: np.ndarray, diag: np.ndarray):
     """Each row's minimum of off - c over phi's columns, and how many cells reach it.
 
-    c sums the phi rows that ``rows[i]`` names.  Row i drops its cell diag[i]
-    when that lies in [0, phi.shape[1]); any other diag[i] drops nothing.
+    Row i's c sums, in int8, the phi rows of the generators through pids[i].
+    Row i drops its cell diag[i] when that lies in [0, phi.shape[1]); any
+    other diag[i] drops nothing.
     """
-    c = sum(phi.take(rows[:, j], axis=0) for j in range(rows.shape[1]))
-    v = off - c
+    v = off - _summed_over_generators(model, phi, pids)
     i = np.flatnonzero((0 <= diag) & (diag < v.shape[1]))
     v[i, diag[i]] = np.iinfo(np.int8).max
     low = v.min(axis=1)
@@ -167,9 +168,12 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     diagonal t = y, where q + 1 marks of -64 wrap, is dropped row by row.
     The fallback counts on the generators too: a y in U outside Z_t meets
     each point of T(y) & Z_t on exactly one of its q + 1 generators, so y
-    loses the sum of how many points of Z_t each of them holds.  It drops
-    Z_t from U by position in m, which needs m sorted (Z_t lies in m), and a
-    candidate that leaves no point uncovered counts 0.
+    loses the sum of how many points of Z_t each of them holds:
+    ``_pencil_sums`` counts Z_t on the generators and
+    ``_summed_over_generators`` sums the counts for every y.  It drops Z_t
+    from U by position in m, which needs m sorted (Z_t lies in m; t's
+    repeated position drops once), and a candidate that leaves no point
+    uncovered counts 0.
     phi, its scatter indices and the row temporaries stay within
     LOOKAHEAD_BLOCK_BYTES, and the cap is not mutated.
     """
@@ -180,16 +184,15 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     band = m[in_band]
     off = (rel[in_band] - rmin).astype(np.int8)
     diag = np.where(in_band, np.cumsum(in_band) - 1, -1)  # each candidate's own band column
-    gens = model.generators_of(m)
     uncovered = cap.cmult == 0
     num_gens = len(enumerate_generators(model))
     # bytes: phi 1 per generator and column; per band column its pencil, 5 per
     # id, and at most rmin + 2q + 2 uncovered ids of 12 q + 36 each with their
-    # marks; a score row 4 per column and 40 besides
+    # marks; a score row 4 per column, 8 per generator of its gather and 40 besides
     cols = min(band.size, max(1, LOOKAHEAD_BLOCK_BYTES // num_gens))
     per_col = 5 * (model.gx_size + model.q) + (12 * q1 + 24) * (rmin + 2 * q1)
     chunk = max(1, LOOKAHEAD_BLOCK_BYTES // per_col)
-    step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 40))
+    step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 8 * q1 + 40))
     best = np.full(m.size, np.iinfo(np.int8).max, dtype=np.int8)
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
@@ -205,16 +208,16 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
             phi.ravel()[through + np.arange(a - lo, a - lo + ys.size)[:, None]] = COVERED
         for r0 in range(0, m.size, step):
             seg = slice(r0, min(r0 + step, m.size))
-            low, hits = _block_minima(phi, gens[seg], off[lo:hi], diag[seg] - lo)
+            low, hits = _block_minima(model, phi, m[seg], off[lo:hi], diag[seg] - lo)
             b, k = best[seg], count[seg]
             k[low == b] += hits[low == b]
             k[low < b] = hits[low < b]
             np.minimum(b, low, out=b)
     for j in np.flatnonzero(best > 0):
-        row = model.pencil(int(m[j]))
-        z = _sorted_distinct(row[uncovered.take(row)])  # m[j] is in its pencil q + 1 times
-        on = np.bincount(model.generators_of(z).ravel(), minlength=num_gens)
-        hits = sum(on.take(gens[:, c]) for c in range(q1))
+        t = int(m[j])
+        row = model.pencil(t)
+        z = row[uncovered.take(row)]  # Z_t, with t q + 1 times
+        hits = _summed_over_generators(model, _pencil_sums(model, t, z), m)
         after = np.delete(rel - hits, np.searchsorted(m, z))
         count[j] = np.count_nonzero(after == after.min()) if after.size else 0
     return count

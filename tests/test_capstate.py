@@ -21,7 +21,7 @@ from hermcap import (
     sample_subcap,
 )
 from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
-from hermcap.hermitian import _generator_sums
+from hermcap.hermitian import _generator_sums, _sorted_distinct
 
 from .conftest import get_model
 from .oracles import relevance_by_sets, tangent_sets_by_pairs
@@ -84,6 +84,28 @@ def test_from_ids_checks_the_cap_before_narrowing_the_counts():
     model = enumerate_surface(build_field(FieldSpec.for_q(16)))
     with pytest.raises(CapViolationError):
         CapState.from_ids(model, enumerate_generators(model)[0])
+
+
+def test_from_ids_rejects_a_non_cap_before_gathering_a_pencil(model_q5, monkeypatch):
+    # the cap test reads the generators alone, and the error names the least
+    # member conjugate to another member
+    rng, n = SplitMix64(6), model_q5.num_points
+    conj = int(_sorted_distinct(model_q5.pencil(700))[-1])
+    mixed = model_q5.classical_ovoid_ids()[:5].tolist() + rng.sample(range(n), 3)
+    gathered = []
+    pencil_rows = SurfaceModel.pencil_rows
+
+    def spy(self, pids):
+        gathered.append(len(pids))
+        return pencil_rows(self, pids)
+
+    monkeypatch.setattr(SurfaceModel, "pencil_rows", spy)
+    for ids in ([conj, 700], range(n), mixed):
+        ids = list(ids)
+        named = min(x for x in ids if any(model_q5.is_conjugate(x, y) for y in ids if y != x))
+        with pytest.raises(CapViolationError, match=f"^point {named} is covered"):
+            CapState.from_ids(model_q5, ids)
+    assert gathered == []
 
 
 def test_copy_is_independent_of_the_original(model_q3):
@@ -357,21 +379,27 @@ def test_large_section_counts_gather_no_pencils_beyond_t(model_q7, monkeypatch):
 @pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)
 def test_completion_steps_count_no_sections(model_q5, strategy, monkeypatch):
     # relevance is kept on the generators, so a run's one section count is
-    # from_ids seeding the cap, and under min-relevance that count's own
-    # pencil rows are the only ones gathered
-    gathered = {"section_counts": [], "pencil_rows": []}
-    for name, seen in gathered.items():
-        method = getattr(SurfaceModel, name)
+    # from_ids seeding the cap with one gather of the seed's pencils, and
+    # under min-relevance those pencil rows are the only ones gathered
+    gathered = {"pencil_rows": [], "from_ids": []}
+    pencil_rows, from_ids = SurfaceModel.pencil_rows, CapState.from_ids.__func__
 
-        def spy(self, pids, method=method, seen=seen):
-            seen.append(len(pids))
-            return method(self, pids)
+    def spy(self, pids):
+        gathered["pencil_rows"].append(len(pids))
+        return pencil_rows(self, pids)
 
-        monkeypatch.setattr(SurfaceModel, name, spy)
+    def seeded(cls, model, ids):
+        before = len(gathered["pencil_rows"])
+        cap = from_ids(cls, model, ids)
+        gathered["from_ids"].append(gathered["pencil_rows"][before:])
+        return cap
+
+    monkeypatch.setattr(SurfaceModel, "pencil_rows", spy)
+    monkeypatch.setattr(CapState, "from_ids", classmethod(seeded))
     seed = sample_subcap(model_q5.classical_ovoid_ids(), 10, SplitMix64(10))
     out = run_strategy(model_q5, seed, SearchConfig(strategy=strategy, rng_seed=5))
     assert out.iterations > 1
-    assert gathered["section_counts"] == [10]
+    assert gathered["from_ids"] == [[10]]
     if strategy is StrategyKind.MIN_RELEVANCE:
         assert gathered["pencil_rows"] == [10]
     cap = CapState.from_ids(model_q5, seed)

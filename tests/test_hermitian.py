@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hermcap import (
     CANONICAL_POLE,
+    CapState,
     SearchConfig,
     SplitMix64,
     StrategyKind,
@@ -20,7 +21,13 @@ from hermcap import (
     run_strategy,
 )
 
-from hermcap.hermitian import _sorted_distinct, checked_ids
+from hermcap.hermitian import (
+    _generator_sums,
+    _pencil_sums,
+    _sorted_distinct,
+    _summed_over_generators,
+    checked_ids,
+)
 
 from .conftest import get_model
 from .oracles import (
@@ -126,7 +133,7 @@ def test_pencil_contract(q):
 
 
 def _section_count_sizes(model, seed):
-    """Distinct id sets of 0, 1, T, T + 1 and N points, T = 2(q^3 + 1) where section_counts switches."""
+    """Distinct id sets of 0, 1, T, T + 1 and N points, T = 2(q^3 + 1) twice an ovoid's size."""
     t, rng = 2 * (model.q**3 + 1), SplitMix64(seed)
     for size in (0, 1, t, t + 1, model.num_points):
         yield np.array(rng.sample(range(model.num_points), size), dtype=np.intp)
@@ -134,28 +141,47 @@ def _section_count_sizes(model, seed):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_section_counts_match_pairwise_oracle(q):
+    # a cap's coverage counts: the empty cap, singletons, random caps grown
+    # greedily from a shuffled point order, and the classical ovoid
     model = get_model(q)
     tsets = tangent_sets_by_pairs(model)
-    for pids in _section_count_sizes(model, 70 + q):
-        expected = [sum(y in tsets[x] for x in pids.tolist()) for y in range(model.num_points)]
-        assert model.section_counts(pids).tolist() == expected
+    rng = SplitMix64(70 + q)
+    caps = [[], *([x] for x in rng.sample(range(model.num_points), 3))]
+    for size in (2, q + 1, q**3 + 1):
+        cap = []
+        for x in rng.sample(range(model.num_points), model.num_points):
+            if len(cap) < size and not any(x in tsets[c] for c in cap):
+                cap.append(x)
+        caps.append(cap)
+    caps.append(model.classical_ovoid_ids().tolist())
+    for cap in caps:
+        expected = [sum(y in tsets[x] for x in cap) for y in range(model.num_points)]
+        assert CapState.from_ids(model, cap).cmult.tolist() == expected
 
 
 @pytest.mark.parametrize("q", [4, 5])
 def test_section_counts_by_pencils_and_by_generators_agree(q):
-    # both forms, written out here, at every size and with every id twice:
-    # each size takes one path of section_counts, so each path is checked
-    # against the other's form
+    # counting the pids on the generators and summing those counts over each
+    # point's generators is the bincount of their pencils, at every size and
+    # with every id twice: in int64, and in int8, where both wrap alike
     model = get_model(q)
-    on_each = model.generators_of(np.arange(model.num_points))
+    every = np.arange(model.num_points)
     for distinct in _section_count_sizes(model, 80 + q):
+        once = np.bincount(model.pencil_rows(distinct).ravel(), minlength=model.num_points)
         for pids in (distinct, np.concatenate([distinct, distinct])):
             by_pencils = np.bincount(model.pencil_rows(pids).ravel(), minlength=model.num_points)
-            per_point = np.bincount(pids, minlength=model.num_points)
-            by_generators = per_point[enumerate_generators(model)].sum(axis=1)[on_each].sum(axis=1)
-            assert np.array_equal(by_pencils, by_generators)
-            by_pencils[pids] -= q
-            assert np.array_equal(model.section_counts(pids), by_pencils)
+            on = _generator_sums(model, pids)
+            by_generators = _summed_over_generators(model, on, every)
+            assert by_generators.dtype == np.int64
+            assert np.array_equal(by_generators, by_pencils)
+            values = np.column_stack([on, _generator_sums(model, distinct)]).astype(np.int8)
+            by_generators = _summed_over_generators(model, values, every)
+            assert by_generators.dtype == np.int8
+            assert np.array_equal(by_generators, np.column_stack([by_pencils, once]).astype(np.int8))
+        for x in distinct[:5].tolist():
+            row = model.pencil(x)
+            some = row[(row % 3 != 0) | (row == x)]  # x stays, q + 1 times
+            assert np.array_equal(_pencil_sums(model, x, some), _generator_sums(model, _sorted_distinct(some)))
 
 
 def test_pickled_model_is_small():

@@ -208,11 +208,11 @@ def test_forward_scores_match_trial_oracle():
         assert got.tolist() == [forward_score(r) for _, _, r in after]
         in_band = np.zeros(model.num_points, dtype=bool)
         in_band[m[rel <= rel.min() + q + 1]] = True
-        first = blocks.call_args_list[0].args[0]
+        first = blocks.call_args_list[0].args[1]
         for call in blocks.call_args_list:
-            cols, rows = call.args[0].shape[1], len(call.args[1])
-            diag = call.args[3]
-            if call.args[0] is not first and ((0 <= diag) & (diag < cols)).any():
+            cols, rows = call.args[1].shape[1], len(call.args[2])
+            diag = call.args[4]
+            if call.args[1] is not first and ((0 <= diag) & (diag < cols)).any():
                 seen.add("own column in a later block")
             if (rows, cols) == (1, 1):
                 seen.add("one cell")

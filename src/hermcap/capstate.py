@@ -78,7 +78,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapCompleteError, CapViolationError, MemberNotFoundError
+from .errors import CapViolationError, MemberNotFoundError
 from .hermitian import SurfaceModel, checked_id, checked_ids
 from .hermitian import _generator_sums, _pencil_sums, _sorted_distinct, _summed_over_generators
 
@@ -241,11 +241,3 @@ class CapState:
 
     def is_complete(self) -> bool:
         return bool(self.cmult.all())
-
-    def r_extrema(self) -> tuple[int, int]:
-        """(min, max) relevance over uncovered points; error when complete."""
-        m = self.uncovered()
-        if len(m) == 0:
-            raise CapCompleteError("cap is complete; no uncovered points")
-        rel = self.uncovered_relevance(m)
-        return int(rel.min()), int(rel.max())

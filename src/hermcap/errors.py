@@ -17,9 +17,5 @@ class MemberNotFoundError(HermcapError):
     """A point expected to be a cap member is not."""
 
 
-class CapCompleteError(HermcapError):
-    """The cap is already complete, so the requested quantity is undefined."""
-
-
 class CapFileError(HermcapError):
     """A cap file failed validation; the message names the violated invariant."""

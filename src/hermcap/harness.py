@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import multiprocessing
+import operator
 import os
 import time
 from collections import Counter
@@ -173,6 +174,7 @@ def run_spectrum(
 ) -> tuple[Histogram, list[RunRecord]]:
     """n_runs seeded runs on min(jobs, n_runs, CPU count) processes; the same records for any jobs."""
     strategy = StrategyKind(strategy)  # a member or its value, as in SearchConfig; checked before any run
+    n_runs, jobs, master_seed = map(operator.index, (n_runs, jobs, master_seed))  # TypeError for a non-integer
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if jobs < 1:

@@ -43,7 +43,7 @@ import numpy as np
 from .capstate import CapState
 from .errors import HermcapError
 from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
-from .hermitian import _pencil_sums, _sorted_distinct, _summed_over_generators
+from .hermitian import _generator_sums, _sorted_distinct, _summed_over_generators
 from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
@@ -169,11 +169,12 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     The fallback counts on the generators too: a y in U outside Z_t meets
     each point of T(y) & Z_t on exactly one of its q + 1 generators, so y
     loses the sum of how many points of Z_t each of them holds:
-    ``_pencil_sums`` counts Z_t on the generators and
-    ``_summed_over_generators`` sums the counts for every y.  It drops Z_t
-    from U by position in m, which needs m sorted (Z_t lies in m; t's
-    repeated position drops once), and a candidate that leaves no point
-    uncovered counts 0.
+    ``_generator_sums`` counts Z_t on the generators and
+    ``_summed_over_generators`` sums the counts for every y.  Z_t holds t
+    q + 1 times, which overcounts only t's own generators, and y is on none
+    of them, as T(t) is their union.  It drops Z_t from U by position in m,
+    which needs m sorted (Z_t lies in m; t's repeated position drops once),
+    and a candidate that leaves no point uncovered counts 0.
     phi, its scatter indices and the row temporaries stay within
     LOOKAHEAD_BLOCK_BYTES, and the cap is not mutated.
     """
@@ -217,7 +218,7 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
         t = int(m[j])
         row = model.pencil(t)
         z = row[uncovered.take(row)]  # Z_t, with t q + 1 times
-        hits = _summed_over_generators(model, _pencil_sums(model, t, z), m)
+        hits = _summed_over_generators(model, _generator_sums(model, z), m)
         after = np.delete(rel - hits, np.searchsorted(m, z))
         count[j] = np.count_nonzero(after == after.min()) if after.size else 0
     return count
@@ -328,11 +329,10 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
     # an ovoid covers each of its members once and every other point q + 1 times
     off = np.flatnonzero(cs.cmult > 1)
     removed: list[int] = []
-    used_witnesses: set[int] = set()
+    used = np.zeros(model.num_points, dtype=bool)  # witnesses of earlier stages
     for i in range(q):
         need = q - i
-        counts = cs.cmult[off]
-        pool = [int(w) for w in off[counts >= q + 1 - i] if int(w) not in used_witnesses]
+        pool = off[(cs.cmult[off] >= q + 1 - i) & ~used[off]].tolist()
         if not pool:
             raise HermcapError("no admissible witness point; ovoid thinning failed")
         rng.shuffle(pool)
@@ -351,7 +351,7 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
                     omega.append(z)
             if len(omega) == need:
                 removed.extend(omega)
-                used_witnesses.add(witness)
+                used[witness] = True
                 break
             for z in omega:  # witness failed, roll back its removals
                 cs.add_point(z)

@@ -20,7 +20,7 @@ from hermcap import (
     run_strategy,
     sample_subcap,
 )
-from hermcap.errors import CapCompleteError, CapViolationError, MemberNotFoundError
+from hermcap.errors import CapViolationError, MemberNotFoundError
 from hermcap.hermitian import _generator_sums, _sorted_distinct
 
 from .conftest import get_model
@@ -354,9 +354,10 @@ def test_uncovered_read_matches_the_checked_read(q, steps):
         assert np.array_equal(cap._unc, _generator_sums(model, m))
 
 
-def test_large_section_counts_gather_no_pencils_beyond_t(model_q7, monkeypatch):
-    # the relevance build of a seeded cap and from_ids on every point count
-    # on the generators: no pencil_rows call takes more than T = 2(q^3 + 1) ids
+def test_only_seeding_a_cap_gathers_pencils(model_q7, monkeypatch):
+    # from_ids gathers its members' pencils once, after its cap test on the
+    # generators; the relevance build counts on the generators and gathers
+    # none, and from_ids on every point fails its cap test before gathering
     gathered = []
     pencil_rows = SurfaceModel.pencil_rows
 
@@ -371,13 +372,13 @@ def test_large_section_counts_gather_no_pencils_beyond_t(model_q7, monkeypatch):
     rel = cap.relevance_many(m)
     with pytest.raises(CapViolationError, match="point 0 is covered"):
         CapState.from_ids(model_q7, range(model_q7.num_points))
-    assert max(gathered) <= 2 * (7**3 + 1) == 688
+    assert gathered == [60]
     for j in range(0, m.size, 97):
         assert rel[j] == model_q7.gx_size - cap.coverage_intersect(int(m[j]))
 
 
 @pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)
-def test_completion_steps_count_no_sections(model_q5, strategy, monkeypatch):
+def test_run_seeds_its_cap_with_one_pencil_gather(model_q5, strategy, monkeypatch):
     # relevance is kept on the generators, so a run's one section count is
     # from_ids seeding the cap with one gather of the seed's pencils, and
     # under min-relevance those pencil rows are the only ones gathered
@@ -487,15 +488,13 @@ def test_ovoid_coverage_and_completeness(model_q5):
     assert (cap.cmult[ov] == 1).all()
 
 
-def test_r_extrema_and_complete_signal(model_q2):
+def test_lone_uncovered_point_has_relevance_one(model_q2):
     ov = classical_ovoid(model_q2)
     cap = CapState.from_ids(model_q2, ov)
-    with pytest.raises(CapCompleteError):
-        cap.r_extrema()
     x = int(ov[3])
     cap.remove_point(x)
     assert np.array_equal(cap.uncovered(), [x])
-    assert cap.r_extrema() == (1, 1)
+    assert cap.uncovered_relevance(cap.uncovered()).tolist() == [1]
 
 
 def test_weight_singleton(model_q3):
@@ -574,10 +573,10 @@ def test_max_relevance_monotone_under_nesting(model_q3):
         cap = random_cap(model_q3, rng, 6 + rng.randbelow(6))
         if cap.is_complete():
             continue
-        r_plus_full = cap.r_extrema()[1]
+        r_plus_full = cap.uncovered_relevance(cap.uncovered()).max()
         x = rng.choice(sorted(cap.members))
         cap.remove_point(x)
-        assert cap.r_extrema()[1] >= r_plus_full
+        assert cap.uncovered_relevance(cap.uncovered()).max() >= r_plus_full
 
 
 def test_weight_after_add_many_matches_fraction(model_q5):

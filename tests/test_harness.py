@@ -247,6 +247,18 @@ def test_run_spectrum_rejects_master_outside_64_bits(model_q2, master):
         run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, 1, master)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [dict(master_seed=1.5), dict(master_seed=2.0, jobs=2), dict(n_runs=2.0), dict(jobs=1.0)]
+)
+def test_run_spectrum_rejects_non_integer_counts_before_any_run(model_q2, monkeypatch, kwargs):
+    calls = []
+    monkeypatch.setattr(harness, "_execute_run", lambda *args: calls.append(args))
+    kwargs = dict(dict(n_runs=2, master_seed=1), **kwargs)
+    with pytest.raises(TypeError):
+        run_spectrum(model_q2, SeedSpec.empty(), StrategyKind.RANDOM, **kwargs)
+    assert calls == []
+
+
 def test_seedspec_validation():
     assert SeedSpec.empty().describe() == "empty"
     assert SeedSpec.subovoid(69).describe() == "subovoid(69)"

@@ -132,7 +132,7 @@ def test_pencil_contract(q):
     assert model.pencil_rows(pids[:0]).shape == (0, model.gx_size + q)
 
 
-def _section_count_sizes(model, seed):
+def _distinct_id_sets(model, seed):
     """Distinct id sets of 0, 1, T, T + 1 and N points, T = 2(q^3 + 1) twice an ovoid's size."""
     t, rng = 2 * (model.q**3 + 1), SplitMix64(seed)
     for size in (0, 1, t, t + 1, model.num_points):
@@ -140,7 +140,7 @@ def _section_count_sizes(model, seed):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_section_counts_match_pairwise_oracle(q):
+def test_coverage_counts_match_pairwise_oracle(q):
     # a cap's coverage counts: the empty cap, singletons, random caps grown
     # greedily from a shuffled point order, and the classical ovoid
     model = get_model(q)
@@ -160,13 +160,13 @@ def test_section_counts_match_pairwise_oracle(q):
 
 
 @pytest.mark.parametrize("q", [4, 5])
-def test_section_counts_by_pencils_and_by_generators_agree(q):
+def test_incidence_counts_by_pencils_and_by_generators_agree(q):
     # counting the pids on the generators and summing those counts over each
     # point's generators is the bincount of their pencils, at every size and
     # with every id twice: in int64, and in int8, where both wrap alike
     model = get_model(q)
     every = np.arange(model.num_points)
-    for distinct in _section_count_sizes(model, 80 + q):
+    for distinct in _distinct_id_sets(model, 80 + q):
         once = np.bincount(model.pencil_rows(distinct).ravel(), minlength=model.num_points)
         for pids in (distinct, np.concatenate([distinct, distinct])):
             by_pencils = np.bincount(model.pencil_rows(pids).ravel(), minlength=model.num_points)

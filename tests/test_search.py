@@ -118,7 +118,8 @@ def test_unique_completion_when_max_relevance_is_one(model_q3):
     ov = classical_ovoid(model_q3)
     sub = sample_subcap(ov, len(ov) - 3, SplitMix64(1))
     cap = CapState.from_ids(model_q3, sub)
-    assert cap.r_extrema() == (1, 1)
+    rel = cap.uncovered_relevance(cap.uncovered())
+    assert rel.size > 0 and (rel == 1).all()
     expected = np.array(sorted(set(map(int, sub)) | set(map(int, cap.uncovered()))))
     for strategy in StrategyKind:
         out = complete(model_q3, sub, strategy, rng_seed=9)

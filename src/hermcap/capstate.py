@@ -47,6 +47,18 @@ read, and its ids are uncovered by precondition (the array
 takes q off every one as a scalar.  A covered id passed to it reads q too
 low.
 
+Removal relevance reads the generators too, from counts of the points
+covered once, built afresh per read (O(N + G)):
+
+    removal_relevance(x) == sum over g through x of #{y on g : cmult[y] == 1}  -  q.
+
+Removing a member x uncovers the points of tangent(x) that only x covers,
+those with cmult == 1; x is one of them, as no other member is conjugate
+to it.  Every other point of tangent(x) lies on exactly one generator
+through x (H(3, q^2) is a generalized quadrangle), so the sum counts it
+once, while x, on all q + 1, is counted q + 1 times; the q surplus copies
+come off.
+
 A mutation only has to update the generators of the points whose coverage
 it flips: adding a member subtracts the per-generator counts of the points
 it newly covers, removing one adds those of the points it newly uncovers.
@@ -198,9 +210,10 @@ class CapState:
         return int(self.removal_relevance_many([x])[0])
 
     def removal_relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        """removal_relevance of each of ids; MemberNotFoundError unless all are members."""
-        rows = self.model.pencil_rows(self._members(ids))  # each member q + 1 times, at 1
-        return np.count_nonzero(self.cmult.take(rows) == 1, axis=1) - self.model.q
+        """removal_relevance of each of ids, as int64; MemberNotFoundError unless all are members."""
+        ids = self._members(ids)
+        once = _generator_sums(self.model, np.flatnonzero(self.cmult == 1))
+        return _summed_over_generators(self.model, once, ids) - self.model.q
 
     def coverage_mult(self, y: int) -> int:
         return int(self.cmult[checked_id(self.model, y)])

@@ -182,8 +182,10 @@ class SurfaceModel:
 
         ``_gens_by_point`` is one in-place sort of the int64 keys point * G + g
         over every entry of generator g, G the generator count.  The keys are
-        unique, so the sort need not be stable, and the sorted keys mod G are
-        each point's generator ids, ascending.
+        unique, so the sort need not be stable.  Read as N rows of q + 1, row
+        p minus p * G holds p's generator ids, ascending, when every point is
+        on exactly q + 1 generators; otherwise some row holds a key of
+        another point, and the difference leaves [0, G) (checked).
         """
         field, q, q2 = self.field, self.q, self.q2
         add, mul = field.add2.ravel().astype(np.intp), field.mul2.ravel()  # a * b is mul[a * q2 + b]
@@ -217,13 +219,14 @@ class SurfaceModel:
             raise ConfigurationError("a generated point is off the surface")
         lines = _sorted_lines(np.column_stack([np.repeat(self._classical_ovoid, q + 1), ids]))
         del ids  # before the key sort, as the sorted rows hold its points
-        if not (np.bincount(lines.ravel(), minlength=self.num_points) == q + 1).all():
-            raise ConfigurationError("a point is not on exactly q + 1 generators")
         num_gens = len(lines)
         key = lines.ravel() * np.int64(num_gens)
         key.reshape(num_gens, q2 + 1)[:] += np.arange(num_gens)[:, None]
         key.sort()
-        np.remainder(key, num_gens, out=key)
+        rows = key.reshape(-1, q + 1)
+        rows -= np.arange(0, len(rows) * num_gens, num_gens, dtype=np.int64)[:, None]
+        if not (len(rows) == self.num_points and key.min() >= 0 and key.max() < num_gens):
+            raise ConfigurationError("a point is not on exactly q + 1 generators")
         self._gen_points = lines
         self._gens_by_point = key.astype(np.int32).reshape(self.num_points, q + 1)
 

@@ -201,10 +201,10 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
         phi = np.zeros((num_gens, hi - lo), dtype=np.int8)
         for a in range(lo, hi, chunk):
             ys = band[a : min(a + chunk, hi)]
-            pencils = model.pencil_rows(ys)
-            y, k = np.nonzero(uncovered.take(pencils))
-            marks = model.generators_of(pencils[y, k]) * (hi - lo)
-            phi.ravel()[marks + (y + (a - lo))[:, None]] = 1
+            flat = model.pencil_rows(ys).ravel()
+            at = np.flatnonzero(uncovered.take(flat))
+            marks = model.generators_of(flat.take(at)) * (hi - lo)
+            phi.ravel()[marks + (at // (model.gx_size + model.q) + (a - lo))[:, None]] = 1
             through = model.generators_of(ys) * (hi - lo)
             phi.ravel()[through + np.arange(a - lo, a - lo + ys.size)[:, None]] = COVERED
         for r0 in range(0, m.size, step):

@@ -354,6 +354,36 @@ def test_uncovered_read_matches_the_checked_read(q, steps):
         assert np.array_equal(cap._unc, _generator_sums(model, m))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(["add", "remove", "copy"]), st.integers(0, 2**16)), max_size=30))
+def test_removal_read_on_the_generators_matches_the_pencil_count(q, steps):
+    # removal relevance sums the once-covered points on the member's
+    # generators; written out here as the count over its pencil, where the
+    # member stands q + 1 times at multiplicity 1
+    model = get_model(q)
+    cap = CapState(model)
+    for op, i in steps + [("copy", 0)]:
+        if op == "add":
+            m = cap.uncovered()
+            if m.size:
+                cap.add_point(int(m[i % m.size]))
+        elif op == "remove" and cap.members:
+            cap.remove_point(sorted(cap.members)[i % len(cap.members)])
+        elif op == "copy":
+            cap = cap.copy()
+        members = cap.members_sorted()
+        expected = [np.count_nonzero(cap.cmult[model.pencil(int(x))] == 1) - q for x in members]
+        rel = cap.removal_relevance_many(members)
+        assert rel.dtype == np.int64
+        assert rel.tolist() == expected
+        assert [cap.removal_relevance(int(x)) for x in members] == expected
+        outside = cap.uncovered()
+        if outside.size:
+            with pytest.raises(MemberNotFoundError):
+                cap.removal_relevance_many(np.append(members, outside[i % outside.size]))
+
+
 def test_only_seeding_a_cap_gathers_pencils(model_q7, monkeypatch):
     # from_ids gathers its members' pencils once, after its cap test on the
     # generators; the relevance build counts on the generators and gathers

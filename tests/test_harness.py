@@ -63,13 +63,20 @@ def test_run_spectrum_reproducible_across_jobs(model_q3):
     h4, r4 = run_spectrum(model_q3, jobs=4, **kwargs)
     assert emit_runlog(r1) == emit_runlog(r2) == emit_runlog(r4)
     assert h1.bins == h2.bins == h4.bins
+    # 7 runs split unevenly: blocks of 4 + 3 on two workers, 3 + 3 + 1 on three
+    kwargs["n_runs"] = 7
+    h1, r1 = run_spectrum(model_q3, jobs=1, **kwargs)
+    for jobs in (2, 3):
+        hj, rj = run_spectrum(model_q3, jobs=jobs, **kwargs)
+        assert emit_runlog(rj) == emit_runlog(r1)
+        assert hj.bins == h1.bins
 
 
 def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
-    requested = []
+    requested, chunks = [], []
 
     class InProcessPool:
-        """Records the worker count asked for and runs the map here; starts no process."""
+        """Records the worker count and chunk size asked for and runs the map here; starts no process."""
 
         def __init__(self, processes, initializer, initargs):
             requested.append(processes)
@@ -81,7 +88,8 @@ def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
+        def map(self, fn, iterable, chunksize=None):
+            chunks.append(chunksize)
             return [fn(i) for i in iterable]
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -90,8 +98,11 @@ def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
     kwargs = dict(seed_spec=SeedSpec.empty(), strategy=StrategyKind.RANDOM, n_runs=20, master_seed=5)
     hist, records = run_spectrum(model_q2, jobs=10_000, **kwargs)
     assert requested == [2]
+    assert chunks == [10]  # one block of ceil(20 / 2) runs per worker
+    run_spectrum(model_q2, jobs=10_000, **{**kwargs, "n_runs": 7})
+    assert requested == [2, 2] and chunks == [10, 4]
     serial_hist, serial = run_spectrum(model_q2, jobs=1, **kwargs)
-    assert requested == [2]
+    assert requested == [2, 2]
     assert [r.log_fields() for r in records] == [r.log_fields() for r in serial]
     assert hist.bins == serial_hist.bins
 

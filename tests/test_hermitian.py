@@ -219,6 +219,30 @@ def test_generated_point_off_the_surface_is_caught(corrupt):
         model._build_generators()
 
 
+@pytest.mark.parametrize("direction", ["to-a-later-point", "to-an-earlier-point"])
+def test_generator_table_with_a_moved_point_is_caught(direction, monkeypatch):
+    # one entry of a generator row moved to another point: one point is then
+    # on q generators and another on q + 2, so some sorted key leaves its row
+    from hermcap import enumerate_surface, hermitian
+    from hermcap.errors import ConfigurationError
+
+    model = enumerate_surface(get_model(3).field)  # a fresh model: the cached one stays intact
+    sorted_lines = hermitian._sorted_lines
+
+    def moving(lines):
+        lines = sorted_lines(lines).copy()
+        row = lines[7]
+        elsewhere = np.setdiff1d(np.arange(model.num_points), row)
+        target = elsewhere[-1] if direction == "to-a-later-point" else elsewhere[0]
+        assert (target > row[1]) == (direction == "to-a-later-point")
+        row[1] = target
+        return lines
+
+    monkeypatch.setattr(hermitian, "_sorted_lines", moving)
+    with pytest.raises(ConfigurationError, match="a point is not on exactly q \\+ 1 generators"):
+        model._build_generators()
+
+
 @pytest.mark.parametrize("bad", [-1, "N"])
 @pytest.mark.parametrize(
     "query", ["pencil", "coords_of", "is_conjugate-first", "is_conjugate-second"]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
 import operator
 import os
 import time
@@ -193,6 +192,8 @@ def run_spectrum(
     if workers == 1:
         records = [_execute_run(args, i) for i in range(n_runs)]
     else:
+        import multiprocessing  # only here: a serial sweep does not carry its 0.5 MB
+
         with multiprocessing.Pool(workers, initializer=_pool_init, initargs=(args,)) as pool:
             records = pool.map(_pool_run, range(n_runs), chunksize=-(-n_runs // workers))
     hist = make_histogram(records, model.q, strategy.value, seed_spec.describe())

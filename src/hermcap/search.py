@@ -48,6 +48,7 @@ from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
 COVERED = -64  # the forward scorer's phi mark on the generators through a column
+INT8_MAX = np.iinfo(np.int8).max  # above every forward score: a row's start, a dropped cell
 
 
 class StrategyKind(enum.Enum):
@@ -101,6 +102,15 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trac
     """Add one point drawn from select(cap, uncovered, config) until the cap is complete.
 
     Each step makes one draw, uniform over the tie set the rule returns.
+    While the cap has at most one member, every rule ties on every uncovered
+    point, so the step draws over them without calling the rule.  With no
+    member, every point has relevance and weight-after-add gx.  With one
+    member x0, every uncovered y is off T(x0), and H(3, q^2) is a generalized
+    quadrangle of order (q^2, q), so T(y) & T(x0) has q + 1 points: relevance
+    and weight-after-add are the same for every y.  So is the forward score,
+    as PGU(4, q^2) is transitive on the points, and a point's stabilizer on
+    the points not conjugate to it.
+
     ``uncovered`` is the sorted array of uncovered points, filtered in place
     of a fresh scan after every addition.  On a sound model each step covers
     at least the point it adds, so a step that leaves the filtered array as
@@ -110,7 +120,7 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trac
     m = cap.uncovered()
     iterations = 0
     while m.size:
-        x = int(rng.choice(select(cap, m, config)))
+        x = int(rng.choice(m if len(cap.members) <= 1 else select(cap, m, config)))
         if trace is not None:
             trace.append((x, cap.relevance(x)))
         cap.add_point(x)
@@ -140,7 +150,7 @@ def _block_minima(model: SurfaceModel, phi: np.ndarray, pids: np.ndarray, off: n
     """
     v = off - _summed_over_generators(model, phi, pids)
     i = np.flatnonzero((0 <= diag) & (diag < v.shape[1]))
-    v[i, diag[i]] = np.iinfo(np.int8).max
+    v[i, diag[i]] = INT8_MAX
     low = v.min(axis=1)
     return low, np.count_nonzero(v == low[:, None], axis=1)
 
@@ -194,25 +204,31 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     per_col = 5 * (model.gx_size + model.q) + (12 * q1 + 24) * (rmin + 2 * q1)
     chunk = max(1, LOOKAHEAD_BLOCK_BYTES // per_col)
     step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 8 * q1 + 40))
-    best = np.full(m.size, np.iinfo(np.int8).max, dtype=np.int8)
+    best = np.full(m.size, INT8_MAX, dtype=np.int8)
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
         phi = np.zeros((num_gens, hi - lo), dtype=np.int8)
+        # an intp width makes the int32 generator ids intp in the first multiply,
+        # so no index temporary mixes int32 and intp
+        cells, width = phi.ravel(), np.intp(hi - lo)
         for a in range(lo, hi, chunk):
             ys = band[a : min(a + chunk, hi)]
             flat = model.pencil_rows(ys).ravel()
             at = np.flatnonzero(uncovered.take(flat))
-            marks = model.generators_of(flat.take(at)) * (hi - lo)
-            phi.ravel()[marks + (at // (model.gx_size + model.q) + (a - lo))[:, None]] = 1
-            through = model.generators_of(ys) * (hi - lo)
-            phi.ravel()[through + np.arange(a - lo, a - lo + ys.size)[:, None]] = COVERED
+            marks = model.generators_of(flat.take(at)) * width
+            marks += (at // (model.gx_size + model.q) + (a - lo))[:, None]
+            cells[marks] = 1
+            through = model.generators_of(ys) * width
+            through += np.arange(a - lo, a - lo + ys.size)[:, None]
+            cells[through] = COVERED
         for r0 in range(0, m.size, step):
             seg = slice(r0, min(r0 + step, m.size))
             low, hits = _block_minima(model, phi, m[seg], off[lo:hi], diag[seg] - lo)
             b, k = best[seg], count[seg]
-            k[low == b] += hits[low == b]
-            k[low < b] = hits[low < b]
+            tied, beaten = low == b, low < b
+            k[tied] += hits[tied]
+            k[beaten] = hits[beaten]
             np.minimum(b, low, out=b)
     for j in np.flatnonzero(best > 0):
         t = int(m[j])
@@ -225,10 +241,6 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
 
 
 def _select_lookahead(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
-    if len(cap) <= 1:
-        # PGU(4, q^2) is transitive on the points, and a point's stabilizer on the
-        # points not conjugate to it: every candidate scores the same
-        return m
     rel = cap.uncovered_relevance(m)
     if int(rel.min()) == 1:
         # a relevance-1 point covers only itself; adding one is always safe

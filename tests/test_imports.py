@@ -100,18 +100,45 @@ assert "numpy.ma" not in sys.modules, "a search run imported numpy.ma"
 """
 
 
-def test_search_runs_do_not_import_masked_arrays():
-    # np.unique imports numpy.ma on its first call in numpy 2.4, about 1.3 MB
-    # of resident memory in every run process; a fresh child starts without it
+def run_in_a_fresh_child(source: str) -> subprocess.CompletedProcess:
+    """Run source in a new interpreter that imports this checkout's package."""
     src = str(Path(hermcap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SEARCH_WITHOUT_MASKED_ARRAYS],
+    return subprocess.run(
+        [sys.executable, "-c", source],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def test_search_runs_do_not_import_masked_arrays():
+    # np.unique imports numpy.ma on its first call in numpy 2.4, about 1.3 MB
+    # of resident memory in every run process; a fresh child starts without it
+    proc = run_in_a_fresh_child(_SEARCH_WITHOUT_MASKED_ARRAYS)
     if proc.returncode == 77:
         pytest.skip("this numpy imports numpy.ma on import")
+    assert proc.returncode == 0, proc.stderr
+
+
+_SERIAL_SWEEP_WITHOUT_MULTIPROCESSING = """
+import sys
+import numpy
+if "multiprocessing" in sys.modules:
+    raise SystemExit(77)
+from hermcap import FieldSpec, SeedSpec, StrategyKind, build_field, enumerate_surface, run_spectrum
+
+model = enumerate_surface(build_field(FieldSpec(3, 1)))
+for strategy in StrategyKind:
+    run_spectrum(model, SeedSpec.subovoid(5), strategy, 3, 1, jobs=1)
+assert "multiprocessing" not in sys.modules, "a jobs=1 sweep imported multiprocessing"
+"""
+
+
+def test_serial_sweeps_do_not_import_multiprocessing():
+    # only a pooled sweep needs it, and it adds about 0.5 MB of resident memory
+    proc = run_in_a_fresh_child(_SERIAL_SWEEP_WITHOUT_MULTIPROCESSING)
+    if proc.returncode == 77:
+        pytest.skip("this numpy imports multiprocessing on import")
     assert proc.returncode == 0, proc.stderr

@@ -264,12 +264,49 @@ def test_covered_mark_stays_above_every_score():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_forward_scores_constant_on_caps_of_at_most_one_point(q):
-    # the symmetry behind _select_lookahead's shortcut for such caps
+def test_every_rule_ties_on_caps_of_at_most_one_point(q):
+    # the symmetry behind _complete's draw over every uncovered point, with no
+    # rule called, while the cap has at most one member
     model = get_model(q)
+    rules = [(rule, SearchConfig(strategy=kind)) for kind, rule in search._SELECT.items()]
+    rules += [
+        (search._select_lookahead, SearchConfig(forward_tie_mode=TieMode.MIN_COUNT)),
+        (search._select_min_weight, SearchConfig()),  # backtracking's completion rule
+    ]
     for members in [[]] + [[p] for p in range(model.num_points)]:
         scores = {forward_score(r) for _, _, r in lookahead_by_trial(model, members)}
         assert len(scores) == 1, members
+        cap = CapState.from_ids(model, members)
+        m = cap.uncovered()
+        assert np.unique(cap.relevance_many(m)).size == 1, members
+        assert len(set(cap.weight_after_add_many(m))) == 1, members
+        for rule, config in rules:
+            assert np.array_equal(rule(cap, m, config), m), (members, rule.__name__)
+
+
+@pytest.mark.parametrize(
+    "rng_seed,tie_mode", [(1, TieMode.MAX_COUNT), (2, TieMode.MIN_COUNT)], ids=["1-max", "2-min"]
+)
+def test_forward_scores_match_trial_oracle_along_q5_runs(model_q5, rng_seed, tie_mode):
+    # the benchmark's forward-q5 size: every scored step of a forward run from
+    # subovoid(40), replayed from its trace
+    seed = sample_subcap(classical_ovoid(model_q5), 40, SplitMix64(rng_seed))
+    config = SearchConfig(
+        strategy=StrategyKind.FORWARD, rng_seed=rng_seed, forward_tie_mode=tie_mode, keep_trace=True
+    )
+    out = run_strategy(model_q5, seed, config)
+    cap = CapState.from_ids(model_q5, seed)
+    scored = 0
+    for x, _ in out.trace:
+        m = cap.uncovered()
+        rel = cap.uncovered_relevance(m)
+        if rel.min() > 1:  # below that, _select_lookahead takes the relevance-1 points unscored
+            after = lookahead_by_trial(model_q5, cap.members)
+            assert search._forward_scores(cap, m, rel).tolist() == [forward_score(r) for _, _, r in after]
+            scored += 1
+        cap.add_point(x)
+    assert np.array_equal(cap.members_sorted(), out.final_cap)
+    assert scored > 5
 
 
 @pytest.mark.parametrize("q,k", [(3, 3), (5, 40)])

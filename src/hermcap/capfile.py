@@ -3,8 +3,16 @@
 A cap file records the field (p, k, q, modulus coefficients), the form
 identifier, and the member points as normalized homogeneous coordinate
 4-tuples of element encodings, sorted by point id.  Serialization is
-canonical (sorted keys, fixed separators), so parse(serialize(cap)) is
-byte-identical.
+canonical (sorted keys, fixed separators): the ids a written file reads back
+to serialize to its bytes again.
+
+``load_cap_ids(model, path)`` reads a file and ``cap_ids(model, data)`` its
+bytes.  Both return sorted PointIds or raise a CapFileError for the first
+check that fails, in this order: JSON (capfile-unreadable, also for a file
+that cannot be read); an object with every field, each of its type, and
+every point a list of integers; p, k, q, modulus and form match the model;
+each point, in file order, is four field elements not all zero, normalized
+and on the surface; no point repeats; the points form a cap.
 """
 
 from __future__ import annotations
@@ -20,21 +28,16 @@ from .hermitian import SurfaceModel, is_cap, normalize_point
 FORM_ID = "diagonal"
 
 
-def cap_payload(model: SurfaceModel, ids) -> dict:
-    ids = sorted(int(x) for x in ids)
+def serialize_cap(model: SurfaceModel, ids) -> bytes:
     spec = model.field.spec
-    return {
+    payload = {
         "q": spec.q,
         "p": spec.p,
         "k": spec.k,
         "modulus": list(model.field.modulus),
         "form": FORM_ID,
-        "points": [list(model.coords_of(i)) for i in ids],
+        "points": [list(model.coords_of(i)) for i in sorted(int(x) for x in ids)],
     }
-
-
-def serialize_cap(model: SurfaceModel, ids) -> bytes:
-    payload = cap_payload(model, ids)
     return (json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n").encode()
 
 
@@ -47,8 +50,8 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-def parse_cap(data: bytes) -> dict:
-    """Decode cap-file bytes and check their shape; raises CapFileError."""
+def cap_ids(model: SurfaceModel, data: bytes) -> np.ndarray:
+    """The sorted PointIds of cap-file bytes; CapFileError for the first failed check."""
     try:
         payload = json.loads(data)
     except ValueError as exc:
@@ -69,22 +72,6 @@ def parse_cap(data: bytes) -> dict:
     for raw in payload["points"]:
         if not isinstance(raw, list) or not all(map(_is_int, raw)):
             raise CapFileError(f"capfile-bad-coordinates: {raw}")
-    return payload
-
-
-def read_cap(path) -> dict:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise CapFileError(f"capfile-unreadable: {exc}") from exc
-    return parse_cap(data)
-
-
-def resolve_cap(model: SurfaceModel, payload: dict) -> np.ndarray:
-    """Validate a parsed cap file against a model and return sorted PointIds.
-
-    Raises CapFileError naming the first violated invariant.
-    """
     spec = model.field.spec
     if (payload["p"], payload["k"], payload["q"]) != (spec.p, spec.k, spec.q):
         raise CapFileError(
@@ -114,4 +101,8 @@ def resolve_cap(model: SurfaceModel, payload: dict) -> np.ndarray:
 
 
 def load_cap_ids(model: SurfaceModel, path) -> np.ndarray:
-    return resolve_cap(model, read_cap(path))
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CapFileError(f"capfile-unreadable: {exc}") from exc
+    return cap_ids(model, data)

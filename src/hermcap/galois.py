@@ -105,10 +105,6 @@ class FieldTables:
     norm: np.ndarray = field(repr=False)
 
     @property
-    def p(self) -> int:
-        return self.spec.p
-
-    @property
     def q(self) -> int:
         return self.spec.q
 

@@ -184,6 +184,8 @@ def run_spectrum(
         raise ValueError("jobs must be >= 1")
     if not 0 <= master_seed <= MASK64:
         raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
+    if seed_spec.kind == "subovoid" and seed_spec.size > model.q**3 + 1:
+        raise ValueError(f"a sub-ovoid seed has at most q^3 + 1 = {model.q**3 + 1} points, got {seed_spec.size}")
     fixed_ids = None
     if seed_spec.kind == "fromfile":
         fixed_ids = load_cap_ids(model, seed_spec.path)

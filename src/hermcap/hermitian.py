@@ -64,8 +64,8 @@ CANONICAL_POLE: ProjPoint = (0, 0, 0, 1)
 
 
 def normalize_point(field: FieldTables, coords) -> ProjPoint:
-    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
-    coords = tuple(int(c) for c in coords)
+    """Scale so the first nonzero coordinate is 1; TypeError for a non-integer coordinate."""
+    coords = tuple(map(operator.index, coords))
     if len(coords) != 4 or not all(0 <= c < field.order2 for c in coords):
         raise ValueError(f"{coords} is not four coordinates in [0, {field.order2})")
     for c in coords:
@@ -78,10 +78,12 @@ def normalize_point(field: FieldTables, coords) -> ProjPoint:
 
 
 def hermitian_inner(field: FieldTables, x, y) -> int:
-    """H(x, y) = sum_i x_i * conj(y_i); H(y, x) is its conjugate."""
+    """H(x, y) = sum_i x_i * conj(y_i); H(y, x) is its conjugate.  x and y are four integers each."""
+    if len(x) != 4 or len(y) != 4:
+        raise ValueError(f"H takes two points of four coordinates, got {x} and {y}")
     acc = 0
     for xi, yi in zip(x, y):
-        acc = field.add(acc, field.mul(int(xi), field.conj_of(int(yi))))
+        acc = field.add(acc, field.mul(operator.index(xi), field.conj_of(operator.index(yi))))
     return acc
 
 
@@ -96,7 +98,7 @@ def _form(field: FieldTables, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class SurfaceModel:
-    """Enumerated Hermitian surface with its generators and tangent sections.
+    """Enumerated Hermitian surface with its generators.
 
     Points, classical ovoid and generators are built in the constructor, and
     every array is read-only afterwards (also once unpickled), so a model is
@@ -319,7 +321,7 @@ def _sorted_lines(lines: np.ndarray) -> np.ndarray:
 
 
 def enumerate_surface(field: FieldTables) -> SurfaceModel:
-    """Enumerate the surface, its generators and tangent sections for a built field."""
+    """Enumerate the surface and its generators (no tangent sections) for a built field."""
     return SurfaceModel(field)
 
 
@@ -341,12 +343,14 @@ def classical_ovoid(model: SurfaceModel) -> np.ndarray:
 
 
 def checked_ids(model: SurfaceModel, points) -> np.ndarray:
-    """The points as an integer id array; a signed integer ndarray is returned as it is.
+    """The points as a 1-D integer id array; a 1-D signed integer ndarray is returned as it is.
 
-    TypeError for an id that is not an integer, ValueError for one outside
-    [0, num_points).
+    TypeError for an id that is not an integer, ValueError for an array that
+    is not one-dimensional or an id outside [0, num_points).
     """
     ids = points  # an integer array takes the range check alone, no per-element pass
+    if isinstance(ids, np.ndarray) and ids.ndim != 1:
+        raise ValueError(f"point ids must be a one-dimensional array, got shape {ids.shape}")
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "i"):
         try:
             ids = np.fromiter(map(operator.index, points), dtype=np.int64)

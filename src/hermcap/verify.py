@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .capfile import parse_cap, read_cap, resolve_cap, serialize_cap
+from .capfile import cap_ids, load_cap_ids, serialize_cap
 from .capstate import CapState
 from .errors import CapFileError
 from .galois import FieldSpec, FieldTables, build_field
@@ -194,15 +194,13 @@ def _brute_force_small_q_checks() -> Iterator[CheckResult]:
 
 def _capfile_checks(model: SurfaceModel, path) -> Iterator[CheckResult]:
     try:
-        payload = read_cap(path)
-        ids = resolve_cap(model, payload)
+        ids = load_cap_ids(model, path)
     except CapFileError as exc:
         yield CheckResult("capfile-valid", False, str(exc))
         return
     yield CheckResult("capfile-valid", True, f"{len(ids)} points")
-    data = serialize_cap(model, ids)
-    reparsed = resolve_cap(model, parse_cap(data))
-    yield CheckResult("capfile-roundtrip", bool(np.array_equal(ids, reparsed)))
+    reread = cap_ids(model, serialize_cap(model, ids))
+    yield CheckResult("capfile-roundtrip", bool(np.array_equal(ids, reread)))
 
 
 def run_checks(model: SurfaceModel, deep: bool = False, cap_path=None) -> list[CheckResult]:

@@ -17,6 +17,7 @@ from hermcap import (
     enumerate_generators,
     enumerate_surface,
     is_cap,
+    is_ovoid,
     run_strategy,
     sample_subcap,
 )
@@ -236,6 +237,31 @@ def test_point_ids_must_be_integers(model_q2, call, bad):
 def test_ids_beyond_int64_are_off_the_surface(model_q2, call, ids):
     # these used to escape as OverflowError from the int64 conversion
     with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {model_q2.num_points}\)"):
+        call(model_q2, ids)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [np.array([[1, 2]]), np.array([[1, 2]], dtype=np.uint8), np.array(1)],
+    ids=["2-D", "2-D uint8", "0-d"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, ids: CapState.from_ids(model, ids),
+        lambda model, ids: CapState(model).relevance_many(ids),
+        lambda model, ids: CapState.from_ids(model, [1]).removal_relevance_many(ids),
+        lambda model, ids: CapState(model).weight_after_add_many(ids),
+        lambda model, ids: is_cap(model, ids),
+        lambda model, ids: is_ovoid(model, ids),
+        lambda model, ids: run_strategy(model, ids, SearchConfig()),
+    ],
+    ids=["from_ids", "relevance_many", "removal_relevance_many", "weight_after_add_many",
+         "is_cap", "is_ovoid", "run_strategy"],
+)
+def test_id_arrays_must_be_one_dimensional(model_q2, call, ids):
+    # each would raise IndexError, TypeError or a reshape error, or read the array flattened
+    with pytest.raises(ValueError, match="point ids must be a one-dimensional array"):
         call(model_q2, ids)
 
 

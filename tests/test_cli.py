@@ -9,7 +9,7 @@ import pytest
 
 import hermcap
 from hermcap import CapState, GapReport, classical_ovoid
-from hermcap.capfile import load_cap_ids, read_cap, resolve_cap, serialize_cap, write_cap
+from hermcap.capfile import load_cap_ids, serialize_cap, write_cap
 from hermcap import cli
 from hermcap.cli import main
 from hermcap.errors import CapFileError

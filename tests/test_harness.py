@@ -270,6 +270,18 @@ def test_run_spectrum_rejects_non_integer_counts_before_any_run(model_q2, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_spectrum_rejects_a_subovoid_seed_beyond_the_ovoid_before_any_run(model_q2, monkeypatch, jobs):
+    _, records = run_spectrum(model_q2, SeedSpec.subovoid(9), StrategyKind.RANDOM, 1, 1)
+    assert records[0].input_size == 9  # the whole ovoid of q = 2 is a seed
+    calls = []
+    monkeypatch.setattr(harness, "_execute_run", lambda *args: calls.append(args))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"at most q\^3 \+ 1 = 9 points, got 10"):
+        run_spectrum(model_q2, SeedSpec.subovoid(10), StrategyKind.RANDOM, 2, 1, jobs=jobs)
+    assert calls == []
+
+
 def test_seedspec_validation():
     assert SeedSpec.empty().describe() == "empty"
     assert SeedSpec.subovoid(69).describe() == "subovoid(69)"

@@ -11,7 +11,6 @@ from hermcap import (
     CapState,
     SearchConfig,
     SplitMix64,
-    StrategyKind,
     classical_ovoid,
     enumerate_generators,
     hermitian_inner,
@@ -93,6 +92,13 @@ def test_malformed_coordinates_are_rejected(model_q3):
     for coords in [(0, 0, 1), (0, 0, 0, 1, 0)]:  # (0, 0, 0, 1, 0) would read as (0, 0, 0, 1)
         with pytest.raises(ValueError, match="four coordinates"):
             model_q3.point_id(coords)
+    x = model_q3.coords_of(17)
+    assert model_q3.point_id(np.array(x)) == 17
+    for coords in [(0.5, 0, 0, 1.7), ("1", "0", "0", "0"), (*x[:3], float(x[3]))]:
+        with pytest.raises(TypeError):  # int() would read the first two as (0, 0, 0, 1) and (1, 0, 0, 0)
+            model_q3.point_id(coords)
+        with pytest.raises(TypeError):
+            normalize_point(f, coords)
     for pid in range(model_q3.num_points):
         x = model_q3.coords_of(pid)
         for i in range(4):
@@ -303,6 +309,20 @@ def test_hermitian_inner_conjugate_swap(model_q3):
 def test_disjoint_support_points_are_conjugate(model_q2):
     f = model_q2.field
     assert hermitian_inner(f, (1, 0, 0, 0), (0, 1, 0, 0)) == 0
+
+
+def test_hermitian_inner_takes_two_points_of_four_integers(model_q2):
+    f = model_q2.field
+    # zip would stop at the shorter point, and int() truncate a float
+    for x, y in [((1, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 0, 0, 0, 0)), ((), ())]:
+        with pytest.raises(ValueError, match="four coordinates"):
+            hermitian_inner(f, x, y)
+    for bad in [(1.0, 0, 0, 0), ("1", 0, 0, 0), (1, 0, 0, 0.5)]:
+        with pytest.raises(TypeError):
+            hermitian_inner(f, bad, (1, 0, 0, 0))
+        with pytest.raises(TypeError):
+            hermitian_inner(f, (1, 0, 0, 0), bad)
+    assert hermitian_inner(f, np.array([1, 0, 0, 0]), (1, 0, 0, 0)) == 1  # numpy integers are integers
 
 
 def test_generators_against_line_oracle_q2(model_q2):

@@ -10,6 +10,7 @@ import hermcap
 
 # __init__.py re-exports the names it imports, so it is not checked
 MODULES = sorted(p for p in Path(hermcap.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +32,11 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["system", "dumps"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [pytest.param(p, id=p.name) for p in MODULES]
+    + [pytest.param(p, id=f"tests/{p.name}") for p in TEST_MODULES],
+)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -55,7 +60,7 @@ def nested_package_imports(source: str) -> list[str]:
 def test_the_check_sees_a_nested_package_import():
     source = (
         "from .rng import mix64\n"
-        "def f():\n    from .capfile import read_cap\n    import json\n"
+        "def f():\n    from .capfile import load_cap_ids\n    import json\n"
         "def g():\n    from hermcap.search import run_strategy\n    import hermcap.cli\n"
     )
     assert nested_package_imports(source) == [".capfile", "hermcap.search", "hermcap.cli"]

@@ -17,13 +17,11 @@ from .harness import (
     emit_runlog,
     gap_check,
     make_histogram,
-    parse_histogram_csv,
     run_spectrum,
 )
 from .hermitian import (
     CANONICAL_POLE,
     SurfaceModel,
-    classical_ovoid,
     enumerate_generators,
     enumerate_surface,
     hermitian_inner,
@@ -62,7 +60,6 @@ __all__ = [
     "TieMode",
     "backtrack_enlarge",
     "build_field",
-    "classical_ovoid",
     "derive_seed",
     "emit_histogram",
     "emit_runlog",
@@ -75,7 +72,6 @@ __all__ = [
     "make_histogram",
     "mix64",
     "normalize_point",
-    "parse_histogram_csv",
     "run_spectrum",
     "run_strategy",
     "sample_subcap",

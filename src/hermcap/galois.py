@@ -52,10 +52,21 @@ def _prime_factors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Field parameters: q = p^k, ambient field GF(q^2) of order p^(2k)."""
+    """Field parameters: q = p^k, ambient field GF(q^2) of order p^(2k).
+
+    Checked when built: ConfigurationError unless k >= 1, q <= MAX_Q and p is prime.
+    """
 
     p: int
     k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ConfigurationError(f"k={self.k} must be >= 1")
+        if self.q > MAX_Q:
+            raise ConfigurationError(f"q={self.q} exceeds the largest supported q ({MAX_Q})")
+        if _prime_factors(self.p) != [self.p]:
+            raise ConfigurationError(f"p={self.p} is not prime")
 
     @classmethod
     def for_q(cls, q: int) -> "FieldSpec":
@@ -77,14 +88,6 @@ class FieldSpec:
     @property
     def order2(self) -> int:
         return self.p ** (2 * self.k)
-
-    def validate(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError(f"k={self.k} must be >= 1")
-        if self.q > MAX_Q:
-            raise ConfigurationError(f"q={self.q} exceeds the largest supported q ({MAX_Q})")
-        if _prime_factors(self.p) != [self.p]:
-            raise ConfigurationError(f"p={self.p} is not prime")
 
 
 @dataclass
@@ -151,7 +154,6 @@ def _products(rows: np.ndarray, cols: np.ndarray, low: np.ndarray, p: int) -> np
 
 def build_field(spec: FieldSpec) -> FieldTables:
     """Build all tables for GF(q^2) = GF(p)[x] / (canonical modulus)."""
-    spec.validate()
     p, d, n = spec.p, 2 * spec.k, spec.order2
     idx = np.arange(n)
     digits = (idx[:, None] // p ** np.arange(d)) % p

@@ -240,17 +240,6 @@ def emit_histogram(hist: Histogram, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown histogram format {fmt!r}")
 
 
-def parse_histogram_csv(data: bytes) -> list[tuple[int, int, float]]:
-    lines = data.decode().strip().splitlines()
-    if not lines or lines[0] != "size,count,percent":
-        raise ValueError("not a histogram CSV")
-    out = []
-    for line in lines[1:]:
-        s, c, p = line.split(",")
-        out.append((int(s), int(c), float(p)))
-    return out
-
-
 def emit_runlog(records) -> bytes:
     """One JSON object per line, keyed by run index; excludes wall time."""
     out = io.StringIO()

@@ -63,11 +63,17 @@ ProjPoint = tuple[int, int, int, int]
 CANONICAL_POLE: ProjPoint = (0, 0, 0, 1)
 
 
-def normalize_point(field: FieldTables, coords) -> ProjPoint:
-    """Scale so the first nonzero coordinate is 1; TypeError for a non-integer coordinate."""
+def _coordinates(field: FieldTables, coords) -> ProjPoint:
+    """coords as four ints in [0, q^2); TypeError for a non-integer, ValueError otherwise."""
     coords = tuple(map(operator.index, coords))
     if len(coords) != 4 or not all(0 <= c < field.order2 for c in coords):
         raise ValueError(f"{coords} is not four coordinates in [0, {field.order2})")
+    return coords
+
+
+def normalize_point(field: FieldTables, coords) -> ProjPoint:
+    """Scale so the first nonzero coordinate is 1; ``_coordinates``' errors, or ValueError for zero."""
+    coords = _coordinates(field, coords)
     for c in coords:
         if c:
             if c == 1:
@@ -78,12 +84,10 @@ def normalize_point(field: FieldTables, coords) -> ProjPoint:
 
 
 def hermitian_inner(field: FieldTables, x, y) -> int:
-    """H(x, y) = sum_i x_i * conj(y_i); H(y, x) is its conjugate.  x and y are four integers each."""
-    if len(x) != 4 or len(y) != 4:
-        raise ValueError(f"H takes two points of four coordinates, got {x} and {y}")
+    """H(x, y) = sum_i x_i * conj(y_i); H(y, x) is its conjugate.  ``_coordinates``' errors."""
     acc = 0
-    for xi, yi in zip(x, y):
-        acc = field.add(acc, field.mul(operator.index(xi), field.conj_of(operator.index(yi))))
+    for xi, yi in zip(_coordinates(field, x), _coordinates(field, y)):
+        acc = field.add(acc, field.mul(xi, field.conj_of(yi)))
     return acc
 
 
@@ -115,7 +119,7 @@ class SurfaceModel:
         self.q2 = field.order2
         self.gx_size = self.q**3 + self.q**2 + 1
         self._build_points()
-        self._classical_ovoid = classical_ovoid(self)
+        self._classical_ovoid = np.flatnonzero(self.coords[:, 3] == 0).astype(np.int32)
         self._build_generators()
         self._freeze()
 
@@ -300,7 +304,11 @@ class SurfaceModel:
         return a == b or not set(gens[a].tolist()).isdisjoint(gens[b].tolist())
 
     def classical_ovoid_ids(self) -> np.ndarray:
-        """Classical ovoid at the canonical pole."""
+        """Plane-section ovoid: surface points on the polar plane of CANONICAL_POLE.
+
+        H(x, e_3) = x_3, so the plane is {x_3 = 0}.  Size q^3 + 1; meets every
+        generator exactly once.
+        """
         return self._classical_ovoid
 
 
@@ -331,15 +339,6 @@ def enumerate_generators(model: SurfaceModel) -> np.ndarray:
     Each generator is listed once, and rows are ordered by their two least points.
     """
     return model._gen_points
-
-
-def classical_ovoid(model: SurfaceModel) -> np.ndarray:
-    """Plane-section ovoid: surface points on the polar plane of CANONICAL_POLE.
-
-    H(x, e_3) = x_3, so the plane is {x_3 = 0}.  Size q^3 + 1; meets every
-    generator exactly once.
-    """
-    return np.flatnonzero(model.coords[:, 3] == 0).astype(np.int32)
 
 
 def checked_ids(model: SurfaceModel, points) -> np.ndarray:

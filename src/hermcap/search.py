@@ -43,7 +43,7 @@ import numpy as np
 from .capstate import CapState
 from .errors import HermcapError
 from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
-from .hermitian import _generator_sums, _sorted_distinct, _summed_over_generators
+from .hermitian import _generator_sums, _summed_over_generators
 from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
@@ -349,8 +349,7 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
             raise HermcapError("no admissible witness point; ovoid thinning failed")
         rng.shuffle(pool)
         for witness in pool:
-            row = _sorted_distinct(model.pencil(witness))
-            coverers = [int(z) for z in row if int(z) in cs.members]
+            coverers = sorted(cs.members.intersection(model.pencil(witness).tolist()))
             rng.shuffle(coverers)
             omega: list[int] = []
             for z in coverers:

@@ -13,7 +13,6 @@ from hermcap import (
     StrategyKind,
     SurfaceModel,
     build_field,
-    classical_ovoid,
     enumerate_generators,
     enumerate_surface,
     is_cap,
@@ -533,7 +532,7 @@ def test_relevance_bounds_exhaustive(q):
 
 
 def test_ovoid_coverage_and_completeness(model_q5):
-    ov = classical_ovoid(model_q5)
+    ov = model_q5.classical_ovoid_ids()
     cap = CapState.from_ids(model_q5, ov)
     assert cap.is_complete()
     assert np.count_nonzero(cap.cmult) == 3276
@@ -545,7 +544,7 @@ def test_ovoid_coverage_and_completeness(model_q5):
 
 
 def test_lone_uncovered_point_has_relevance_one(model_q2):
-    ov = classical_ovoid(model_q2)
+    ov = model_q2.classical_ovoid_ids()
     cap = CapState.from_ids(model_q2, ov)
     x = int(ov[3])
     cap.remove_point(x)
@@ -564,7 +563,7 @@ def test_weight_singleton(model_q3):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_ovoid_member_weights_exact(q):
     model = get_model(q)
-    ov = classical_ovoid(model)
+    ov = model.classical_ovoid_ids()
     cap = CapState.from_ids(model, ov)
     for x in map(int, ov[:: max(1, len(ov) // 20)]):
         assert cap.weight(x) == Fraction(q**2 + 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hermcap
-from hermcap import CapState, GapReport, classical_ovoid
+from hermcap import CapState, GapReport
 from hermcap.capfile import load_cap_ids, serialize_cap, write_cap
 from hermcap import cli
 from hermcap.cli import main
@@ -100,7 +100,7 @@ def test_verify_passes(capsys):
 
 
 def test_cap_file_round_trip(tmp_path, model_q3):
-    ov = classical_ovoid(model_q3)
+    ov = model_q3.classical_ovoid_ids()
     path = tmp_path / "ovoid.json"
     write_cap(path, model_q3, ov)
     ids = load_cap_ids(model_q3, path)
@@ -114,7 +114,7 @@ def test_cap_file_round_trip(tmp_path, model_q3):
 
 
 def test_cap_file_validation_errors(tmp_path, model_q3):
-    ov = classical_ovoid(model_q3)
+    ov = model_q3.classical_ovoid_ids()
     path = tmp_path / "bad.json"
 
     payload = json.loads(serialize_cap(model_q3, ov))
@@ -146,7 +146,7 @@ def test_verify_names_capfile_failure(tmp_path, capsys):
     from tests.conftest import get_model
 
     model = get_model(2)
-    ov = classical_ovoid(model)
+    ov = model.classical_ovoid_ids()
     payload = json.loads(serialize_cap(model, ov))
     payload["points"][0] = [1, 0, 0, 0]
     bad = tmp_path / "corrupt.json"
@@ -350,7 +350,7 @@ _MALFORMED = {
 def _malformed_cap(kind, model):
     if kind == "top-level-number":
         return "5"
-    payload = json.loads(serialize_cap(model, classical_ovoid(model)))
+    payload = json.loads(serialize_cap(model, model.classical_ovoid_ids()))
     points = payload["points"]
     if kind == "modulus-number":
         payload["modulus"] = 5
@@ -452,7 +452,7 @@ def test_missing_output_directory_exits_1_before_model_build(argv, tmp_path, mon
 
 
 def test_complete_with_ovoid_input(tmp_path, model_q2, capsys):
-    ov = classical_ovoid(model_q2)
+    ov = model_q2.classical_ovoid_ids()
     inp = tmp_path / "in.json"
     outp = tmp_path / "out.json"
     write_cap(inp, model_q2, ov)
@@ -552,7 +552,7 @@ def test_spectrum_json_format(capsys):
 
 def test_spectrum_seed_file(tmp_path, model_q3, capsys):
     seed = tmp_path / "seed.json"
-    write_cap(seed, model_q3, classical_ovoid(model_q3)[::3])  # 10 of the 28 points
+    write_cap(seed, model_q3, model_q3.classical_ovoid_ids()[::3])  # 10 of the 28 points
     logs = []
     for jobs in ("1", "2"):
         path = tmp_path / f"log{jobs}.jsonl"
@@ -602,6 +602,15 @@ def test_ovoid_and_thin_commands(tmp_path, model_q2, capsys):
     # thin then complete recovers the ovoid
     assert run_cli("complete", "--q", "2", "--input", str(kept_path), "--output", str(tmp_path / "re.json")) == 0
     assert np.array_equal(load_cap_ids(model_q2, tmp_path / "re.json"), ov)
+
+
+def test_failed_thinning_exits_1_with_its_error(monkeypatch, capsys):
+    # no coverer may leave, so every witness fails and thinning gives up
+    monkeypatch.setattr(CapState, "removal_relevance", lambda cap, z: 2)
+    assert run_cli("thin", "--q", "2") == 1
+    out = capsys.readouterr()
+    assert out.err.strip() == "error: ovoid thinning could not honor the covering invariant"
+    assert "Traceback" not in out.out + out.err
 
 
 def test_console_entry_point():

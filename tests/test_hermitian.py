@@ -11,7 +11,6 @@ from hermcap import (
     CapState,
     SearchConfig,
     SplitMix64,
-    classical_ovoid,
     enumerate_generators,
     hermitian_inner,
     is_cap,
@@ -317,6 +316,12 @@ def test_hermitian_inner_takes_two_points_of_four_integers(model_q2):
     for x, y in [((1, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 0, 0, 0, 0)), ((), ())]:
         with pytest.raises(ValueError, match="four coordinates"):
             hermitian_inner(f, x, y)
+    # -1 would index the tables from the end (element 3 at q = 2), and q^2 past them
+    for bad in [(-1, 0, 0, 0), (0, 0, 0, model_q2.q2)]:
+        with pytest.raises(ValueError, match="four coordinates"):
+            hermitian_inner(f, bad, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="four coordinates"):
+            hermitian_inner(f, (1, 0, 0, 0), bad)
     for bad in [(1.0, 0, 0, 0), ("1", 0, 0, 0), (1, 0, 0, 0.5)]:
         with pytest.raises(TypeError):
             hermitian_inner(f, bad, (1, 0, 0, 0))
@@ -377,7 +382,7 @@ def test_conjugate_iff_common_generator(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_classical_ovoid(q):
     model = get_model(q)
-    ov = classical_ovoid(model)
+    ov = model.classical_ovoid_ids()
     assert len(ov) == q**3 + 1
     assert is_cap(model, ov)
     mask = np.zeros(model.num_points, dtype=bool)
@@ -458,7 +463,7 @@ def test_canonical_pole_is_first_off_surface(q):
 
 def test_is_cap_examples(model_q2):
     gens = enumerate_generators(model_q2)
-    ov = classical_ovoid(model_q2)
+    ov = model_q2.classical_ovoid_ids()
     # (points, is a cap, is an ovoid)
     cases = [
         ([], True, False),

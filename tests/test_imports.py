@@ -8,28 +8,39 @@ import pytest
 
 import hermcap
 
-# __init__.py re-exports the names it imports, so it is not checked
-MODULES = sorted(p for p in Path(hermcap.__file__).parent.glob("*.py") if p.name != "__init__.py")
+# __init__.py re-exports the names it imports (test_package_exports_what_it_imports),
+# so it is not checked
+INIT = Path(hermcap.__file__)
+MODULES = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads; ``from __future__`` imports aside."""
-    tree = ast.parse(source)
+def imported_names(tree: ast.AST) -> list[str]:
+    """Names a module binds by import; ``from __future__`` imports aside."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``from __future__`` imports aside."""
+    tree = ast.parse(source)
     names = (n for n in ast.walk(tree) if isinstance(n, ast.Name))
     read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
-    return [name for name in imported if name not in read]
+    return [name for name in imported_names(tree) if name not in read]
 
 
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys as system\nfrom json import dumps, loads\nprint(os, loads)\n"
     assert unused_imports(source) == ["system", "dumps"]
+
+
+def test_package_exports_what_it_imports():
+    assert hermcap.__all__ == sorted(set(imported_names(ast.parse(INIT.read_text()))))
 
 
 @pytest.mark.parametrize(
@@ -80,12 +91,12 @@ if "numpy.ma" in sys.modules:
     raise SystemExit(77)  # numpy 1.x imports it with numpy itself
 from hermcap import (
     CapState, FieldSpec, SearchConfig, SeedSpec, SplitMix64, StrategyKind, build_field,
-    classical_ovoid, enumerate_surface, run_spectrum, run_strategy, sample_subcap, thin_ovoid,
+    enumerate_surface, run_spectrum, run_strategy, sample_subcap, thin_ovoid,
 )
 from hermcap import search
 
 model = enumerate_surface(build_field(FieldSpec(3, 1)))
-ov = classical_ovoid(model)
+ov = model.classical_ovoid_ids()
 CapState.from_ids(model, [ov[0], ov[3], ov[0], ov[3]])
 seed = sample_subcap(ov, 5, SplitMix64(1))
 for strategy in StrategyKind:

@@ -12,7 +12,6 @@ from hermcap import (
     StrategyKind,
     TieMode,
     backtrack_enlarge,
-    classical_ovoid,
     is_cap,
     run_strategy,
     sample_subcap,
@@ -84,7 +83,7 @@ def test_rng_seed_outside_64_bits_rejected(model_q3):
 
 
 def test_ovoid_seed_returned_unchanged(model_q5):
-    ov = classical_ovoid(model_q5)
+    ov = model_q5.classical_ovoid_ids()
     for strategy in StrategyKind:
         out = complete(model_q5, ov, strategy, rng_seed=1)
         assert np.array_equal(out.final_cap, ov)
@@ -94,7 +93,7 @@ def test_ovoid_seed_returned_unchanged(model_q5):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_ovoid_minus_few_points_recovers_uniquely(model_q5, k):
-    ov = classical_ovoid(model_q5)
+    ov = model_q5.classical_ovoid_ids()
     rng = SplitMix64(300 + k)
     sub = sample_subcap(ov, len(ov) - k, rng)
     for strategy in StrategyKind:
@@ -105,7 +104,7 @@ def test_ovoid_minus_few_points_recovers_uniquely(model_q5, k):
 
 
 def test_min_relevance_single_hole_one_step(model_q3):
-    ov = classical_ovoid(model_q3)
+    ov = model_q3.classical_ovoid_ids()
     sub = ov[1:]
     out = complete(model_q3, sub, StrategyKind.MIN_RELEVANCE, rng_seed=4)
     assert out.iterations == 1
@@ -115,7 +114,7 @@ def test_min_relevance_single_hole_one_step(model_q3):
 def test_unique_completion_when_max_relevance_is_one(model_q3):
     # whenever every uncovered point has relevance 1, all strategies land on
     # seed plus every uncovered point
-    ov = classical_ovoid(model_q3)
+    ov = model_q3.classical_ovoid_ids()
     sub = sample_subcap(ov, len(ov) - 3, SplitMix64(1))
     cap = CapState.from_ids(model_q3, sub)
     rel = cap.uncovered_relevance(cap.uncovered())
@@ -133,7 +132,7 @@ def test_forward_tie_modes_complete(model_q2, mode):
 
 
 def test_config_takes_members_or_their_values(model_q3):
-    seed = sample_subcap(classical_ovoid(model_q3), 6, SplitMix64(1))
+    seed = sample_subcap(model_q3.classical_ovoid_ids(), 6, SplitMix64(1))
 
     def trace(strategy, mode):
         config = SearchConfig(strategy=strategy, rng_seed=5, forward_tie_mode=mode, keep_trace=True)
@@ -290,7 +289,7 @@ def test_every_rule_ties_on_caps_of_at_most_one_point(q):
 def test_forward_scores_match_trial_oracle_along_q5_runs(model_q5, rng_seed, tie_mode):
     # the benchmark's forward-q5 size: every scored step of a forward run from
     # subovoid(40), replayed from its trace
-    seed = sample_subcap(classical_ovoid(model_q5), 40, SplitMix64(rng_seed))
+    seed = sample_subcap(model_q5.classical_ovoid_ids(), 40, SplitMix64(rng_seed))
     config = SearchConfig(
         strategy=StrategyKind.FORWARD, rng_seed=rng_seed, forward_tie_mode=tie_mode, keep_trace=True
     )
@@ -312,7 +311,7 @@ def test_forward_scores_match_trial_oracle_along_q5_runs(model_q5, rng_seed, tie
 @pytest.mark.parametrize("q,k", [(3, 3), (5, 40)])
 def test_lookahead_leaves_the_state_untouched(q, k):
     model = get_model(q)
-    cap = CapState.from_ids(model, sample_subcap(classical_ovoid(model), k, SplitMix64(k)))
+    cap = CapState.from_ids(model, sample_subcap(model.classical_ovoid_ids(), k, SplitMix64(k)))
     m = cap.uncovered()
     assert cap.relevance_many(m).min() > 1  # no relevance-1 shortcut
     members, cmult, unc = set(cap.members), cap.cmult.tobytes(), cap._unc.tobytes()
@@ -331,7 +330,7 @@ def test_lookahead_leaves_the_state_untouched(q, k):
 )
 def test_each_completion_step_draws_once(q, k, strategy, tie_mode, monkeypatch):
     model = get_model(q)
-    seed = sample_subcap(classical_ovoid(model), k, SplitMix64(k))
+    seed = sample_subcap(model.classical_ovoid_ids(), k, SplitMix64(k))
     bounds = []
     randbelow = SplitMix64.randbelow
 
@@ -356,7 +355,7 @@ def test_each_completion_step_draws_once(q, k, strategy, tie_mode, monkeypatch):
     ],
 )
 def test_rules_return_the_same_tie_set_twice(model_q5, rule, tie_mode):
-    cap = CapState.from_ids(model_q5, sample_subcap(classical_ovoid(model_q5), 40, SplitMix64(40)))
+    cap = CapState.from_ids(model_q5, sample_subcap(model_q5.classical_ovoid_ids(), 40, SplitMix64(40)))
     m = cap.uncovered()
     select, config = getattr(search, rule), SearchConfig(forward_tie_mode=tie_mode)
     ties = select(cap, m, config)
@@ -378,7 +377,7 @@ def test_relevance_one_implies_cap_size_bound(model_q3):
 def test_backtrack_requires_complete_input(model_q2, model_q3):
     with pytest.raises(ValueError):
         backtrack_enlarge(model_q2, [], CapState.from_ids(model_q2, [0]), SearchConfig(rng_seed=0))
-    ovoid = CapState.from_ids(model_q3, classical_ovoid(model_q3))
+    ovoid = CapState.from_ids(model_q3, model_q3.classical_ovoid_ids())
     with pytest.raises(ValueError):  # a complete state, of another model
         backtrack_enlarge(model_q2, [], ovoid, SearchConfig(rng_seed=0))
 
@@ -392,14 +391,14 @@ def test_backtrack_requires_seed_inside_cap(model_q2):
 
 
 def test_backtrack_rejects_ids(model_q3):
-    ov = classical_ovoid(model_q3)
+    ov = model_q3.classical_ovoid_ids()
     for ids in (ov, [int(x) for x in ov]):  # a complete cap, but not as a CapState
         with pytest.raises(TypeError, match="CapState"):
             backtrack_enlarge(model_q3, [], ids, SearchConfig(rng_seed=0))
 
 
 def test_backtrack_on_ovoid_returns_it(model_q3):
-    ov = classical_ovoid(model_q3)
+    ov = model_q3.classical_ovoid_ids()
     out = backtrack_enlarge(model_q3, [], CapState.from_ids(model_q3, ov), SearchConfig(rng_seed=6))
     assert np.array_equal(out.final_cap, ov)
 
@@ -426,6 +425,25 @@ def test_backtrack_returns_a_fully_protected_cap_unchanged(model_q3):
     assert out.iterations == 0
 
 
+def test_backtrack_keeps_its_input_when_the_refill_is_smaller(model_q3, monkeypatch):
+    # this random cap of 24 points takes three removals before an uncovered
+    # point of lower relevance turns up; a refill that adds nothing after it
+    # leaves 22 points, fewer than the input, so the input comes back
+    final = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=4).final_cap
+    assert len(final) == 24
+    sizes = []
+
+    def adds_nothing(cap, select, rng, config, trace):
+        sizes.append(len(cap))
+        return 0
+
+    monkeypatch.setattr(search, "_complete", adds_nothing)
+    out = backtrack_enlarge(model_q3, [], CapState.from_ids(model_q3, final), SearchConfig(rng_seed=4))
+    assert sizes == [22]
+    assert np.array_equal(out.final_cap, final)
+    assert out.iterations == 0
+
+
 def test_search_rejects_point_ids_that_are_not_integers(model_q3):
     base = complete(model_q3, [], StrategyKind.RANDOM, rng_seed=11)
     with pytest.raises(TypeError):
@@ -438,7 +456,7 @@ def test_search_rejects_point_ids_that_are_not_integers(model_q3):
 @pytest.mark.parametrize("q,k", [(3, 0), (3, 6), (5, 0), (5, 40)])
 def test_backtrack_enlarges_a_copy_of_the_completed_state(q, k):
     model = get_model(q)
-    seed = sample_subcap(classical_ovoid(model), k, SplitMix64(k))
+    seed = sample_subcap(model.classical_ovoid_ids(), k, SplitMix64(k))
     enlarge, calls = search.backtrack_enlarge, []
 
     def spy(model, protected, cap, config):
@@ -473,7 +491,7 @@ def test_run_strategy_backtrack_dispatch(model_q3):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_thin_ovoid_sizes_and_rigidity(q):
     model = get_model(q)
-    ov = classical_ovoid(model)
+    ov = model.classical_ovoid_ids()
     kept, removed = thin_ovoid(model, ov, SplitMix64(17))
     assert len(removed) == q * (q + 1) // 2
     assert len(kept) == q**3 + 1 - len(removed)
@@ -492,7 +510,7 @@ def test_thin_ovoid_rolls_back_a_witness_short_of_coverers(model_q3, monkeypatch
     # its own: the wrapped removal_relevance refuses every coverer of the first
     # witness after the first one, which thinning removes and must put back
     model, q = model_q3, model_q3.q
-    ov = classical_ovoid(model)
+    ov = model.classical_ovoid_ids()
     on_ovoid = set(ov.tolist())
     witnesses, calls = [], []  # calls: (witnesses tried so far, z, members then)
     pencil, removal_relevance = model.pencil, CapState.removal_relevance
@@ -528,11 +546,11 @@ def test_thin_ovoid_rejects_non_ovoid(model_q3):
         with pytest.raises(ValueError):
             thin_ovoid(model_q3, out.final_cap, SplitMix64(0))
     with pytest.raises(ValueError):
-        thin_ovoid(model_q3, classical_ovoid(model_q3)[:-1], SplitMix64(0))
+        thin_ovoid(model_q3, model_q3.classical_ovoid_ids()[:-1], SplitMix64(0))
 
 
 def test_sample_subcap_edges(model_q2):
-    ov = classical_ovoid(model_q2)
+    ov = model_q2.classical_ovoid_ids()
     rng = SplitMix64(5)
     assert np.array_equal(sample_subcap(ov, len(ov), rng), ov)
     assert len(sample_subcap(ov, 0, rng)) == 0
@@ -546,7 +564,7 @@ def test_sample_subcap_edges(model_q2):
 
 
 def test_sample_subcap_is_a_cap(model_q5):
-    ov = classical_ovoid(model_q5)
+    ov = model_q5.classical_ovoid_ids()
     sub = sample_subcap(ov, 69, SplitMix64(31))
     assert len(sub) == 69
     assert is_cap(model_q5, sub)
@@ -555,7 +573,7 @@ def test_sample_subcap_is_a_cap(model_q5):
 def test_distinct_ovoids_differ_enough(model_q2):
     # any two distinct ovoids differ in at least q+1 points
     q = model_q2.q
-    ovoids = {tuple(map(int, classical_ovoid(model_q2)))}
+    ovoids = {tuple(map(int, model_q2.classical_ovoid_ids()))}
     for seed in range(200):
         out = complete(model_q2, [], StrategyKind.RANDOM, rng_seed=seed)
         if out.is_ovoid:

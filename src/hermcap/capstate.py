@@ -39,13 +39,16 @@ once, except x itself, counted q + 1 times when it is uncovered:
 
 exact for members, covered and uncovered points alike.  Both reads sum
 through ``hermitian._summed_over_generators``: one transposed
-``generators_of`` gather and q + 1 row takes of _unc, added up in place.
-``relevance_many`` checks its ids and takes q off those it finds uncovered,
-and ``relevance`` reads through it; ``uncovered_relevance`` is the search's
-read, and its ids are uncovered by precondition (the array
-``uncovered()`` returns, or a filtered copy of it), so it checks nothing and
-takes q off every one as a scalar.  A covered id passed to it reads q too
-low.
+``generators_of`` gather, and one take of q + 1 rows of _unc summed along
+its first axis.  The counts are int16: a generator holds q^2 + 1 points, so
+a sum is at most (q + 1)(q^2 + 1), 4,369 at q = 16, and the slab the take
+builds is a quarter of its int64 size.  ``relevance_many`` checks its ids,
+widens the sums to int64 and takes q off those it finds uncovered, and
+``relevance`` reads through it; ``uncovered_relevance`` is the search's
+read, and its ids are uncovered by precondition (the array ``uncovered()``
+returns, or a filtered copy of it), so it checks nothing, stays in int16
+and takes q off every one as a scalar.  A covered id passed to it reads q
+too low.
 
 Removal relevance reads the generators too, from counts of the points
 covered once, built afresh per read (O(N + G)):
@@ -59,16 +62,19 @@ through x (H(3, q^2) is a generalized quadrangle), so the sum counts it
 once, while x, on all q + 1, is counted q + 1 times; the q surplus copies
 come off.
 
-A mutation only has to update the generators of the points whose coverage
-it flips: adding a member subtracts the per-generator counts of the points
-it newly covers, removing one adds those of the points it newly uncovers.
-Those points are the zeros of the member's pencil (before the increment, or
-after the decrement), which hold the member itself q + 1 times, once per
-generator through it; ``hermitian._pencil_sums`` bincounts their generators
-and puts the q surplus copies back.  A step thus reads one pencil (gx + q
-ids) and bincounts at most (q + 1)(gx + q) generator ids into G counts, and
-a read gathers each point's q + 1 generators and adds q + 1 takes of _unc;
-nothing a step does is of length N.
+A mutation only has to update the generators of the points whose coverage it
+flips, the zeros of the member's pencil (before the increment, or after the
+decrement).  A generator h not through the member x meets T(x) in exactly one
+point, so it holds at most one flipped point and its count moves by at most
+1: adding x subtracts 1 on the generators of every point it newly covers,
+removing x adds 1 on those of every point it newly uncovers.  One scatter
+does it, through intp indices (numpy converts int32 ones at about twice the
+scatter's cost), as repeats land only on x's own q + 1 generators, which are
+then set outright: to 0 on an add, as x covers all of their points, and on a
+removal to the zeros of each of the q + 1 rows of x's pencil, which is the
+generator row itself.  A step thus reads one pencil (gx + q ids) and scatters
+into at most (q + 1)(gx + q) counts, and a read gathers each point's q + 1
+generators and takes their counts; nothing a step does is of length N.
 
 The counts are lazy.  They are built on the first relevance read, as
 ``_generator_sums(uncovered())``, and until then ``add_point`` and
@@ -92,7 +98,7 @@ import numpy as np
 
 from .errors import CapViolationError, MemberNotFoundError
 from .hermitian import SurfaceModel, checked_id, checked_ids
-from .hermitian import _generator_sums, _pencil_sums, _sorted_distinct, _summed_over_generators
+from .hermitian import _generator_sums, _sorted_distinct, _summed_over_generators
 
 
 def _covered(x) -> CapViolationError:
@@ -148,7 +154,8 @@ class CapState:
         row = self.model.pencil(x)
         vals = self.cmult.take(row)
         if self._unc is not None:
-            self._unc -= _pencil_sums(self.model, x, row[vals == 0])
+            self._unc[self.model.generators_of(row[vals == 0]).astype(np.intp)] -= 1
+            self._unc[self.model.generators_of(x)] = 0
         self.cmult[row] = vals + 1
         self.members.add(x)
 
@@ -167,18 +174,20 @@ class CapState:
         vals = self.cmult.take(row) - 1
         self.cmult[row] = vals
         if self._unc is not None:
-            self._unc += _pencil_sums(self.model, x, row[vals == 0])
+            zero = vals == 0
+            self._unc[self.model.generators_of(row[zero]).astype(np.intp)] += 1
+            self._unc[self.model.generators_of(x)] = zero.reshape(self.model.q + 1, -1).sum(axis=1)
         self.members.remove(x)
 
     # -- relevance -----------------------------------------------------------
 
     def _generator_relevance(self, ids: np.ndarray) -> np.ndarray:
-        """_unc summed over each of the ids' q + 1 generators, as int64; built on first read.
+        """_unc summed over each of the ids' q + 1 generators, as int16; built on first read.
 
         Uncovered ids still count themselves q + 1 times.
         """
         if self._unc is None:
-            self._unc = _generator_sums(self.model, self.uncovered())
+            self._unc = _generator_sums(self.model, self.uncovered()).astype(np.int16)
         return _summed_over_generators(self.model, self._unc, ids)
 
     # -- queries -------------------------------------------------------------
@@ -190,12 +199,12 @@ class CapState:
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
         """relevance of each of ids, as int64; ValueError for an id off the surface."""
         ids = checked_ids(self.model, ids)
-        rel = self._generator_relevance(ids)
+        rel = self._generator_relevance(ids).astype(np.int64)
         rel[self.cmult.take(ids) == 0] -= self.model.q
         return rel
 
     def uncovered_relevance(self, m: np.ndarray) -> np.ndarray:
-        """relevance_many(m) for uncovered ids m, as int64.
+        """relevance_many(m) for uncovered ids m, as int16.
 
         Every id of m must be uncovered, as in ``uncovered()`` or a filtered
         copy of it.  This is not checked, as for ``generators_of``: a covered

@@ -37,8 +37,7 @@ itself is never enumerated.
   holds every other point of the section once and x itself q + 1 times, and
   the hot paths take the q extra copies of x off by arithmetic.
 - Incidence counts run through one kernel each way.  ``_generator_sums``
-  counts points on each generator (``_pencil_sums`` for the zeros of a
-  pencil, its point counted once), and ``_summed_over_generators`` sums
+  counts points on each generator, and ``_summed_over_generators`` sums
   per-generator values over each point's q + 1 generators; a cap's
   relevance and the forward scores are read this way.
 
@@ -393,33 +392,21 @@ def _generator_sums(model: SurfaceModel, pids: np.ndarray) -> np.ndarray:
     return np.bincount(gens.ravel(), minlength=len(model._gen_points))
 
 
-def _pencil_sums(model: SurfaceModel, x: int, ids: np.ndarray) -> np.ndarray:
-    """``_generator_sums(ids)`` for ids drawn from x's pencil, x among them, x counted once.
-
-    x stands q + 1 times in its pencil, once per generator through it, so
-    the bincount counts it q + 1 times on each of them; the q surplus copies
-    come off there.
-    """
-    on = _generator_sums(model, ids)
-    on[model.generators_of(x)] -= model.q
-    return on
-
-
 def _summed_over_generators(model: SurfaceModel, values: np.ndarray, pids: np.ndarray) -> np.ndarray:
     """values, indexed by generator along axis 0, summed over each pid's q + 1 generators.
 
     Row i of the result (an element when values is 1-D) is the sum of the
-    values of the generators through pids[i], in values' dtype, so int8
-    sums wrap.  One take per generator index reads contiguous ids, which is
-    faster than one take of the whole (len(pids), q + 1) matrix summed along
-    its short axis.  The ids are not checked; callers pass checked ids or
-    ids read off the model.
+    values of the generators through pids[i], in values' dtype, so int8 sums
+    wrap.  One take of the transposed (q + 1, len(pids)) generator matrix
+    builds a slab of q + 1 contiguous rows, summed along its first axis: two
+    numpy calls where q + 1 takes added in place make 2q + 1.  On int16 and
+    int8 values that is faster at every length measured; on int64 values a
+    long id array loses a little, the slab being 8 bytes a cell, which is
+    why the relevance counts are int16.  The ids are not checked; callers
+    pass checked ids or ids read off the model.
     """
     gens = model.generators_of(pids).T.astype(np.intp, order="C")
-    total = values.take(gens[0], axis=0)
-    for row in gens[1:]:
-        total += values.take(row, axis=0)
-    return total
+    return values.take(gens, axis=0).sum(axis=0, dtype=values.dtype)
 
 
 def is_cap(model: SurfaceModel, points) -> bool:

@@ -199,11 +199,12 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     num_gens = len(enumerate_generators(model))
     # bytes: phi 1 per generator and column; per band column its pencil, 5 per
     # id, and at most rmin + 2q + 2 uncovered ids of 12 q + 36 each with their
-    # marks; a score row 4 per column, 8 per generator of its gather and 40 besides
+    # marks; a score row q + 1 per column for its slab of phi rows and 4 more,
+    # 8 per generator of its gather and 40 besides
     cols = min(band.size, max(1, LOOKAHEAD_BLOCK_BYTES // num_gens))
     per_col = 5 * (model.gx_size + model.q) + (12 * q1 + 24) * (rmin + 2 * q1)
     chunk = max(1, LOOKAHEAD_BLOCK_BYTES // per_col)
-    step = max(1, LOOKAHEAD_BLOCK_BYTES // (4 * cols + 8 * q1 + 40))
+    step = max(1, LOOKAHEAD_BLOCK_BYTES // ((q1 + 4) * cols + 8 * q1 + 40))
     best = np.full(m.size, INT8_MAX, dtype=np.int8)
     count = np.zeros(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):

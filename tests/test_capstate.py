@@ -21,7 +21,9 @@ from hermcap import (
     sample_subcap,
 )
 from hermcap.errors import CapViolationError, MemberNotFoundError
-from hermcap.hermitian import _generator_sums, _sorted_distinct
+from hermcap import capstate
+from hermcap.galois import MAX_Q
+from hermcap.hermitian import _generator_sums, _sorted_distinct, _summed_over_generators
 
 from .conftest import get_model
 from .oracles import relevance_by_sets, tangent_sets_by_pairs
@@ -359,8 +361,8 @@ def test_relevance_vector_tracks_mutations(q, steps, tsets_q2):
 @settings(deadline=None)
 @given(steps=st.lists(st.tuples(st.sampled_from(["add", "remove", "copy"]), st.integers(0, 2**16)), max_size=30))
 def test_uncovered_read_matches_the_checked_read(q, steps):
-    # the unchecked read's scalar shift and the count updates' put-back of
-    # the member's surplus copies, after every mutation and on fresh copies
+    # the unchecked read's scalar shift and the count updates, which set the
+    # member's own generators outright, after every mutation and on fresh copies
     model = get_model(q)
     cap = CapState(model)
     for op, i in steps + [("copy", 0)]:
@@ -374,7 +376,7 @@ def test_uncovered_read_matches_the_checked_read(q, steps):
             cap = cap.copy()
         m = cap.uncovered()
         rel = cap.uncovered_relevance(m)
-        assert rel.dtype == np.int64
+        assert rel.dtype == np.int16
         assert np.array_equal(rel, cap.relevance_many(m))
         assert np.array_equal(cap._unc, _generator_sums(model, m))
 
@@ -461,7 +463,33 @@ def test_run_seeds_its_cap_with_one_pencil_gather(model_q5, strategy, monkeypatc
     cap = CapState.from_ids(model_q5, seed)
     # the forward scorer subtracts from it
     assert cap.relevance_many(cap.uncovered()).dtype == np.int64
-    assert cap.uncovered_relevance(cap.uncovered()).dtype == np.int64
+    assert cap.uncovered_relevance(cap.uncovered()).dtype == np.int16
+
+
+def test_generator_counts_fit_in_int16():
+    # a read sums q + 1 counts of at most q^2 + 1 uncovered points each, so
+    # raising MAX_Q past the int16 range has to fail here first
+    assert all((q + 1) * (q**2 + 1) <= np.iinfo(np.int16).max for q in range(2, MAX_Q + 1))
+    cap = CapState(get_model(3))
+    assert cap._unc is None
+    cap.relevance(0)
+    assert cap._unc.dtype == np.int16
+
+
+def test_min_relevance_sums_int16_counts(model_q5, monkeypatch):
+    # every relevance read of the search sums int16 counts: on int64 counts
+    # the slab of the one-take kernel is four times as large, and runs slower
+    summed = []
+
+    def spy(model, values, pids):
+        summed.append(values.dtype)
+        return _summed_over_generators(model, values, pids)
+
+    monkeypatch.setattr(capstate, "_summed_over_generators", spy)
+    seed = sample_subcap(model_q5.classical_ovoid_ids(), 10, SplitMix64(10))
+    out = run_strategy(model_q5, seed, SearchConfig(strategy=StrategyKind.MIN_RELEVANCE, rng_seed=5))
+    assert len(summed) == out.iterations
+    assert set(summed) == {np.dtype(np.int16)}
 
 
 @pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)

@@ -246,7 +246,7 @@ def _read_skips_its_shift(monkeypatch):
 
 
 def _add_skips_the_put_back(monkeypatch):
-    # x's pencil holds x q + 1 times; leave its q surplus copies subtracted
+    # x's own q + 1 generators hold no uncovered point; leave them at -q
     add_point = CapState.add_point
 
     def skipped(cap, x):

@@ -38,10 +38,13 @@ once, except x itself, counted q + 1 times when it is uncovered:
     relevance(x) == sum of _unc[g] over g through x  -  q * (cmult[x] == 0),
 
 exact for members, covered and uncovered points alike.  Both reads sum
-through ``hermitian._summed_over_generators``: one transposed
+through ``hermitian._summed_over_generators``, in blocks of
+``hermitian.RELEVANCE_BLOCK`` ids: per block, one transposed
 ``generators_of`` gather, and one take of q + 1 rows of _unc summed along
-its first axis.  The counts are int16: a generator holds q^2 + 1 points, so
-a sum is at most (q + 1)(q^2 + 1), 4,369 at q = 16, and the slab the take
+its first axis into the block's part of the result.  So a read over 10^6
+uncovered points holds a few blocks of indices at a time, not a (q + 1)-row
+copy of them all.  The counts are int16: a generator holds q^2 + 1 points,
+so a sum is at most (q + 1)(q^2 + 1), 4,369 at q = 16, and the slab the take
 builds is a quarter of its int64 size.  ``relevance_many`` checks its ids,
 widens the sums to int64 and takes q off those it finds uncovered, and
 ``relevance`` reads through it; ``uncovered_relevance`` is the search's
@@ -68,7 +71,7 @@ decrement).  A generator h not through the member x meets T(x) in exactly one
 point, so it holds at most one flipped point and its count moves by at most
 1: adding x subtracts 1 on the generators of every point it newly covers,
 removing x adds 1 on those of every point it newly uncovers.  One scatter
-does it, through intp indices (numpy converts int32 ones at about twice the
+does it, through intp indices (numpy converts narrower ones at about twice the
 scatter's cost), as repeats land only on x's own q + 1 generators, which are
 then set outright: to 0 on an add, as x covers all of their points, and on a
 removal to the zeros of each of the q + 1 rows of x's pencil, which is the

@@ -36,10 +36,14 @@ itself is never enumerated.
   generator rows through it, is gathered with two takes and never sorted; it
   holds every other point of the section once and x itself q + 1 times, and
   the hot paths take the q extra copies of x off by arithmetic.
+- The generator ids through each point are stored in the narrowest signed
+  type that holds them (``_id_dtype``): int16 while G <= 2^15, which is
+  every supported q up to 13, and int32 at q = 16.
 - Incidence counts run through one kernel each way.  ``_generator_sums``
   counts points on each generator, and ``_summed_over_generators`` sums
-  per-generator values over each point's q + 1 generators; a cap's
-  relevance and the forward scores are read this way.
+  per-generator values over each point's q + 1 generators, in blocks of
+  ``RELEVANCE_BLOCK`` points; a cap's relevance and the forward scores are
+  read this way.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -56,6 +60,10 @@ from .errors import ConfigurationError
 from .galois import FieldTables
 
 ProjPoint = tuple[int, int, int, int]
+
+# points per block of ``_summed_over_generators``: of 2,048 to 16,384, the
+# fastest at q = 11, 13 and 16, and level with one block at q = 7
+RELEVANCE_BLOCK = 4096
 
 # H(e3, e3) = 1 over every field, and e3 is the first point in encoding order,
 # so it is the first point of PG(3, q^2) off the surface
@@ -109,7 +117,11 @@ class SurfaceModel:
     the sorted points of each generator (``enumerate_generators``), and
     ``_gens_by_point``, the q + 1 generator ids through each point
     (``generators_of``).  Tangent sections are read from them as pencils
-    (``pencil``, ``pencil_rows``).
+    (``pencil``, ``pencil_rows``).  ``_gens_by_point`` is int16 when every
+    generator id fits, G = (q^3 + 1)(q + 1) <= 2^15 (q <= 13), and int32
+    otherwise (``_id_dtype``): the relevance reads gather it for every
+    uncovered point, and half the bytes is half the traffic.  The hot paths
+    widen the ids to intp before they index with them.
     """
 
     def __init__(self, field: FieldTables):
@@ -233,7 +245,7 @@ class SurfaceModel:
         if not (len(rows) == self.num_points and key.min() >= 0 and key.max() < num_gens):
             raise ConfigurationError("a point is not on exactly q + 1 generators")
         self._gen_points = lines
-        self._gens_by_point = key.astype(np.int32).reshape(self.num_points, q + 1)
+        self._gens_by_point = key.astype(_id_dtype(num_gens)).reshape(self.num_points, q + 1)
 
     # -- point access --------------------------------------------------------
 
@@ -309,6 +321,11 @@ class SurfaceModel:
         generator exactly once.
         """
         return self._classical_ovoid
+
+
+def _id_dtype(count: int) -> np.dtype:
+    """The narrowest signed type of int16 and int32 that holds every id in [0, count)."""
+    return np.dtype(np.int16 if count <= np.iinfo(np.int16).max + 1 else np.int32)
 
 
 def _sorted_lines(lines: np.ndarray) -> np.ndarray:
@@ -397,16 +414,24 @@ def _summed_over_generators(model: SurfaceModel, values: np.ndarray, pids: np.nd
 
     Row i of the result (an element when values is 1-D) is the sum of the
     values of the generators through pids[i], in values' dtype, so int8 sums
-    wrap.  One take of the transposed (q + 1, len(pids)) generator matrix
-    builds a slab of q + 1 contiguous rows, summed along its first axis: two
-    numpy calls where q + 1 takes added in place make 2q + 1.  On int16 and
-    int8 values that is faster at every length measured; on int64 values a
-    long id array loses a little, the slab being 8 bytes a cell, which is
-    why the relevance counts are int16.  The ids are not checked; callers
+    wrap.  The pids are read in blocks of RELEVANCE_BLOCK, each summed into
+    its rows of one preallocated result.  A block's one take of its
+    transposed (q + 1, block) generator matrix builds a slab of q + 1
+    contiguous rows, summed along its first axis: two numpy calls where
+    q + 1 takes added in place make 2q + 1.  On int16 and int8 values that
+    is faster at every length measured; on int64 values a long id array
+    loses a little, the slab being 8 bytes a cell, which is why the
+    relevance counts are int16.  The blocks keep the transposed intp
+    indices and the slab in cache when the ids run to 10^5 or 10^6, and
+    bound the read's transient memory.  The ids are not checked; callers
     pass checked ids or ids read off the model.
     """
-    gens = model.generators_of(pids).T.astype(np.intp, order="C")
-    return values.take(gens, axis=0).sum(axis=0, dtype=values.dtype)
+    out = np.empty((len(pids),) + values.shape[1:], dtype=values.dtype)
+    for lo in range(0, len(pids), RELEVANCE_BLOCK):
+        block = slice(lo, lo + RELEVANCE_BLOCK)
+        gens = model.generators_of(pids[block]).T.astype(np.intp, order="C")
+        values.take(gens, axis=0).sum(axis=0, dtype=values.dtype, out=out[block])
+    return out
 
 
 def is_cap(model: SurfaceModel, points) -> bool:

@@ -210,8 +210,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
         phi = np.zeros((num_gens, hi - lo), dtype=np.int8)
-        # an intp width makes the int32 generator ids intp in the first multiply,
-        # so no index temporary mixes int32 and intp
+        # an intp width makes the int16 or int32 generator ids intp in the first
+        # multiply, so no index temporary mixes them with intp
         cells, width = phi.ravel(), np.intp(hi - lo)
         for a in range(lo, hi, chunk):
             ys = band[a : min(a + chunk, hi)]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from hermcap import (
     sample_subcap,
 )
 from hermcap.errors import CapViolationError, MemberNotFoundError
-from hermcap import capstate
+from hermcap import capstate, hermitian
 from hermcap.galois import MAX_Q
 from hermcap.hermitian import _generator_sums, _sorted_distinct, _summed_over_generators
 
@@ -474,6 +475,23 @@ def test_generator_counts_fit_in_int16():
     assert cap._unc is None
     cap.relevance(0)
     assert cap._unc.dtype == np.int16
+
+
+def test_relevance_read_is_bounded_by_its_blocks(model_q5, monkeypatch):
+    # past the output, a read over every point holds at most a few blocks'
+    # worth of intp indices at once, never a whole (q + 1, N) transpose
+    monkeypatch.setattr(hermitian, "RELEVANCE_BLOCK", 256)
+    cap = CapState(model_q5)
+    m = cap.uncovered()
+    assert m.size == 3276
+    cap.uncovered_relevance(m)  # builds the counts
+    tracemalloc.start()
+    try:
+        rel = cap.uncovered_relevance(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rel.nbytes + 3 * (model_q5.q + 1) * 256 * 8
 
 
 def test_min_relevance_sums_int16_counts(model_q5, monkeypatch):

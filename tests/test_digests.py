@@ -13,7 +13,8 @@ change in a change that says why in ``CHANGES.md``.
 
 The construction digests cover the surface's incidence structure itself:
 every sorted tangent row, the generator point arrays in id order and the
-generator ids through every point; the point digests cover the normalized
+generator ids through every point, hashed as little-endian int32 whatever
+the table's own dtype; the point digests cover the normalized
 coordinates and the encoding keys that fix every PointId.  q = 4, 8 and 9
 are the surfaces here over a field GF(p^k) with k > 1.  The generator
 digests carry the two generator arrays on to q = 11 and 13, where hashing
@@ -265,7 +266,7 @@ def construction_digests(q):
 
 
 def generator_hashes(model):
-    through = model.generators_of(np.arange(model.num_points))
+    through = np.ascontiguousarray(model.generators_of(np.arange(model.num_points)), dtype="<i4")
     return sha256(enumerate_generators(model).tobytes()), sha256(through.tobytes())
 
 

@@ -19,8 +19,12 @@ from hermcap import (
     run_strategy,
 )
 
+from hermcap import hermitian
+from hermcap.errors import ConfigurationError
+from hermcap.galois import MAX_Q, FieldSpec
 from hermcap.hermitian import (
     _generator_sums,
+    _id_dtype,
     _sorted_distinct,
     _summed_over_generators,
     checked_ids,
@@ -185,6 +189,56 @@ def test_incidence_counts_by_pencils_and_by_generators_agree(q):
             by_generators = _summed_over_generators(model, values, every)
             assert by_generators.dtype == np.int8
             assert np.array_equal(by_generators, np.column_stack([by_pencils, once]).astype(np.int8))
+
+
+def _is_supported(q):
+    try:
+        FieldSpec.for_q(q)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def test_generator_table_is_the_narrowest_signed_type():
+    # G = (q^3 + 1)(q + 1) generator ids, 30,772 at q = 13 and 69,649 at
+    # q = 16: the table through each point is int16 up to q = 13, int32 at
+    # q = 16, decided from G alone
+    supported = [q for q in range(2, MAX_Q + 1) if _is_supported(q)]
+    assert supported == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    for q in supported:
+        assert _id_dtype((q**3 + 1) * (q + 1)) == (np.int16 if q <= 13 else np.int32), q
+    assert _id_dtype(2**15) == np.int16 and _id_dtype(2**15 + 1) == np.int32
+    for q in (2, 3, 4, 5):
+        model = get_model(q)
+        lines = enumerate_generators(model)
+        # the reference lists each point's generators ascending, in int32
+        owner = np.repeat(np.arange(len(lines), dtype=np.int32), lines.shape[1])
+        reference = owner[np.lexsort((owner, lines.ravel()))].reshape(model.num_points, q + 1)
+        through = model.generators_of(np.arange(model.num_points))
+        assert through.dtype == model._gens_by_point.dtype == np.int16
+        assert np.array_equal(through, reference)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_summed_over_generators_across_block_boundaries(q, monkeypatch):
+    # blocks of 7 ids: empty, a part block, exactly one, one and a bit, and
+    # several; each dtype against a plain int64 sum, cast (wrapping) at the end
+    monkeypatch.setattr(hermitian, "RELEVANCE_BLOCK", 7)
+    model = get_model(q)
+    num_gens = len(enumerate_generators(model))
+    gen = np.random.default_rng(q)
+    values = [
+        gen.integers(-1000, 1000, num_gens).astype(np.int16),
+        gen.integers(-(2**40), 2**40, num_gens),
+        gen.integers(-128, 128, (num_gens, 3)).astype(np.int8),
+    ]
+    for n in (0, 1, 6, 7, 8, 23):
+        pids = gen.integers(0, model.num_points, n)
+        for v in values:
+            expected = v.astype(np.int64)[model.generators_of(pids)].sum(axis=1).astype(v.dtype)
+            got = _summed_over_generators(model, v, pids)
+            assert got.dtype == v.dtype and got.shape == (n,) + v.shape[1:]
+            assert np.array_equal(got, expected), (n, v.dtype)
 
 
 def test_pickled_model_is_small():

@@ -17,7 +17,7 @@ from hermcap import (
     sample_subcap,
     thin_ovoid,
 )
-from hermcap import search
+from hermcap import hermitian, search
 from hermcap.errors import CapViolationError
 from hermcap.galois import MAX_Q
 
@@ -583,3 +583,16 @@ def test_distinct_ovoids_differ_enough(model_q2):
     for i, a in enumerate(ovoids):
         for b in ovoids[i + 1 :]:
             assert len(a - b) >= q + 1
+
+
+@pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)
+def test_runs_are_the_same_in_blocks_of_seven(model_q5, strategy, monkeypatch):
+    # every relevance read of a run, the forward scorer's included, split into
+    # blocks of 7 ids: the same caps and the same (point, relevance) traces
+    seed = sample_subcap(model_q5.classical_ovoid_ids(), 40, SplitMix64(3))
+    config = SearchConfig(strategy=strategy, rng_seed=4, keep_trace=True)
+    whole = run_strategy(model_q5, seed, config)
+    monkeypatch.setattr(hermitian, "RELEVANCE_BLOCK", 7)
+    blocked = run_strategy(model_q5, seed, config)
+    assert np.array_equal(blocked.final_cap, whole.final_cap)
+    assert blocked.trace == whole.trace and len(whole.trace) > 5

@@ -38,12 +38,8 @@ once, except x itself, counted q + 1 times when it is uncovered:
     relevance(x) == sum of _unc[g] over g through x  -  q * (cmult[x] == 0),
 
 exact for members, covered and uncovered points alike.  Both reads sum
-through ``hermitian._summed_over_generators``, in blocks of
-``hermitian.RELEVANCE_BLOCK`` ids: per block, one transposed
-``generators_of`` gather, and one take of q + 1 rows of _unc summed along
-its first axis into the block's part of the result.  So a read over 10^6
-uncovered points holds a few blocks of indices at a time, not a (q + 1)-row
-copy of them all.  The counts are int16: a generator holds q^2 + 1 points,
+through ``hermitian._summed_over_generators``, which reads its ids in
+bounded blocks.  The counts are int16: a generator holds q^2 + 1 points,
 so a sum is at most (q + 1)(q^2 + 1), 4,369 at q = 16, and the slab the take
 builds is a quarter of its int64 size.  ``relevance_many`` checks its ids,
 widens the sums to int64 and takes q off those it finds uncovered, and

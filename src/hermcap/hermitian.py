@@ -36,14 +36,12 @@ itself is never enumerated.
   generator rows through it, is gathered with two takes and never sorted; it
   holds every other point of the section once and x itself q + 1 times, and
   the hot paths take the q extra copies of x off by arithmetic.
-- The generator ids through each point are stored in the narrowest signed
-  type that holds them (``_id_dtype``): int16 while G <= 2^15, which is
-  every supported q up to 13, and int32 at q = 16.
+- The generator ids through each point are stored in the type
+  ``_id_dtype`` picks.
 - Incidence counts run through one kernel each way.  ``_generator_sums``
   counts points on each generator, and ``_summed_over_generators`` sums
-  per-generator values over each point's q + 1 generators, in blocks of
-  ``RELEVANCE_BLOCK`` points; a cap's relevance and the forward scores are
-  read this way.
+  per-generator values over each point's q + 1 generators; a cap's
+  relevance and the forward scores are read this way.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -117,11 +115,8 @@ class SurfaceModel:
     the sorted points of each generator (``enumerate_generators``), and
     ``_gens_by_point``, the q + 1 generator ids through each point
     (``generators_of``).  Tangent sections are read from them as pencils
-    (``pencil``, ``pencil_rows``).  ``_gens_by_point`` is int16 when every
-    generator id fits, G = (q^3 + 1)(q + 1) <= 2^15 (q <= 13), and int32
-    otherwise (``_id_dtype``): the relevance reads gather it for every
-    uncovered point, and half the bytes is half the traffic.  The hot paths
-    widen the ids to intp before they index with them.
+    (``pencil``, ``pencil_rows``).  ``_gens_by_point`` is stored in the
+    type ``_id_dtype`` picks.
     """
 
     def __init__(self, field: FieldTables):
@@ -279,6 +274,8 @@ class SurfaceModel:
     def generators_of(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), q + 1) matrix; row i holds the generators through pids[i].
 
+        The generator ids come in the table's type (``_id_dtype``: int16 or
+        int32), so a caller widens them to intp before any arithmetic on them.
         The ids are not checked; callers pass checked ids or ids read off the model.
         """
         return self._gens_by_point.take(pids, axis=0)
@@ -324,7 +321,14 @@ class SurfaceModel:
 
 
 def _id_dtype(count: int) -> np.dtype:
-    """The narrowest signed type of int16 and int32 that holds every id in [0, count)."""
+    """The narrowest signed type of int16 and int32 that holds every id in [0, count).
+
+    For the G = (q^3 + 1)(q + 1) generator ids that is int16 while G <= 2^15,
+    every supported q up to 13, and int32 at q = 16.  The relevance reads
+    gather the generators of every uncovered point, and half the bytes is
+    half the traffic.  Numpy 1 keeps an int16 array times a scalar in int16,
+    so every user widens the ids to intp before arithmetic on them.
+    """
     return np.dtype(np.int16 if count <= np.iinfo(np.int16).max + 1 else np.int32)
 
 

@@ -210,17 +210,17 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
         phi = np.zeros((num_gens, hi - lo), dtype=np.int8)
-        # an intp width makes the int16 or int32 generator ids intp in the first
-        # multiply, so no index temporary mixes them with intp
-        cells, width = phi.ravel(), np.intp(hi - lo)
+        # the int16 or int32 generator ids are widened to intp by the multiply's
+        # own dtype, so the cell indices cannot wrap on numpy 1 or 2
+        cells, width = phi.ravel(), hi - lo
         for a in range(lo, hi, chunk):
             ys = band[a : min(a + chunk, hi)]
             flat = model.pencil_rows(ys).ravel()
             at = np.flatnonzero(uncovered.take(flat))
-            marks = model.generators_of(flat.take(at)) * width
+            marks = np.multiply(model.generators_of(flat.take(at)), width, dtype=np.intp)
             marks += (at // (model.gx_size + model.q) + (a - lo))[:, None]
             cells[marks] = 1
-            through = model.generators_of(ys) * width
+            through = np.multiply(model.generators_of(ys), width, dtype=np.intp)
             through += np.arange(a - lo, a - lo + ys.size)[:, None]
             cells[through] = COVERED
         for r0 in range(0, m.size, step):

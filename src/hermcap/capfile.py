@@ -54,7 +54,7 @@ def cap_ids(model: SurfaceModel, data: bytes) -> np.ndarray:
     """The sorted PointIds of cap-file bytes; CapFileError for the first failed check."""
     try:
         payload = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CapFileError(f"capfile-unreadable: {exc}") from exc
     if not isinstance(payload, dict):
         raise CapFileError(f"capfile-not-an-object: top level is {type(payload).__name__}")

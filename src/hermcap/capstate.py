@@ -67,13 +67,13 @@ decrement).  A generator h not through the member x meets T(x) in exactly one
 point, so it holds at most one flipped point and its count moves by at most
 1: adding x subtracts 1 on the generators of every point it newly covers,
 removing x adds 1 on those of every point it newly uncovers.  One scatter
-does it, through intp indices (numpy converts narrower ones at about twice the
-scatter's cost), as repeats land only on x's own q + 1 generators, which are
-then set outright: to 0 on an add, as x covers all of their points, and on a
-removal to the zeros of each of the q + 1 rows of x's pencil, which is the
-generator row itself.  A step thus reads one pencil (gx + q ids) and scatters
-into at most (q + 1)(gx + q) counts, and a read gathers each point's q + 1
-generators and takes their counts; nothing a step does is of length N.
+does it, through the intp ids of ``generators_of``, as repeats land only on
+x's own q + 1 generators, which are then set outright: to 0 on an add, as x
+covers all of their points, and on a removal to the zeros of each of the
+q + 1 rows of x's pencil, which is the generator row itself.  A step thus
+reads one pencil (gx + q ids) and scatters into at most (q + 1)(gx + q)
+counts, and a read gathers each point's q + 1 generators and takes their
+counts; nothing a step does is of length N.
 
 The counts are lazy.  They are built on the first relevance read, as
 ``_generator_sums(uncovered())``, and until then ``add_point`` and
@@ -153,7 +153,7 @@ class CapState:
         row = self.model.pencil(x)
         vals = self.cmult.take(row)
         if self._unc is not None:
-            self._unc[self.model.generators_of(row[vals == 0]).astype(np.intp)] -= 1
+            self._unc[self.model.generators_of(row[vals == 0])] -= 1
             self._unc[self.model.generators_of(x)] = 0
         self.cmult[row] = vals + 1
         self.members.add(x)
@@ -174,7 +174,7 @@ class CapState:
         self.cmult[row] = vals
         if self._unc is not None:
             zero = vals == 0
-            self._unc[self.model.generators_of(row[zero]).astype(np.intp)] += 1
+            self._unc[self.model.generators_of(row[zero])] += 1
             self._unc[self.model.generators_of(x)] = zero.reshape(self.model.q + 1, -1).sum(axis=1)
         self.members.remove(x)
 

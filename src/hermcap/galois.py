@@ -22,6 +22,7 @@ Addition is digitwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +55,16 @@ def _prime_factors(n: int) -> list[int]:
 class FieldSpec:
     """Field parameters: q = p^k, ambient field GF(q^2) of order p^(2k).
 
-    Checked when built: ConfigurationError unless k >= 1, q <= MAX_Q and p is prime.
+    Checked when built: TypeError unless p and k are integers, ConfigurationError
+    unless k >= 1, q <= MAX_Q and p is prime.
     """
 
     p: int
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("p", "k"):  # TypeError for a non-integer
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.k < 1:
             raise ConfigurationError(f"k={self.k} must be >= 1")
         if self.q > MAX_Q:

@@ -232,7 +232,7 @@ class SurfaceModel:
         lines = _sorted_lines(np.column_stack([np.repeat(self._classical_ovoid, q + 1), ids]))
         del ids  # before the key sort, as the sorted rows hold its points
         num_gens = len(lines)
-        key = lines.ravel() * np.int64(num_gens)
+        key = np.multiply(lines.ravel(), num_gens, dtype=np.int64)
         key.reshape(num_gens, q2 + 1)[:] += np.arange(num_gens)[:, None]
         key.sort()
         rows = key.reshape(-1, q + 1)
@@ -274,18 +274,18 @@ class SurfaceModel:
     def generators_of(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), q + 1) matrix; row i holds the generators through pids[i].
 
-        The generator ids come in the table's type (``_id_dtype``: int16 or
-        int32), so a caller widens them to intp before any arithmetic on them.
-        The ids are not checked; callers pass checked ids or ids read off the model.
+        The generator ids are intp, numpy's native index type, whatever type
+        the table stores them in (``_id_dtype``).  The ids are not checked;
+        callers pass checked ids or ids read off the model.
         """
-        return self._gens_by_point.take(pids, axis=0)
+        return self._gens_by_point.take(pids, axis=0).astype(np.intp)
 
     def pencil_rows(self, pids: np.ndarray) -> np.ndarray:
         """(len(pids), gx_size + q) matrix; row i is ``pencil(pids[i])``.
 
         The ids are not checked; callers pass checked ids or ids read off the model.
         """
-        members = self._gen_points.take(self.generators_of(pids), axis=0)
+        members = self._gen_points.take(self._gens_by_point.take(pids, axis=0), axis=0)
         return members.reshape(len(members), self.gx_size + self.q)
 
     def tangent_rows(self, pids: np.ndarray) -> np.ndarray:
@@ -326,8 +326,8 @@ def _id_dtype(count: int) -> np.dtype:
     For the G = (q^3 + 1)(q + 1) generator ids that is int16 while G <= 2^15,
     every supported q up to 13, and int32 at q = 16.  The relevance reads
     gather the generators of every uncovered point, and half the bytes is
-    half the traffic.  Numpy 1 keeps an int16 array times a scalar in int16,
-    so every user widens the ids to intp before arithmetic on them.
+    half the traffic.  The table never leaves this module in its own type:
+    ``generators_of`` hands out intp ids.
     """
     return np.dtype(np.int16 if count <= np.iinfo(np.int16).max + 1 else np.int32)
 
@@ -409,7 +409,7 @@ def _generator_sums(model: SurfaceModel, pids: np.ndarray) -> np.ndarray:
     generators.  The ids are not checked; callers pass checked ids or ids
     read off the model.
     """
-    gens = model.generators_of(pids)
+    gens = model._gens_by_point.take(pids, axis=0)
     return np.bincount(gens.ravel(), minlength=len(model._gen_points))
 
 
@@ -433,7 +433,7 @@ def _summed_over_generators(model: SurfaceModel, values: np.ndarray, pids: np.nd
     out = np.empty((len(pids),) + values.shape[1:], dtype=values.dtype)
     for lo in range(0, len(pids), RELEVANCE_BLOCK):
         block = slice(lo, lo + RELEVANCE_BLOCK)
-        gens = model.generators_of(pids[block]).T.astype(np.intp, order="C")
+        gens = model._gens_by_point.take(pids[block], axis=0).T.astype(np.intp, order="C")
         values.take(gens, axis=0).sum(axis=0, dtype=values.dtype, out=out[block])
     return out
 

@@ -9,7 +9,7 @@ import pytest
 
 import hermcap
 from hermcap import CapState, GapReport
-from hermcap.capfile import load_cap_ids, serialize_cap, write_cap
+from hermcap.capfile import cap_ids, load_cap_ids, serialize_cap, write_cap
 from hermcap import cli
 from hermcap.cli import main
 from hermcap.errors import CapFileError
@@ -139,6 +139,10 @@ def test_cap_file_validation_errors(tmp_path, model_q3):
     path.write_text("{not json")
     with pytest.raises(CapFileError, match="unreadable"):
         load_cap_ids(model_q3, path)
+
+    # json.loads raises RecursionError, not ValueError, on 100,000 nested lists
+    with pytest.raises(CapFileError, match="capfile-unreadable"):
+        cap_ids(model_q3, b"[" * 100_000)
 
 
 def test_verify_names_capfile_failure(tmp_path, capsys):
@@ -344,12 +348,15 @@ _MALFORMED = {
     "form-unknown": "capfile-unknown-form",
     "point-scaled": "capfile-point-not-normalized",
     "point-repeated": "capfile-duplicate-points",
+    "nested-too-deep": "capfile-unreadable",
 }
 
 
 def _malformed_cap(kind, model):
     if kind == "top-level-number":
         return "5"
+    if kind == "nested-too-deep":
+        return "[" * 100_000
     payload = json.loads(serialize_cap(model, model.classical_ovoid_ids()))
     points = payload["points"]
     if kind == "modulus-number":

@@ -128,6 +128,14 @@ def test_invalid_specs_rejected():
         build_field(FieldSpec(2**61 - 1, 1))  # a huge prime p, bounded before the primality test
 
 
+def test_non_integer_spec_rejected_when_built():
+    # q would read 2^2.5 = 5.66 and 2.0; build_field failed later on a slice index
+    for p, k in ((2, 2.5), (2.0, 1)):
+        with pytest.raises(TypeError):
+            FieldSpec(p, k)
+    assert FieldSpec(2, 3).q == 8
+
+
 def test_spec_for_q():
     assert [FieldSpec.for_q(q) for q in (2, 4, 7, 9, 16)] == [
         FieldSpec(2, 1), FieldSpec(2, 2), FieldSpec(7, 1), FieldSpec(3, 2), FieldSpec(2, 4)

@@ -215,8 +215,22 @@ def test_generator_table_is_the_narrowest_signed_type():
         owner = np.repeat(np.arange(len(lines), dtype=np.int32), lines.shape[1])
         reference = owner[np.lexsort((owner, lines.ravel()))].reshape(model.num_points, q + 1)
         through = model.generators_of(np.arange(model.num_points))
-        assert through.dtype == model._gens_by_point.dtype == np.int16
+        assert through.dtype == np.intp and model._gens_by_point.dtype == np.int16
         assert np.array_equal(through, reference)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_ids_leave_the_model_as_intp(q):
+    # the narrow generator table is stored, never handed out: arithmetic on
+    # the ids a caller reads cannot wrap on numpy 1's value-based casting
+    model = get_model(q)
+    cap = CapState.from_ids(model, model.classical_ovoid_ids()[: q + 1])
+    assert model._gens_by_point.dtype == np.int16
+    assert model.generators_of(np.arange(model.num_points)).dtype == np.intp
+    assert model.generators_of(np.array([0], dtype=np.int16)).dtype == np.intp
+    assert model.generators_of(0).dtype == np.intp
+    assert model.pencil(0).dtype == np.intp
+    assert cap.uncovered().dtype == np.intp
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_group.add_argument("--seed-size", type=int, help="fresh random sub-ovoid of this size per run")
     seed_group.add_argument("--seed-file", help="fixed seed cap file")
     p.add_argument("--master", type=int, required=True, help="master seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count (default: 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs (default: 1)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_output(p, "--out", "histogram file (default: stdout)")
     _add_output(p, "--runlog", "JSON-lines run log file")

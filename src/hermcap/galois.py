@@ -17,7 +17,8 @@ cofactor is zero modulo the candidate.  So the first candidate whose table has
 no zero product in the rows of degree <= d/2 is irreducible, and its table is
 ``mul2``.  Every other table is read from ``mul2``: conjugation as q - 1
 successive products, inverses where a row holds 1, the norm as x * x^q.
-Addition is digitwise.
+Addition is digitwise.  Callers do arithmetic by indexing the tables, e.g.
+``mul2[a, b]``; an element a lies in GF(q) exactly when ``conj[a] == a``.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class FieldTables:
 
     ``add2``/``mul2`` are full (q^2, q^2) tables.  ``conj`` is x -> x^q,
     ``inv`` the multiplicative inverse (0 slot unused), ``norm`` is
-    x -> x^(q+1), always a subfield value.
+    x -> x^(q+1), always a subfield value.  Every caller indexes the tables;
+    ``inv_of`` raises for 0, whose ``inv`` slot silently reads 0.
     """
 
     spec: FieldSpec
@@ -119,26 +121,10 @@ class FieldTables:
     def order2(self) -> int:
         return self.spec.order2
 
-    # scalar operations (table lookups); vectorized callers index the arrays
-    def add(self, a: int, b: int) -> int:
-        return int(self.add2[a, b])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul2[a, b])
-
     def inv_of(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv[a])
-
-    def conj_of(self, a: int) -> int:
-        return int(self.conj[a])
-
-    def norm_of(self, a: int) -> int:
-        return int(self.norm[a])
-
-    def in_subfield(self, a: int) -> bool:
-        return int(self.conj[a]) == a
 
 
 def _products(rows: np.ndarray, cols: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:

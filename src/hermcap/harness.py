@@ -175,7 +175,7 @@ def run_spectrum(
     master_seed: int,
     jobs: int = 1,
 ) -> tuple[Histogram, list[RunRecord]]:
-    """n_runs seeded runs on min(jobs, n_runs, CPU count) processes; the same records for any jobs."""
+    """n_runs seeded runs on min(jobs, n_runs, usable CPUs) processes; the same records for any jobs."""
     strategy = StrategyKind(strategy)  # a member or its value, as in SearchConfig; checked before any run
     n_runs, jobs, master_seed = map(operator.index, (n_runs, jobs, master_seed))  # TypeError for a non-integer
     if n_runs < 1:
@@ -190,7 +190,8 @@ def run_spectrum(
     if seed_spec.kind == "fromfile":
         fixed_ids = load_cap_ids(model, seed_spec.path)
     args = (model, seed_spec, strategy, master_seed, fixed_ids)
-    workers = min(jobs, n_runs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, n_runs, cpus)
     if workers == 1:
         records = [_execute_run(args, i) for i in range(n_runs)]
     else:

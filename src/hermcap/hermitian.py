@@ -84,7 +84,7 @@ def normalize_point(field: FieldTables, coords) -> ProjPoint:
             if c == 1:
                 return coords
             s = field.inv_of(c)
-            return tuple(field.mul(s, x) for x in coords)
+            return tuple(int(field.mul2[s, x]) for x in coords)
     raise ValueError("the zero vector is not a projective point")
 
 
@@ -92,7 +92,7 @@ def hermitian_inner(field: FieldTables, x, y) -> int:
     """H(x, y) = sum_i x_i * conj(y_i); H(y, x) is its conjugate.  ``_coordinates``' errors."""
     acc = 0
     for xi, yi in zip(_coordinates(field, x), _coordinates(field, y)):
-        acc = field.add(acc, field.mul(xi, field.conj_of(yi)))
+        acc = int(field.add2[acc, field.mul2[xi, field.conj[yi]]])
     return acc
 
 

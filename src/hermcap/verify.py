@@ -68,7 +68,7 @@ def _field_checks(field: FieldTables) -> Iterator[CheckResult]:
     yield CheckResult("field-conjugation-homomorphism", homo)
     vals, counts = np.unique(field.norm[1:], return_counts=True)
     ok = len(vals) == field.q - 1 and bool((counts == field.q + 1).all())
-    ok = ok and all(field.in_subfield(int(v)) for v in vals)
+    ok = ok and bool((field.conj[vals] == vals).all())
     yield CheckResult("field-norm-fibers", ok)
 
 

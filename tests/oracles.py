@@ -76,7 +76,7 @@ def all_lines_pg3(field):
     for x, y in combinations(pts, 2):
         members = {x}
         for lam in range(field.order2):
-            coords = tuple(field.add(y[i], field.mul(lam, x[i])) for i in range(4))
+            coords = tuple(int(field.add2[y[i], field.mul2[lam, x[i]]]) for i in range(4))
             members.add(normalize_point(field, coords))
         lines.add(frozenset(members))
     return lines

@@ -387,7 +387,7 @@ def _malformed_cap(kind, model):
         payload["form"] = "hermitian"
     elif kind == "point-scaled":
         # the first nonzero coordinate becomes 2 instead of 1
-        points[0] = [model.field.mul(2, c) for c in points[0]]
+        points[0] = [int(model.field.mul2[2, c]) for c in points[0]]
     elif kind == "point-repeated":
         points.append(points[0])
     elif kind == "point-bool":

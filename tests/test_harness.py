@@ -92,6 +92,7 @@ def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
             return [fn(i) for i in iterable]
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(harness, "_worker_args", None)  # restored after the in-process pool
     kwargs = dict(seed_spec=SeedSpec.empty(), strategy=StrategyKind.RANDOM, n_runs=20, master_seed=5)
@@ -102,6 +103,21 @@ def test_run_spectrum_starts_at_most_one_worker_per_cpu(model_q2, monkeypatch):
     assert requested == [2, 2] and chunks == [10, 4]
     serial_hist, serial = run_spectrum(model_q2, jobs=1, **kwargs)
     assert requested == [2, 2]
+    assert [r.log_fields() for r in records] == [r.log_fields() for r in serial]
+    assert hist.bins == serial_hist.bins
+
+
+def test_run_spectrum_sizes_the_pool_by_the_affinity_set(model_q2, monkeypatch):
+    # under taskset or a cpuset, cpu_count() also counts CPUs the process cannot run on
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep on one usable CPU started a pool")
+
+    kwargs = dict(seed_spec=SeedSpec.empty(), strategy=StrategyKind.RANDOM, n_runs=6, master_seed=5)
+    serial_hist, serial = run_spectrum(model_q2, jobs=1, **kwargs)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    hist, records = run_spectrum(model_q2, jobs=2, **kwargs)
     assert [r.log_fields() for r in records] == [r.log_fields() for r in serial]
     assert hist.bins == serial_hist.bins
 

@@ -83,7 +83,7 @@ def test_normalization_canonical(model_q3):
     f = model_q3.field
     x = model_q3.coords_of(17)
     for s in range(2, f.order2):
-        scaled = tuple(f.mul(s, c) for c in x)
+        scaled = tuple(int(f.mul2[s, c]) for c in x)
         assert normalize_point(f, scaled) == x
 
 
@@ -368,7 +368,29 @@ def test_hermitian_inner_conjugate_swap(model_q3):
     for _ in range(300):
         x = model_q3.coords_of(rng.randbelow(model_q3.num_points))
         y = model_q3.coords_of(rng.randbelow(model_q3.num_points))
-        assert hermitian_inner(f, y, x) == f.conj_of(hermitian_inner(f, x, y))
+        assert hermitian_inner(f, y, x) == f.conj[hermitian_inner(f, x, y)]
+
+
+def test_scalar_form_matches_vectorized_form(model_q2, model_q3):
+    # every ordered pair of the 45 points at q = 2, and 1,000 seeded pairs at q = 3
+    assert model_q2.num_points == 45
+    rng, n3 = SplitMix64(38), model_q3.num_points
+    for model, pairs in (
+        (model_q2, [(a, b) for a in range(45) for b in range(45)]),
+        (model_q3, [(rng.randbelow(n3), rng.randbelow(n3)) for _ in range(1000)]),
+    ):
+        f, coords = model.field, model.coords
+        for a, b in pairs:
+            form = hermitian._form(f, coords[a], coords[b])
+            assert hermitian_inner(f, model.coords_of(a), model.coords_of(b)) == form
+
+
+def test_normalize_point_undoes_every_scalar(model_q2):
+    f = model_q2.field
+    for pid in range(model_q2.num_points):
+        x = model_q2.coords_of(pid)
+        for lam in range(1, f.order2):
+            assert normalize_point(f, f.mul2[lam, list(x)]) == x
 
 
 def test_disjoint_support_points_are_conjugate(model_q2):
@@ -568,7 +590,7 @@ def test_point_on_surface_from_norm_equation(model_q5):
     # (1, 0, 0, a) lies on the surface exactly when norm(a) = -1
     f = model_q5.field
     minus_one = int(np.flatnonzero(f.add2[1] == 0)[0])
-    on = [a for a in range(f.order2) if f.norm_of(a) == minus_one]
+    on = [a for a in range(f.order2) if f.norm[a] == minus_one]
     assert len(on) == f.q + 1
     for a in on:
         assert hermitian_inner(f, (1, 0, 0, a), (1, 0, 0, a)) == 0

@@ -23,12 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapFileError
-from .hermitian import SurfaceModel, is_cap, normalize_point
+from .hermitian import SurfaceModel, checked_ids, is_cap, normalize_point
 
 FORM_ID = "diagonal"
 
 
 def serialize_cap(model: SurfaceModel, ids) -> bytes:
+    """The canonical bytes of a point set; ``checked_ids``' errors, and ValueError for a repeated id."""
+    ids = np.sort(checked_ids(model, ids))
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError("a point repeats; a cap file lists each point once")
     spec = model.field.spec
     payload = {
         "q": spec.q,
@@ -36,7 +40,7 @@ def serialize_cap(model: SurfaceModel, ids) -> bytes:
         "k": spec.k,
         "modulus": list(model.field.modulus),
         "form": FORM_ID,
-        "points": [list(model.coords_of(i)) for i in sorted(int(x) for x in ids)],
+        "points": model.coords[ids].tolist(),
     }
     return (json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n").encode()
 

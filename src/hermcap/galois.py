@@ -75,7 +75,8 @@ class FieldSpec:
 
     @classmethod
     def for_q(cls, q: int) -> "FieldSpec":
-        """The spec with p^k = q; raises ConfigurationError unless q is a supported prime power."""
+        """The spec with p^k = q; TypeError or ConfigurationError unless q is a supported prime power."""
+        q = operator.index(q)
         if q > MAX_Q:  # before the trial division, which would hang on a huge q
             raise ConfigurationError(f"q={q} exceeds the largest supported q ({MAX_Q})")
         primes = _prime_factors(q) if q >= 2 else []

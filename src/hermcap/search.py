@@ -68,7 +68,6 @@ class SearchConfig:
     strategy: StrategyKind = StrategyKind.RANDOM
     rng_seed: int = 0
     forward_tie_mode: TieMode = TieMode.MAX_COUNT
-    keep_trace: bool = False
 
     def __post_init__(self) -> None:
         # a member or its value; anything else raises ValueError here, not mid-run
@@ -82,23 +81,18 @@ class SearchOutcome:
     final_cap: np.ndarray  # sorted PointIds of a complete cap
     is_ovoid: bool
     iterations: int
-    trace: list[tuple[int, int]] | None = field(default=None, repr=False)
+    trace: list[tuple[int, int]] | None = field(default=None, repr=False)  # (point, relevance) per completion step
 
     @property
     def size(self) -> int:
         return len(self.final_cap)
 
 
-def _outcome(model: SurfaceModel, final: np.ndarray, iterations: int, trace) -> SearchOutcome:
-    return SearchOutcome(
-        final_cap=final,
-        is_ovoid=len(final) == model.q**3 + 1,
-        iterations=iterations,
-        trace=trace,
-    )
+def _outcome(model: SurfaceModel, final: np.ndarray, iterations: int, trace=None) -> SearchOutcome:
+    return SearchOutcome(final, len(final) == model.q**3 + 1, iterations, trace)
 
 
-def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trace) -> int:
+def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig) -> list[tuple[int, int]]:
     """Add one point drawn from select(cap, uncovered, config) until the cap is complete.
 
     Each step makes one draw, uniform over the tie set the rule returns.
@@ -111,25 +105,25 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig, trac
     as PGU(4, q^2) is transitive on the points, and a point's stabilizer on
     the points not conjugate to it.
 
-    ``uncovered`` is the sorted array of uncovered points, filtered in place
-    of a fresh scan after every addition.  On a sound model each step covers
-    at least the point it adds, so a step that leaves the filtered array as
-    long as before means a corrupted model: it raises ``HermcapError`` naming
-    the point instead of looping forever.  Returns the number of additions.
+    ``uncovered`` is the sorted array U of uncovered points, filtered in
+    place of a fresh scan after every addition.  Adding x covers exactly
+    T(x) & U, so the filter drops relevance(x) = |T(x) & U| points, and the
+    returned trace records each step as (x, that count), with no relevance
+    read.  On a sound model each step covers at least the point it adds, so
+    a step that drops none means a corrupted model: it raises
+    ``HermcapError`` naming the point instead of looping forever.
     """
     m = cap.uncovered()
-    iterations = 0
+    trace = []
     while m.size:
         x = int(rng.choice(m if len(cap.members) <= 1 else select(cap, m, config)))
-        if trace is not None:
-            trace.append((x, cap.relevance(x)))
         cap.add_point(x)
-        iterations += 1
         left = m[cap.cmult.take(m) == 0]
         if left.size == m.size:
             raise HermcapError(f"adding point {x} covered no uncovered point, itself included")
+        trace.append((x, m.size - left.size))
         m = left
-    return iterations
+    return trace
 
 
 def _select_random(cap: CapState, m: np.ndarray, config: SearchConfig) -> np.ndarray:
@@ -302,11 +296,11 @@ def backtrack_enlarge(
         better = m[cap.uncovered_relevance(m) < worst]
         if better.size:
             cap.add_point(int(rng.choice(better)))
-            added = 1 + _complete(cap, _select_min_weight, rng, config, None)
+            added = 1 + len(_complete(cap, _select_min_weight, rng, config))
             if len(cap) >= len(input_ids):
-                return _outcome(model, cap.members_sorted(), added, None)
+                return _outcome(model, cap.members_sorted(), added)
             break
-    return _outcome(model, input_ids, 0, None)
+    return _outcome(model, input_ids, 0)
 
 
 def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
@@ -314,13 +308,12 @@ def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchO
     select = _SELECT[config.strategy]
     rng = SplitMix64(config.rng_seed)
     cap = CapState.from_ids(model, seed_cap)
-    trace = [] if config.keep_trace else None
-    iterations = _complete(cap, select, rng, config, trace)
+    trace = _complete(cap, select, rng, config)
     if config.strategy is not StrategyKind.BACKTRACK:
-        return _outcome(model, cap.members_sorted(), iterations, trace)
+        return _outcome(model, cap.members_sorted(), len(trace), trace)
     inner = replace(config, rng_seed=rng.next_u64())
     out = backtrack_enlarge(model, seed_cap, cap, inner)
-    return _outcome(model, out.final_cap, iterations + out.iterations, trace)
+    return _outcome(model, out.final_cap, len(trace) + out.iterations, trace)
 
 
 def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):

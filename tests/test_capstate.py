@@ -560,6 +560,21 @@ def test_relevance_coverage_identity(model_q3):
         assert cap.relevance(x) + cap.coverage_intersect(x) == gx
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_relevance_is_the_uncovered_count_an_addition_drops(q):
+    # the identity a completion's trace rests on: adding an uncovered x
+    # covers exactly relevance(x) of the uncovered points
+    model = get_model(q)
+    for seed, size in ((1, 0), (2, 1), (3, q), (4, q * q)):
+        cap = random_cap(model, SplitMix64(seed), size)
+        before = cap.uncovered()
+        for x in before.tolist():
+            rel = cap.relevance_many([x])[0]
+            cap.add_point(x)
+            assert rel == before.size - cap.uncovered().size
+            cap.remove_point(x)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_relevance_bounds_exhaustive(q):
     model = get_model(q)

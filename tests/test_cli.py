@@ -113,6 +113,20 @@ def test_cap_file_round_trip(tmp_path, model_q3):
     assert payload["modulus"] == [1, 0, 1]
 
 
+def test_serialize_cap_reads_ids_as_the_readers_do(model_q3):
+    ov = model_q3.classical_ovoid_ids()
+    with pytest.raises(TypeError):
+        serialize_cap(model_q3, [1.7])  # must not write point 1
+    with pytest.raises(ValueError):
+        serialize_cap(model_q3, [int(ov[0]), int(ov[0])])  # cap_ids rejects a repeated point
+    with pytest.raises(ValueError):
+        serialize_cap(model_q3, [model_q3.num_points])
+    # any order and integer type writes the same bytes, and a non-cap stays writable
+    assert serialize_cap(model_q3, ov[::-1].astype(np.uint16)) == serialize_cap(model_q3, ov)
+    pair = np.unique(model_q3.pencil(0))[:2]
+    assert len(json.loads(serialize_cap(model_q3, pair))["points"]) == 2
+
+
 def test_cap_file_validation_errors(tmp_path, model_q3):
     ov = model_q3.classical_ovoid_ids()
     path = tmp_path / "bad.json"

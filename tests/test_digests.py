@@ -222,9 +222,7 @@ def run_digest(q, seed_size, strategy, seed, tie_mode=TieMode.MAX_COUNT):
     seed_cap = []
     if seed_size is not None:
         seed_cap = sample_subcap(model.classical_ovoid_ids(), seed_size, SplitMix64(seed))
-    config = SearchConfig(
-        strategy=StrategyKind(strategy), rng_seed=seed, forward_tie_mode=tie_mode, keep_trace=True
-    )
+    config = SearchConfig(strategy=StrategyKind(strategy), rng_seed=seed, forward_tie_mode=tie_mode)
     out = run_strategy(model, seed_cap, config)
     payload = {
         "cap": [int(x) for x in out.final_cap],

@@ -135,6 +135,10 @@ def test_non_integer_spec_rejected_when_built():
         with pytest.raises(TypeError):
             FieldSpec(p, k)
     assert FieldSpec(2, 3).q == 8
+    for q in (4.0, 4.5, "4"):  # 4.0 must not read as q = 4
+        with pytest.raises(TypeError):
+            FieldSpec.for_q(q)
+    assert FieldSpec.for_q(np.int64(9)) == FieldSpec(3, 2)
 
 
 def test_spec_for_q():

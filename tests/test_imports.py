@@ -101,7 +101,7 @@ CapState.from_ids(model, [ov[0], ov[3], ov[0], ov[3]])
 seed = sample_subcap(ov, 5, SplitMix64(1))
 for strategy in StrategyKind:
     for ids in ([], seed):
-        run_strategy(model, ids, SearchConfig(strategy=strategy, rng_seed=1, keep_trace=True))
+        run_strategy(model, ids, SearchConfig(strategy=strategy, rng_seed=1))
 # the q = 4 state of test_forward_fallback_when_a_point_off_the_band_ties,
 # whose candidate 441 the forward scorer counts by its exact fallback
 model4 = enumerate_surface(build_field(FieldSpec(2, 2)))

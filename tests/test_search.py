@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hermcap import (
     CapState,
     SearchConfig,
+    SeedSpec,
     SplitMix64,
     StrategyKind,
     TieMode,
@@ -17,12 +18,12 @@ from hermcap import (
     sample_subcap,
     thin_ovoid,
 )
-from hermcap import hermitian, search
+from hermcap import harness, hermitian, search
 from hermcap.errors import CapViolationError
 from hermcap.galois import MAX_Q
 
 from .conftest import get_model
-from .oracles import forward_score, lookahead_by_trial
+from .oracles import forward_score, lookahead_by_trial, relevance_by_sets, tangent_sets_by_pairs
 
 # BACKTRACK enlarges after completing, so only the pure completions add
 # exactly one point per iteration
@@ -135,7 +136,7 @@ def test_config_takes_members_or_their_values(model_q3):
     seed = sample_subcap(model_q3.classical_ovoid_ids(), 6, SplitMix64(1))
 
     def trace(strategy, mode):
-        config = SearchConfig(strategy=strategy, rng_seed=5, forward_tie_mode=mode, keep_trace=True)
+        config = SearchConfig(strategy=strategy, rng_seed=5, forward_tie_mode=mode)
         assert config.strategy is StrategyKind.FORWARD and config.forward_tie_mode is TieMode(mode)
         return run_strategy(model_q3, seed, config).trace
 
@@ -290,9 +291,7 @@ def test_forward_scores_match_trial_oracle_along_q5_runs(model_q5, rng_seed, tie
     # the benchmark's forward-q5 size: every scored step of a forward run from
     # subovoid(40), replayed from its trace
     seed = sample_subcap(model_q5.classical_ovoid_ids(), 40, SplitMix64(rng_seed))
-    config = SearchConfig(
-        strategy=StrategyKind.FORWARD, rng_seed=rng_seed, forward_tie_mode=tie_mode, keep_trace=True
-    )
+    config = SearchConfig(strategy=StrategyKind.FORWARD, rng_seed=rng_seed, forward_tie_mode=tie_mode)
     out = run_strategy(model_q5, seed, config)
     cap = CapState.from_ids(model_q5, seed)
     scored = 0
@@ -368,10 +367,42 @@ def test_relevance_one_implies_cap_size_bound(model_q3):
     q = model_q3.q
     for strategy in (StrategyKind.RANDOM, StrategyKind.MIN_RELEVANCE):
         for seed in range(8):
-            out = complete(model_q3, [], strategy, rng_seed=seed, keep_trace=True)
+            out = complete(model_q3, [], strategy, rng_seed=seed)
             for step, (_, rel) in enumerate(out.trace):
                 if rel == 1:
                     assert step >= q * q
+
+
+@pytest.mark.parametrize("strategy", list(StrategyKind), ids=lambda s: s.value)
+@pytest.mark.parametrize("spec", [SeedSpec.empty(), SeedSpec.subovoid(6)], ids=SeedSpec.describe)
+def test_trace_relevances_sum_to_what_the_seed_leaves_uncovered(model_q3, strategy, spec):
+    for seed in range(3):
+        ids = harness._seed_ids(model_q3, spec, SplitMix64(seed), None)
+        out = run_strategy(model_q3, ids, SearchConfig(strategy=strategy, rng_seed=seed))
+        assert sum(rel for _, rel in out.trace) == CapState.from_ids(model_q3, ids).uncovered().size
+
+
+@pytest.mark.parametrize("strategy", [StrategyKind.RANDOM, StrategyKind.BACKTRACK], ids=lambda s: s.value)
+def test_random_completion_traces_read_no_relevance(model_q3, strategy, monkeypatch):
+    # a step's relevance is the count the uncovered filter drops: the relevance
+    # counts are never built, and reading them would raise
+    def no_read(self, ids):
+        raise AssertionError("a random completion read relevance")
+
+    def keeps_its_input(model, seed, cap, config):
+        return search._outcome(model, cap.members_sorted(), 0)
+
+    monkeypatch.setattr(CapState, "_generator_relevance", no_read)
+    # backtracking reads relevance after the completion; here it keeps the completed cap
+    monkeypatch.setattr(search, "backtrack_enlarge", keeps_its_input)
+    tsets = tangent_sets_by_pairs(model_q3)
+    for seed in range(4):
+        out = complete(model_q3, [], strategy, rng_seed=seed)
+        members = []
+        for x, rel in out.trace:
+            assert rel == relevance_by_sets(tsets, members, x)
+            members.append(x)
+        assert sorted(members) == out.final_cap.tolist()
 
 
 def test_backtrack_requires_complete_input(model_q2, model_q3):
@@ -433,9 +464,9 @@ def test_backtrack_keeps_its_input_when_the_refill_is_smaller(model_q3, monkeypa
     assert len(final) == 24
     sizes = []
 
-    def adds_nothing(cap, select, rng, config, trace):
+    def adds_nothing(cap, select, rng, config):
         sizes.append(len(cap))
-        return 0
+        return []
 
     monkeypatch.setattr(search, "_complete", adds_nothing)
     out = backtrack_enlarge(model_q3, [], CapState.from_ids(model_q3, final), SearchConfig(rng_seed=4))
@@ -590,7 +621,7 @@ def test_runs_are_the_same_in_blocks_of_seven(model_q5, strategy, monkeypatch):
     # every relevance read of a run, the forward scorer's included, split into
     # blocks of 7 ids: the same caps and the same (point, relevance) traces
     seed = sample_subcap(model_q5.classical_ovoid_ids(), 40, SplitMix64(3))
-    config = SearchConfig(strategy=strategy, rng_seed=4, keep_trace=True)
+    config = SearchConfig(strategy=strategy, rng_seed=4)
     whole = run_strategy(model_q5, seed, config)
     monkeypatch.setattr(hermitian, "RELEVANCE_BLOCK", 7)
     blocked = run_strategy(model_q5, seed, config)

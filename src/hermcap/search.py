@@ -135,18 +135,19 @@ def _select_min_relevance(cap: CapState, m: np.ndarray, config: SearchConfig) ->
     return m[rel == rel.min()]
 
 
-def _block_minima(model: SurfaceModel, phi: np.ndarray, pids: np.ndarray, off: np.ndarray, diag: np.ndarray):
+def _block_minima(model: SurfaceModel, phi: np.ndarray, pids: np.ndarray, off: np.ndarray, own: np.ndarray):
     """Each row's minimum of off - c over phi's columns, and how many cells reach it.
 
     Row i's c sums, in int8, the phi rows of the generators through pids[i].
-    Row i drops its cell diag[i] when that lies in [0, phi.shape[1]); any
-    other diag[i] drops nothing.
+    Column j drops its cell in row own[j] if 0 <= own[j] < len(pids); own is
+    sorted.  The counts are int16: a block has min(N, LOOKAHEAD_BLOCK_BYTES //
+    G) <= 3,276 columns at every supported q, N points and G generators.
     """
     v = off - _summed_over_generators(model, phi, pids)
-    i = np.flatnonzero((0 <= diag) & (diag < v.shape[1]))
-    v[i, diag[i]] = INT8_MAX
+    a, b = own.searchsorted(0), own.searchsorted(len(pids))
+    v[own[a:b], np.arange(a, b)] = INT8_MAX
     low = v.min(axis=1)
-    return low, np.count_nonzero(v == low[:, None], axis=1)
+    return low, (v == low[:, None]).view(np.int8).sum(axis=1, dtype=np.int16)
 
 
 def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray:
@@ -160,7 +161,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     of generator g collinear with y is uncovered: each uncovered point of y's
     pencil is marked on its q + 1 generators.  c_t(y) sums the phi rows of
     t's generators.  Scores are int8 offsets off(y) - c_t(y) from min rel,
-    each within [-(q + 1), q + 1].
+    each within [-(q + 1), q + 1].  The first column block writes each row's
+    minimum and count; each later block merges its own into them.
 
     The band points t covers need no mask of their own.  After the 0/1 marks,
     the q + 1 generators through y are marked COVERED = -64 in column y.  A
@@ -169,7 +171,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     off(y) + 64 - q.  That is at least 64 - MAX_Q > MAX_Q + 1, above every
     real score and below the int8 limit: a block whose cells are all covered
     leaves its row above 0, which the fallback then counts.  Only the
-    diagonal t = y, where q + 1 marks of -64 wrap, is dropped row by row.
+    diagonal t = y, where q + 1 marks of -64 wrap, is dropped: band column c
+    drops its cell in row pos[c], its own position in m.
     The fallback counts on the generators too: a y in U outside Z_t meets
     each point of T(y) & Z_t on exactly one of its q + 1 generators, so y
     loses the sum of how many points of Z_t each of them holds:
@@ -188,7 +191,7 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     in_band = rel <= rmin + q1
     band = m[in_band]
     off = (rel[in_band] - rmin).astype(np.int8)
-    diag = np.where(in_band, np.cumsum(in_band) - 1, -1)  # each candidate's own band column
+    pos = np.flatnonzero(in_band)  # each band column's own row
     uncovered = cap.cmult == 0
     num_gens = len(enumerate_generators(model))
     # bytes: phi 1 per generator and column; per band column its pencil, 5 per
@@ -199,8 +202,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
     per_col = 5 * (model.gx_size + model.q) + (12 * q1 + 24) * (rmin + 2 * q1)
     chunk = max(1, LOOKAHEAD_BLOCK_BYTES // per_col)
     step = max(1, LOOKAHEAD_BLOCK_BYTES // ((q1 + 4) * cols + 8 * q1 + 40))
-    best = np.full(m.size, INT8_MAX, dtype=np.int8)
-    count = np.zeros(m.size, dtype=np.int64)
+    best = np.empty(m.size, dtype=np.int8)
+    count = np.empty(m.size, dtype=np.int64)
     for lo in range(0, band.size, cols):
         hi = min(lo + cols, band.size)
         phi = np.zeros((num_gens, hi - lo), dtype=np.int8)
@@ -219,7 +222,10 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
             cells[through] = COVERED
         for r0 in range(0, m.size, step):
             seg = slice(r0, min(r0 + step, m.size))
-            low, hits = _block_minima(model, phi, m[seg], off[lo:hi], diag[seg] - lo)
+            low, hits = _block_minima(model, phi, m[seg], off[lo:hi], pos[lo:hi] - r0)
+            if lo == 0:  # the first column block reaches every row
+                best[seg], count[seg] = low, hits
+                continue
             b, k = best[seg], count[seg]
             tied, beaten = low == b, low < b
             k[tied] += hits[tied]

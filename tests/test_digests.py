@@ -78,6 +78,7 @@ RUN_DIGESTS = {
     (5, 40, "forward", 2): "c7ec79d141e70d4217ad4144648b097a9780c1cbcac806010d9f618b8a03e809",
     (5, 40, "backtrack", 1): "35ae2f6f01c33d10b2cfdbe49483f12c6197bf5d572b9ab34e8a87d171effcd6",
     (5, 40, "backtrack", 2): "bb35d8bb7a4ddcda71f9ac10d6826d6984b57b845cdb5bcec1df334bd9cdb6d2",
+    (7, 40, "forward", 1): "5f511ceb8c13a9643a77884f0e5cf0fbb5c1a8d4254bed69542d61ad803ba651",
 }
 
 # FORWARD under TieMode.MIN_COUNT (RUN_DIGESTS use the default MAX_COUNT):

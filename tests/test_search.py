@@ -212,8 +212,8 @@ def test_forward_scores_match_trial_oracle():
         first = blocks.call_args_list[0].args[1]
         for call in blocks.call_args_list:
             cols, rows = call.args[1].shape[1], len(call.args[2])
-            diag = call.args[4]
-            if call.args[1] is not first and ((0 <= diag) & (diag < cols)).any():
+            own = call.args[4]  # each column's own row in this row block
+            if call.args[1] is not first and ((0 <= own) & (own < rows)).any():
                 seen.add("own column in a later block")
             if (rows, cols) == (1, 1):
                 seen.add("one cell")
@@ -254,6 +254,24 @@ def test_forward_fallback_when_a_point_off_the_band_ties():
     assert r[in_band].min() == r[~in_band].min() == rel.min() + 1
     got = search._forward_scores(cap, m, rel)
     assert got.tolist() == [forward_score(r) for _, _, r in after]
+
+
+def test_block_counts_fit_in_int16():
+    # a block of the forward scorer has at most min(N, LOOKAHEAD_BLOCK_BYTES // G)
+    # columns, and a row counts at most one cell per column
+    def counts(q):
+        return (q * q + 1) * (q**3 + 1), (q + 1) * (q**3 + 1)
+
+    for q in [2, 3, 5]:
+        model = get_model(q)
+        assert counts(q) == (model.num_points, len(hermitian.enumerate_generators(model)))
+    supported = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    assert supported[-1] == MAX_Q
+    cols = {}
+    for q in supported:
+        n, g = counts(q)
+        cols[q] = min(n, search.LOOKAHEAD_BLOCK_BYTES // g)
+    assert max(cols.values()) == cols[5] == 3276 <= np.iinfo(np.int16).max
 
 
 def test_covered_mark_stays_above_every_score():
@@ -625,5 +643,26 @@ def test_runs_are_the_same_in_blocks_of_seven(model_q5, strategy, monkeypatch):
     whole = run_strategy(model_q5, seed, config)
     monkeypatch.setattr(hermitian, "RELEVANCE_BLOCK", 7)
     blocked = run_strategy(model_q5, seed, config)
+    assert np.array_equal(blocked.final_cap, whole.final_cap)
+    assert blocked.trace == whole.trace and len(whole.trace) > 5
+
+
+@pytest.mark.parametrize("tie_mode", list(TieMode), ids=lambda t: t.value)
+@pytest.mark.parametrize("rng_seed", [1, 2, 3])
+def test_runs_are_the_same_in_small_scorer_blocks(model_q5, rng_seed, tie_mode):
+    # forward runs from subovoid(40) with the scorer's blocks cut to 21 columns
+    # and 54 rows: the later column blocks merge their minima and counts into
+    # the first block's, and the caps and traces stay those of one block
+    seed = sample_subcap(model_q5.classical_ovoid_ids(), 40, SplitMix64(rng_seed))
+    config = SearchConfig(strategy=StrategyKind.FORWARD, rng_seed=rng_seed, forward_tie_mode=tie_mode)
+    whole = run_strategy(model_q5, seed, config)
+    with (
+        mock.patch.object(search, "LOOKAHEAD_BLOCK_BYTES", 1 << 14),
+        mock.patch.object(search, "_forward_scores", wraps=search._forward_scores) as scorer,
+        mock.patch.object(search, "_block_minima", wraps=search._block_minima) as blocks,
+    ):
+        blocked = run_strategy(model_q5, seed, config)
+    assert (54, 21) in {(len(c.args[2]), c.args[1].shape[1]) for c in blocks.call_args_list}
+    assert len({id(c.args[1]) for c in blocks.call_args_list}) > scorer.call_count  # later column blocks
     assert np.array_equal(blocked.final_cap, whole.final_cap)
     assert blocked.trace == whole.trace and len(whole.trace) > 5

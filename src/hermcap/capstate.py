@@ -185,7 +185,7 @@ class CapState:
 
         Uncovered ids still count themselves q + 1 times.
         """
-        if self._unc is None:
+        if self._unc is None:  # int16 holds every sum, (q + 1)(q^2 + 1), while q <= 31
             self._unc = _generator_sums(self.model, self.uncovered()).astype(np.int16)
         return _summed_over_generators(self.model, self._unc, ids)
 
@@ -207,7 +207,9 @@ class CapState:
 
         Every id of m must be uncovered, as in ``uncovered()`` or a filtered
         copy of it.  This is not checked, as for ``generators_of``: a covered
-        id reads q too low, and an id off the surface is not caught.
+        id reads q too low.  m's generator rows are taken in numpy's default
+        mode, so an id of N or more raises IndexError, and an id in [-N, 0)
+        reads point N + id.
         """
         rel = self._generator_relevance(m)
         rel -= self.model.q
@@ -251,8 +253,8 @@ class CapState:
 
         Each x is in its pencil q + 1 times at 1 (a member, or a candidate once added).
         """
-        big = math.lcm(*range(1, self.model.q + 3))
-        mult = self.cmult.take(self.model.pencil_rows(ids)).astype(np.int64) + added
+        big = math.lcm(*range(1, self.model.q + 3))  # (gx + q) * big < 2^63 while q <= 34
+        mult = self.cmult.take(self.model.pencil_rows(ids), mode="wrap").astype(np.int64) + added
         nums = (big // mult).sum(axis=1) - self.model.q * big  # x's q extra copies
         return np.array([Fraction(int(n), big) for n in nums], dtype=object)
 

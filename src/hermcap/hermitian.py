@@ -42,6 +42,10 @@ itself is never enumerated.
   counts points on each generator, and ``_summed_over_generators`` sums
   per-generator values over each point's q + 1 generators; a cap's
   relevance and the forward scores are read this way.
+- Gathers indexed by the model's own tables or a state's own arrays use
+  ``mode="wrap"``, numpy's take without its range check, where that measures
+  level or faster, and gathers indexed by a caller's ids run in the default
+  mode, which raises IndexError off the surface, or after ``checked_ids``.
 
 Caps and ovoids are tested on the generators: a point set is a cap (partial
 ovoid) when every generator holds at most one of its points, and an ovoid
@@ -215,17 +219,24 @@ class SurfaceModel:
         nu, lam = np.flatnonzero(field.norm == 1)[:, None], np.arange(q2)
         # one intp buffer takes each coordinate's add-table indices and then,
         # in place, the sums, so take converts and allocates no index array:
-        # it reads each index before writing its slot, and mode="clip" (a
-        # no-op on in-range indices) lets it write into idx unbuffered
+        # it reads each index before writing its slot.  Every index here is a
+        # field element or a table key, in range by construction, so the
+        # takes skip numpy's range check (mode="wrap"), which also lets the
+        # add take write into idx unbuffered.  The int32 keys hold q^6 - 1
+        # while q <= 35
         key = np.zeros((len(o), q + 1, q2), dtype=np.int32)
         idx = np.empty(key.shape, dtype=np.intp)
         for i in range(3):
             key *= q2
-            np.add(mul.take(nu * q2 + w[:, i, None, None]) * q2, mul.take(lam * q2 + o[:, i, None, None]), out=idx)
-            key += add.take(idx, out=idx, mode="clip")
+            np.add(
+                mul.take(nu * q2 + w[:, i, None, None], mode="wrap") * q2,
+                mul.take(lam * q2 + o[:, i, None, None], mode="wrap"),
+                out=idx,
+            )
+            key += add.take(idx, out=idx, mode="wrap")
         idx[:] = key
         del key
-        ids = table.take(idx).reshape(-1, q2)
+        ids = table.take(idx, mode="wrap").reshape(-1, q2)
         del idx, table  # before the sorts
         if (ids < 0).any():
             raise ConfigurationError("a generated point is off the surface")
@@ -324,7 +335,7 @@ def _id_dtype(count: int) -> np.dtype:
     """The narrowest signed type of int16 and int32 that holds every id in [0, count).
 
     For the G = (q^3 + 1)(q + 1) generator ids that is int16 while G <= 2^15,
-    every supported q up to 13, and int32 at q = 16.  The relevance reads
+    every supported q up to 13, and int32 from q = 16.  The relevance reads
     gather the generators of every uncovered point, and half the bytes is
     half the traffic.  The table never leaves this module in its own type:
     ``generators_of`` hands out intp ids.
@@ -427,14 +438,24 @@ def _summed_over_generators(model: SurfaceModel, values: np.ndarray, pids: np.nd
     loses a little, the slab being 8 bytes a cell, which is why the
     relevance counts are int16.  The blocks keep the transposed intp
     indices and the slab in cache when the ids run to 10^5 or 10^6, and
-    bound the read's transient memory.  The ids are not checked; callers
-    pass checked ids or ids read off the model.
+    bound the read's transient memory.
+
+    The ids are not checked; callers pass checked ids or ids read off the
+    model.  An id of N or more, or below -N, raises IndexError from the
+    take of its generator row, and one in [-N, 0) reads point N + id.  The
+    generator ids read off the table lie in [0, G) by construction (set-up
+    checks it), so values is taken by them without numpy's range check
+    (``mode="wrap"``); ValueError unless values has exactly G rows, as a
+    shorter array would be read modulo its length.
     """
+    num_gens = len(model._gen_points)
+    if values.shape[0] != num_gens:
+        raise ValueError(f"values hold {values.shape[0]} rows, not one for each of {num_gens} generators")
     out = np.empty((len(pids),) + values.shape[1:], dtype=values.dtype)
     for lo in range(0, len(pids), RELEVANCE_BLOCK):
         block = slice(lo, lo + RELEVANCE_BLOCK)
         gens = model._gens_by_point.take(pids[block], axis=0).T.astype(np.intp, order="C")
-        values.take(gens, axis=0).sum(axis=0, dtype=values.dtype, out=out[block])
+        values.take(gens, axis=0, mode="wrap").sum(axis=0, dtype=values.dtype, out=out[block])
     return out
 
 

@@ -47,7 +47,8 @@ from .hermitian import _generator_sums, _summed_over_generators
 from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
-COVERED = -64  # the forward scorer's phi mark on the generators through a column
+# the forward scorer's phi mark on the generators through a column: 64 - q > q + 1 while q <= 31
+COVERED = -64
 INT8_MAX = np.iinfo(np.int8).max  # above every forward score: a row's start, a dropped cell
 
 
@@ -118,7 +119,7 @@ def _complete(cap: CapState, select, rng: SplitMix64, config: SearchConfig) -> l
     while m.size:
         x = int(rng.choice(m if len(cap.members) <= 1 else select(cap, m, config)))
         cap.add_point(x)
-        left = m[cap.cmult.take(m) == 0]
+        left = m[cap.cmult.take(m, mode="wrap") == 0]
         if left.size == m.size:
             raise HermcapError(f"adding point {x} covered no uncovered point, itself included")
         trace.append((x, m.size - left.size))
@@ -211,8 +212,8 @@ def _forward_scores(cap: CapState, m: np.ndarray, rel: np.ndarray) -> np.ndarray
         for a in range(lo, hi, chunk):
             ys = band[a : min(a + chunk, hi)]
             flat = model.pencil_rows(ys).ravel()
-            at = np.flatnonzero(uncovered.take(flat))
-            marks = model.generators_of(flat.take(at))
+            at = np.flatnonzero(uncovered.take(flat, mode="wrap"))
+            marks = model.generators_of(flat.take(at, mode="wrap"))
             marks *= width
             marks += (at // (model.gx_size + model.q) + (a - lo))[:, None]
             cells[marks] = 1

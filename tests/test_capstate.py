@@ -183,6 +183,23 @@ def test_vector_queries_reject_ids_off_the_surface(model_q2, query, bad, contain
         getattr(cap, query)(container([3, n if bad == "N" else bad]))
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda cap, ids: cap.uncovered_relevance(ids),
+        lambda cap, ids: cap.model.generators_of(ids),
+        lambda cap, ids: cap.model.pencil_rows(ids),
+    ],
+    ids=["uncovered_relevance", "generators_of", "pencil_rows"],
+)
+def test_unchecked_reads_by_point_id_fail_off_the_surface(model_q2, read):
+    # these reads take a caller's ids unchecked, so the gather by point id
+    # keeps numpy's range check: id N fails loudly, it is not read modulo N
+    cap = CapState.from_ids(model_q2, [3])
+    with pytest.raises(IndexError):
+        read(cap, np.array([0, model_q2.num_points]))
+
+
 @pytest.mark.parametrize("bad", [1.7, "3"])
 @pytest.mark.parametrize(
     "call",

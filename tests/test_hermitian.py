@@ -255,6 +255,19 @@ def test_summed_over_generators_across_block_boundaries(q, monkeypatch):
             assert np.array_equal(got, expected), (n, v.dtype)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_summed_over_generators_needs_one_value_per_generator(q):
+    # the per-generator values are taken unchecked, where a short array would
+    # be read modulo its length and a long one would hide a mismatch
+    model = get_model(q)
+    num_gens = len(enumerate_generators(model))
+    pids = np.arange(model.num_points)
+    for n in (num_gens - 1, num_gens + 1):
+        for values in (np.ones(n, dtype=np.int16), np.ones((n, 3), dtype=np.int8)):
+            with pytest.raises(ValueError, match=f"values hold {n} rows, not one for each of {num_gens}"):
+                _summed_over_generators(model, values, pids)
+
+
 def test_pickled_model_is_small():
     # a spawned worker receives the model by pickle; no per-point section table rides along
     assert len(pickle.dumps(get_model(7))) < 3 * 2**20

@@ -1,8 +1,8 @@
 """Caps and ovoids of the Hermitian surface of PG(3, q^2).
 
-Construction of the surface, incremental cap state with relevance, coverage
-and weight functionals, four completion/enlargement strategies, and a seeded
-experiment harness for spectrum statistics.
+Construction of the surface, an incremental cap state that keeps coverage
+counters and gives batch relevance, removal-relevance and weight-after-add
+reads, four completion/enlargement strategies, and a seeded spectrum harness.
 """
 
 from .capstate import CapState

@@ -4,7 +4,7 @@
 covered when its multiplicity is positive; the cap is complete when every
 surface point is covered.  Adding or removing a member reads its pencil
 (``SurfaceModel.pencil``): every other point of its tangent section once and
-the member itself q + 1 times; the functionals read pencils too and take the
+the member itself q + 1 times; the reads see it q + 1 times too and take the
 q extra copies off by arithmetic.  ``from_ids`` is the batch formula, one
 bincount of the members' pencils, and ``add_point``/``remove_point`` are its
 increments.  It first tests the cap on the generators, as ``is_cap`` does:
@@ -14,16 +14,12 @@ generator is named in the CapViolationError.
 On a cap every generator holds at most one member, and a point lies on q + 1
 generators, so no multiplicity exceeds q + 1 <= 17: ``cmult`` is one byte per
 point (uint8), and ``add_point``'s increments and ``remove_point``'s
-decrements stay within [0, q + 1].  The functionals are
+decrements stay within [0, q + 1].  Past ``cmult`` itself, the reads take
+id arrays:
 
-    relevance(x)          #{y in tangent(x) : cmult[y] == 0}
-    coverage_mult(y)      cmult[y]
-    coverage_intersect(x) #{y in tangent(x) : cmult[y] > 0}
-    weight(x)             sum over tangent(x) of 1 / cmult[y]   (member only)
-
-relevance + coverage_intersect is identically the tangent-section size.  The
-two coverage notions differ: the multiplicity drives the weight, while the
-intersection count complements relevance.
+    relevance_many(x)          #{y in tangent(x) : cmult[y] == 0}
+    removal_relevance_many(x)  relevance of member x on the cap without x
+    weight_after_add_many(x)   sum over tangent(x) of 1 / (cmult[y] + 1)   (x uncovered)
 
 Relevance is read from per-generator counts kept next to the counters, one
 per generator g (G = (q^3 + 1)(q + 1) of them), with the invariant
@@ -39,20 +35,19 @@ once, except x itself, counted q + 1 times when it is uncovered:
 
 exact for members, covered and uncovered points alike.  Both reads sum
 through ``hermitian._summed_over_generators``, which reads its ids in
-bounded blocks.  The counts are int16: a generator holds q^2 + 1 points,
-so a sum is at most (q + 1)(q^2 + 1), 4,369 at q = 16, and the slab the take
-builds is a quarter of its int64 size.  ``relevance_many`` checks its ids,
-widens the sums to int64 and takes q off those it finds uncovered, and
-``relevance`` reads through it; ``uncovered_relevance`` is the search's
-read, and its ids are uncovered by precondition (the array ``uncovered()``
-returns, or a filtered copy of it), so it checks nothing, stays in int16
-and takes q off every one as a scalar.  A covered id passed to it reads q
-too low.
+bounded blocks.  The counts are int16: a generator holds q^2 + 1 points, so a
+sum is at most (q + 1)(q^2 + 1), 4,369 at q = 16, and the slab the take builds
+is a quarter of its int64 size.  ``relevance_many`` checks its ids, widens the
+sums to int64 and takes q off those it finds uncovered;
+``uncovered_relevance`` is the search's read, and its ids are uncovered by
+precondition (the array ``uncovered()`` returns, or a filtered copy of it), so
+it checks nothing, stays in int16 and takes q off every one as a scalar.  A
+covered id passed to it reads q too low.
 
 Removal relevance reads the generators too, from counts of the points
 covered once, built afresh per read (O(N + G)):
 
-    removal_relevance(x) == sum over g through x of #{y on g : cmult[y] == 1}  -  q.
+    removal relevance of x == sum over g through x of #{y on g : cmult[y] == 1}  -  q.
 
 Removing a member x uncovers the points of tangent(x) that only x covers,
 those with cmult == 1; x is one of them, as no other member is conjugate
@@ -80,10 +75,11 @@ The counts are lazy.  They are built on the first relevance read, as
 ``remove_point`` only update the counters, so states that never read
 relevance pay nothing for it.
 
-Weights are exact Fractions from one kernel, ``_weights``: a member's own, and
-the weight a candidate would have right after joining, which backtracking
-minimizes, ties broken by equality.  A term is 1/m with m <= q + 2, so every
-weight is an integer over lcm(1, ..., q + 2).  Ids are read through
+Weights are exact Fractions: the weight a candidate would have right after
+joining, which backtracking minimizes, ties broken by equality.  A term is
+1/m with m <= q + 2, so every weight is an integer over lcm(1, ..., q + 2).
+A member x's own weight, the sum over tangent(x) of 1 / cmult[y], is that
+read for x on the cap without x.  Ids are read through
 ``checked_id``/``checked_ids``, and member ids through ``_members`` after that;
 a candidate for joining must be uncovered (CapViolationError otherwise).
 """
@@ -191,10 +187,6 @@ class CapState:
 
     # -- queries -------------------------------------------------------------
 
-    def relevance(self, x: int) -> int:
-        """Number of points newly covered if x joined the cap (0 for members)."""
-        return int(self.relevance_many([x])[0])
-
     def relevance_many(self, ids: np.ndarray) -> np.ndarray:
         """relevance of each of ids, as int64; ValueError for an id off the surface."""
         ids = checked_ids(self.model, ids)
@@ -215,27 +207,11 @@ class CapState:
         rel -= self.model.q
         return rel
 
-    def removal_relevance(self, x: int) -> int:
-        """relevance(x) with respect to the cap minus x; x must be a member."""
-        return int(self.removal_relevance_many([x])[0])
-
     def removal_relevance_many(self, ids: np.ndarray) -> np.ndarray:
-        """removal_relevance of each of ids, as int64; MemberNotFoundError unless all are members."""
+        """Each member's relevance on the cap without it, as int64; MemberNotFoundError for a non-member."""
         ids = self._members(ids)
         once = _generator_sums(self.model, np.flatnonzero(self.cmult == 1))
         return _summed_over_generators(self.model, once, ids) - self.model.q
-
-    def coverage_mult(self, y: int) -> int:
-        return int(self.cmult[checked_id(self.model, y)])
-
-    def coverage_intersect(self, x: int) -> int:
-        x = checked_id(self.model, x)
-        covered = int(np.count_nonzero(self.cmult[self.model.pencil(x)] > 0))
-        return covered - self.model.q if self.cmult[x] else covered
-
-    def weight(self, x: int) -> Fraction:
-        """Exact sum over tangent(x) of reciprocal coverage multiplicities; x a member."""
-        return self._weights(self._members([x]), 0)[0]
 
     def weight_after_add_many(self, ids: np.ndarray) -> np.ndarray:
         """Exact weight each of ids would have right after joining the cap.
@@ -246,16 +222,9 @@ class CapState:
         covered = ids[self.cmult.take(ids) != 0]
         if covered.size:
             raise _covered(covered[0])
-        return self._weights(ids, 1)
-
-    def _weights(self, ids, added: int) -> np.ndarray:
-        """Sums over tangent(x) of 1 / (cmult[y] + added) for x in ids, as Fractions.
-
-        Each x is in its pencil q + 1 times at 1 (a member, or a candidate once added).
-        """
         big = math.lcm(*range(1, self.model.q + 3))  # (gx + q) * big < 2^63 while q <= 34
-        mult = self.cmult.take(self.model.pencil_rows(ids), mode="wrap").astype(np.int64) + added
-        nums = (big // mult).sum(axis=1) - self.model.q * big  # x's q extra copies
+        mult = self.cmult.take(self.model.pencil_rows(ids), mode="wrap").astype(np.int64) + 1
+        nums = (big // mult).sum(axis=1) - self.model.q * big  # x's q extra copies, at 1 each
         return np.array([Fraction(int(n), big) for n in nums], dtype=object)
 
     def uncovered(self) -> np.ndarray:

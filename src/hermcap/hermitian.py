@@ -375,15 +375,15 @@ def enumerate_generators(model: SurfaceModel) -> np.ndarray:
 def checked_ids(model: SurfaceModel, points) -> np.ndarray:
     """The points as a 1-D integer id array; a 1-D signed integer ndarray is returned as it is.
 
-    TypeError for an id that is not an integer, ValueError for an array that
-    is not one-dimensional or an id outside [0, num_points).
+    TypeError for an id that is a bool or not an integer, ValueError for an
+    array that is not one-dimensional or an id outside [0, num_points).
     """
     ids = points  # an integer array takes the range check alone, no per-element pass
     if isinstance(ids, np.ndarray) and ids.ndim != 1:
         raise ValueError(f"point ids must be a one-dimensional array, got shape {ids.shape}")
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "i"):
         try:
-            ids = np.fromiter(map(operator.index, points), dtype=np.int64)
+            ids = np.fromiter(map(_point_index, points), dtype=np.int64)
         except OverflowError:  # an id beyond int64 is off the surface too
             ids = None
     if ids is None or ids.size and not (0 <= ids.min() and ids.max() < model.num_points):
@@ -391,9 +391,17 @@ def checked_ids(model: SurfaceModel, points) -> np.ndarray:
     return ids
 
 
+def _point_index(pid) -> int:
+    """operator.index(pid), and TypeError for a bool, whatever numpy's bool offers."""
+    if isinstance(pid, (bool, np.bool_)):
+        raise TypeError(f"a point id must be an integer, not {type(pid).__name__}")
+    return operator.index(pid)
+
+
 def checked_id(model: SurfaceModel, pid) -> int:
     """pid as an int; ``checked_ids``' TypeError or ValueError for a bad id."""
-    pid = operator.index(pid)
+    if type(pid) is not int:  # an exact int is its own index, and a bool is not one
+        pid = _point_index(pid)
     if not 0 <= pid < model.num_points:
         checked_ids(model, [pid])  # raises its ValueError
     return pid

@@ -35,7 +35,6 @@ the outcome.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from .capstate import CapState
 from .errors import HermcapError
 from .hermitian import SurfaceModel, checked_ids, enumerate_generators, is_ovoid
-from .hermitian import _generator_sums, _summed_over_generators
+from .hermitian import _generator_sums, _point_index, _summed_over_generators
 from .rng import SplitMix64
 
 LOOKAHEAD_BLOCK_BYTES = 1 << 22  # bound on the forward scorer's blocks and their indices
@@ -82,7 +81,9 @@ class SearchOutcome:
     final_cap: np.ndarray  # sorted PointIds of a complete cap
     is_ovoid: bool
     iterations: int
-    trace: list[tuple[int, int]] | None = field(default=None, repr=False)  # (point, relevance) per completion step
+    # (point, relevance) per step of the first completion only: under BACKTRACK, iterations
+    # also counts the enlargement's steps, and some traced points may have left final_cap
+    trace: list[tuple[int, int]] | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -311,7 +312,12 @@ def backtrack_enlarge(
 
 
 def run_strategy(model: SurfaceModel, seed_cap, config: SearchConfig) -> SearchOutcome:
-    """Complete the seed cap by config.strategy's rule; BACKTRACK then enlarges the result."""
+    """Complete the seed cap by config.strategy's rule; BACKTRACK then enlarges the result.
+
+    The trace lists that first completion's steps alone: under BACKTRACK,
+    ``iterations`` also counts the enlargement's steps, and the enlargement
+    removes members, so some traced points may not be in ``final_cap``.
+    """
     select = _SELECT[config.strategy]
     rng = SplitMix64(config.rng_seed)
     cap = CapState.from_ids(model, seed_cap)
@@ -358,7 +364,7 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
                     break
                 # removing z must not orphan an off-ovoid point: the only
                 # multiplicity-1 point in tangent(z) may be z itself
-                if cs.removal_relevance(z) == 1:
+                if cs.removal_relevance_many([z])[0] == 1:
                     cs.remove_point(z)
                     omega.append(z)
             if len(omega) == need:
@@ -377,6 +383,6 @@ def thin_ovoid(model: SurfaceModel, ovoid, rng: SplitMix64):
 
 
 def sample_subcap(points, n: int, rng: SplitMix64) -> np.ndarray:
-    """Sorted uniformly random n-subset of integer ids; ValueError unless 0 <= n <= |points|."""
-    ids = sorted(map(operator.index, points))
+    """Sorted uniformly random n-subset of integer, not bool, ids; ValueError unless 0 <= n <= |points|."""
+    ids = sorted(map(_point_index, points))
     return np.array(sorted(rng.sample(ids, n)), dtype=np.int32)

@@ -102,7 +102,8 @@ def _surface_checks(model: SurfaceModel) -> Iterator[CheckResult]:
     yield CheckResult("ovoid-size", len(ov) == q**3 + 1, f"{len(ov)}")
     cs = CapState.from_ids(model, ov)
     yield CheckResult("ovoid-complete", cs.is_complete())
-    w_ok = cs.weight(int(ov[0])) == Fraction(q**2 + 1)
+    cs.remove_point(int(ov[0]))  # a member's weight is its weight after adding it back
+    w_ok = cs.weight_after_add_many(ov[:1])[0] == Fraction(q**2 + 1)
     yield CheckResult("ovoid-member-weight", w_ok)
 
 
@@ -125,11 +126,12 @@ def _capstate_checks(model: SurfaceModel) -> Iterator[CheckResult]:
         and np.array_equal(fresh.relevance_many(m), cap.uncovered_relevance(m))
     )
     yield CheckResult("capstate-incremental-exact", bool(exact))
-    gx = model.gx_size
-    ident = all(cap.relevance(x) + cap.coverage_intersect(x) == gx for x in sample.tolist())
+    covered = np.count_nonzero(cap.cmult[model.pencil_rows(sample)], axis=1)
+    covered[cap.cmult[sample] > 0] -= model.q  # a covered point's q extra copies
+    ident = bool((cap.relevance_many(sample) + covered == model.gx_size).all())
     yield CheckResult("capstate-relevance-coverage-identity", ident)
     if cap.members:
-        members_mult = all(cap.coverage_mult(x) == 1 for x in cap.members)
+        members_mult = bool((cap.cmult[cap.members_sorted()] == 1).all())
         yield CheckResult("capstate-member-multiplicity-one", members_mult)
 
 
@@ -168,10 +170,8 @@ def _brute_force_small_q_checks() -> Iterator[CheckResult]:
         ok = True
         for y in range(0, model.num_points, max(1, model.num_points // 24)):
             cap = CapState.from_ids(model, [y])
-            for x in range(model.num_points):
-                if cap.coverage_mult(x) == 0:
-                    if cap.relevance(x) != len(tsets[x] - tsets[y]):
-                        ok = False
+            m = cap.uncovered()
+            ok = ok and cap.relevance_many(m).tolist() == [len(tsets[x] - tsets[y]) for x in m.tolist()]
         yield CheckResult(f"oracle-relevance-singletons-q{q}", ok)
         # conjugacy vs shared generator membership
         pair_on_line = {p for g in enumerate_generators(model) for p in combinations(g.tolist(), 2)}

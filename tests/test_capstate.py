@@ -41,21 +41,36 @@ def random_cap(model, rng, max_size):
     return cap
 
 
+def covered_in_section(cap, x):
+    """#{y in tangent(x) : cmult[y] > 0}: the covered entries of x's pencil, less x's q extra copies."""
+    covered = int(np.count_nonzero(cap.cmult[cap.model.pencil(x)]))
+    return covered - cap.model.q if cap.cmult[x] else covered
+
+
+def member_weight(cap, x):
+    """The sum over tangent(x) of 1 / cmult[y] for a member x: its weight after adding it back."""
+    cap.remove_point(x)
+    try:
+        return cap.weight_after_add_many([x])[0]
+    finally:
+        cap.add_point(x)
+
+
 def test_empty_state(model_q2):
     cap = CapState(model_q2)
     assert len(cap) == 0
     assert np.count_nonzero(cap.cmult) == 0
     assert not cap.is_complete()
     assert len(cap.uncovered()) == model_q2.num_points
-    assert cap.coverage_mult(3) == 0 and cap.coverage_intersect(3) == 0
+    assert cap.cmult[3] == 0 and covered_in_section(cap, 3) == 0
 
 
 def test_single_add_covers_tangent_section(model_q5):
     cap = CapState(model_q5)
     cap.add_point(0)
     assert np.count_nonzero(cap.cmult) == 151
-    assert cap.relevance(0) == 0
-    assert cap.coverage_mult(0) == 1
+    assert cap.relevance_many([0])[0] == 0
+    assert cap.cmult[0] == 1
 
 
 def test_add_remove_is_involution(model_q3):
@@ -139,7 +154,7 @@ def test_add_point_rejects_ids_off_the_surface(model_q2, bad):
     # -1 used to wrap round to point N - 1 and join the cap as member -1
     n = model_q2.num_points
     cap = CapState.from_ids(model_q2, [3])
-    cap.relevance(0)  # build the relevance vector, so its update is checked too
+    cap.relevance_many([0])  # build the relevance counts, so their update is checked too
     cmult, rel = cap.cmult.copy(), cap.relevance_many(np.arange(n)).copy()
     with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
         cap.add_point(n if bad == "N" else bad)
@@ -152,21 +167,22 @@ def test_add_point_rejects_ids_off_the_surface(model_q2, bad):
 @pytest.mark.parametrize(
     "query",
     [
-        "relevance",
-        "coverage_mult",
-        "coverage_intersect",
-        "remove_point",
-        "removal_relevance",
-        "weight",
+        lambda cap, x: cap.relevance_many([x])[0],
+        lambda cap, x: covered_in_section(cap, x),
+        lambda cap, x: cap.remove_point(x),
+        lambda cap, x: cap.removal_relevance_many([x])[0],
+        lambda cap, x: member_weight(cap, x),
     ],
+    ids=["relevance", "coverage_intersect", "remove_point", "removal_relevance", "weight"],
 )
 def test_scalar_queries_reject_ids_off_the_surface(model_q2, query, bad):
-    # -1 used to read point N - 1's value, and N raised a bare IndexError; the
-    # member calls raised MemberNotFoundError for both
+    # a one-point read of each fact; -1 used to read point N - 1's value, and
+    # N raised a bare IndexError; the member calls raised MemberNotFoundError
+    # for both
     n = model_q2.num_points
     cap = CapState.from_ids(model_q2, [3])
     with pytest.raises(ValueError, match=rf"point ids must lie in \[0, {n}\)"):
-        getattr(cap, query)(n if bad == "N" else bad)
+        query(cap, n if bad == "N" else bad)
     assert cap.members == {3}
 
 
@@ -200,17 +216,17 @@ def test_unchecked_reads_by_point_id_fail_off_the_surface(model_q2, read):
         read(cap, np.array([0, model_q2.num_points]))
 
 
-@pytest.mark.parametrize("bad", [1.7, "3"])
+@pytest.mark.parametrize("bad", [1.7, "3", True, np.True_], ids=["1.7", "3", "True", "np.True_"])
 @pytest.mark.parametrize(
     "call",
     [
         lambda model, x: CapState.from_ids(model, [x]),
         lambda model, x: CapState(model).add_point(x),
-        lambda model, x: CapState.from_ids(model, [0]).relevance(x),
+        lambda model, x: CapState.from_ids(model, [0]).relevance_many([x])[0],
         lambda model, x: is_cap(model, [x]),
         lambda model, x: CapState.from_ids(model, [3]).remove_point(x),
-        lambda model, x: CapState.from_ids(model, [3]).removal_relevance(x),
-        lambda model, x: CapState.from_ids(model, [3]).weight(x),
+        lambda model, x: CapState.from_ids(model, [3]).removal_relevance_many([x])[0],
+        lambda model, x: member_weight(CapState.from_ids(model, [3]), x),
         lambda model, x: CapState.from_ids(model, [3]).relevance_many([x]),
         lambda model, x: CapState.from_ids(model, [3]).removal_relevance_many([x]),
         lambda model, x: CapState(model).weight_after_add_many([x]),
@@ -231,7 +247,8 @@ def test_unchecked_reads_by_point_id_fail_off_the_surface(model_q2, read):
     ],
 )
 def test_point_ids_must_be_integers(model_q2, call, bad):
-    # float and string ids used to be truncated or parsed to a point
+    # float and string ids used to be truncated or parsed to a point, and True
+    # read as point 1; numpy 1's bool scalar still has __index__
     with pytest.raises(TypeError):
         call(model_q2, bad)
 
@@ -246,7 +263,7 @@ def test_point_ids_must_be_integers(model_q2, call, bad):
     [
         lambda model, ids: CapState.from_ids(model, ids),
         lambda model, ids: CapState(model).add_point(ids[0]),
-        lambda model, ids: CapState(model).relevance(ids[0]),
+        lambda model, ids: CapState(model).relevance_many([ids[0]])[0],
         lambda model, ids: CapState(model).relevance_many(ids),
         lambda model, ids: is_cap(model, ids),
         lambda model, ids: run_strategy(model, ids, SearchConfig()),
@@ -310,8 +327,7 @@ def test_vector_queries_check_their_preconditions(model_q2, container):
 
 def test_member_multiplicity_is_one(model_q3):
     cap = random_cap(model_q3, SplitMix64(2), 8)
-    for x in cap.members:
-        assert cap.coverage_mult(x) == 1
+    assert (cap.cmult[cap.members_sorted()] == 1).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -370,7 +386,7 @@ def test_relevance_vector_tracks_mutations(q, steps, tsets_q2):
         assert np.array_equal(rel, np.count_nonzero(cap.cmult[rows] == 0, axis=1))
         if op == "read":
             for x in range(n):
-                assert rel[x] + cap.coverage_intersect(x) == gx
+                assert rel[x] + covered_in_section(cap, x) == gx
                 if q == 2:
                     assert rel[x] == relevance_by_sets(tsets_q2, cap.members, x)
 
@@ -422,7 +438,7 @@ def test_removal_read_on_the_generators_matches_the_pencil_count(q, steps):
         rel = cap.removal_relevance_many(members)
         assert rel.dtype == np.int64
         assert rel.tolist() == expected
-        assert [cap.removal_relevance(int(x)) for x in members] == expected
+        assert [cap.removal_relevance_many([x])[0] for x in members] == expected
         outside = cap.uncovered()
         if outside.size:
             with pytest.raises(MemberNotFoundError):
@@ -449,7 +465,7 @@ def test_only_seeding_a_cap_gathers_pencils(model_q7, monkeypatch):
         CapState.from_ids(model_q7, range(model_q7.num_points))
     assert gathered == [60]
     for j in range(0, m.size, 97):
-        assert rel[j] == model_q7.gx_size - cap.coverage_intersect(int(m[j]))
+        assert rel[j] == model_q7.gx_size - covered_in_section(cap, int(m[j]))
 
 
 @pytest.mark.parametrize("strategy", [StrategyKind.MIN_RELEVANCE, StrategyKind.FORWARD], ids=lambda s: s.value)
@@ -490,7 +506,7 @@ def test_generator_counts_fit_in_int16():
     assert all((q + 1) * (q**2 + 1) <= np.iinfo(np.int16).max for q in range(2, MAX_Q + 1))
     cap = CapState(get_model(3))
     assert cap._unc is None
-    cap.relevance(0)
+    cap.relevance_many([0])
     assert cap._unc.dtype == np.int16
 
 
@@ -555,8 +571,8 @@ def test_relevance_against_set_oracle_q2(model_q2):
     rng = SplitMix64(6)
     cap = random_cap(model_q2, rng, 4)
     members = sorted(cap.members)
-    for x in range(model_q2.num_points):
-        assert cap.relevance(x) == relevance_by_sets(tsets, members, x)
+    n = model_q2.num_points
+    assert cap.relevance_many(np.arange(n)).tolist() == [relevance_by_sets(tsets, members, x) for x in range(n)]
 
 
 def test_singleton_relevance_values(model_q2, model_q5):
@@ -573,8 +589,9 @@ def test_singleton_relevance_values(model_q2, model_q5):
 def test_relevance_coverage_identity(model_q3):
     gx = model_q3.gx_size
     cap = random_cap(model_q3, SplitMix64(3), 12)
+    rel = cap.relevance_many(np.arange(model_q3.num_points))
     for x in range(model_q3.num_points):
-        assert cap.relevance(x) + cap.coverage_intersect(x) == gx
+        assert rel[x] + covered_in_section(cap, x) == gx
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -633,9 +650,9 @@ def test_lone_uncovered_point_has_relevance_one(model_q2):
 def test_weight_singleton(model_q3):
     cap = CapState(model_q3)
     cap.add_point(9)
-    assert cap.weight(9) == Fraction(model_q3.gx_size)
+    assert member_weight(cap, 9) == Fraction(model_q3.gx_size)
     with pytest.raises(MemberNotFoundError):
-        cap.weight(int(cap.uncovered()[0]))
+        member_weight(cap, int(cap.uncovered()[0]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -644,7 +661,7 @@ def test_ovoid_member_weights_exact(q):
     ov = model.classical_ovoid_ids()
     cap = CapState.from_ids(model, ov)
     for x in map(int, ov[:: max(1, len(ov) // 20)]):
-        assert cap.weight(x) == Fraction(q**2 + 1)
+        assert member_weight(cap, x) == Fraction(q**2 + 1)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -655,7 +672,7 @@ def test_complete_cap_weights_sum_to_surface_size(q):
     for i in range(10):
         out = run_strategy(model, [], SearchConfig(rng_seed=900 + i))
         cap = CapState.from_ids(model, out.final_cap)
-        total = sum((cap.weight(int(x)) for x in out.final_cap), Fraction(0))
+        total = sum((member_weight(cap, int(x)) for x in out.final_cap), Fraction(0))
         assert total == Fraction((q**3 + 1) * (q**2 + 1))
 
 
@@ -668,7 +685,7 @@ def test_weight_removal_decomposition_exact(q):
     for trial in range(25):
         cap = random_cap(model, rng, 3 + rng.randbelow(q * q))
         for x in sorted(cap.members):
-            w = cap.weight(x)
+            w = member_weight(cap, x)
             cap.remove_point(x)
             row = np.unique(model.pencil(x))
             vals = cap.cmult[row]
@@ -687,7 +704,7 @@ def test_weight_relevance_inequality(model_q3):
     for trial in range(20):
         cap = random_cap(model_q3, rng, 4 + rng.randbelow(10))
         for x in sorted(cap.members):
-            assert cap.removal_relevance(x) >= 2 * cap.weight(x) - gx
+            assert cap.removal_relevance_many([x])[0] >= 2 * member_weight(cap, x) - gx
 
 
 def test_removal_relevance_matches_explicit(model_q3):
@@ -695,9 +712,9 @@ def test_removal_relevance_matches_explicit(model_q3):
     cap = random_cap(model_q3, rng, 9)
     for x in sorted(cap.members):
         cap.remove_point(x)
-        expected = cap.relevance(x)
+        expected = cap.relevance_many([x])[0]
         cap.add_point(x)
-        assert cap.removal_relevance(x) == expected
+        assert cap.removal_relevance_many([x])[0] == expected
 
 
 def test_max_relevance_monotone_under_nesting(model_q3):
@@ -720,5 +737,5 @@ def test_weight_after_add_many_matches_fraction(model_q5):
         cap.add_point(x)
         section = set(model_q5.pencil(x).tolist())
         by_loop = sum((Fraction(1, int(cap.cmult[y])) for y in section), Fraction(0))
-        assert isinstance(w[i], Fraction) and cap.weight(x) == w[i] == by_loop
+        assert isinstance(w[i], Fraction) and member_weight(cap, x) == w[i] == by_loop
         cap.remove_point(x)

@@ -275,13 +275,35 @@ def _add_skips_the_put_back(monkeypatch):
     monkeypatch.setattr(CapState, "add_point", skipped)
 
 
-@pytest.mark.parametrize("fault", [_read_skips_its_shift, _add_skips_the_put_back], ids=lambda f: f.__name__[1:])
-def test_verify_catches_a_wrong_uncovered_read(model_q3, monkeypatch, fault):
-    # the check compares the uncovered read of the mutated state with a fresh
-    # state's relevance_many of the same ids
+def _relevance_off_by_one(monkeypatch):
+    read = CapState.relevance_many
+    monkeypatch.setattr(CapState, "relevance_many", lambda cap, ids: read(cap, ids) + 1)
+
+
+def _weight_drops_a_term(monkeypatch):
+    # the candidate's own term, 1 / 1
+    read = CapState.weight_after_add_many
+    monkeypatch.setattr(CapState, "weight_after_add_many", lambda cap, ids: read(cap, ids) - 1)
+
+
+@pytest.mark.parametrize(
+    ("fault", "failing"),
+    [
+        (_read_skips_its_shift, ["capstate-incremental-exact"]),
+        (_add_skips_the_put_back, ["capstate-incremental-exact"]),
+        (_relevance_off_by_one, ["capstate-relevance-coverage-identity", "oracle-relevance-singletons-q2"]),
+        (_weight_drops_a_term, ["ovoid-member-weight"]),
+    ],
+    ids=["read_skips_its_shift", "add_skips_the_put_back", "relevance_off_by_one", "weight_drops_a_term"],
+)
+def test_verify_catches_a_wrong_uncovered_read(model_q3, monkeypatch, fault, failing):
+    # incremental-exact compares the uncovered read of the mutated state with
+    # a fresh state's relevance_many of the same ids; the identity and the
+    # singleton oracle read relevance_many, the member weight its weight
+    # after being added back
     fault(monkeypatch)
-    results = {r.name: r.ok for r in run_checks(model_q3)}
-    assert results["capstate-incremental-exact"] is False
+    results = {r.name: r.ok for r in run_checks(model_q3, deep=True)}
+    assert [results[name] for name in failing] == [False] * len(failing)
     assert results["field-ring-axioms"] and results["search-deterministic"]
 
 
@@ -627,7 +649,7 @@ def test_ovoid_and_thin_commands(tmp_path, model_q2, capsys):
 
 def test_failed_thinning_exits_1_with_its_error(monkeypatch, capsys):
     # no coverer may leave, so every witness fails and thinning gives up
-    monkeypatch.setattr(CapState, "removal_relevance", lambda cap, z: 2)
+    monkeypatch.setattr(CapState, "removal_relevance_many", lambda cap, ids: np.full(len(ids), 2))
     assert run_cli("thin", "--q", "2") == 1
     out = capsys.readouterr()
     assert out.err.strip() == "error: ovoid thinning could not honor the covering invariant"

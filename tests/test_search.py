@@ -194,7 +194,7 @@ def test_forward_scores_match_trial_oracle():
         for i in picks:
             m = cap.uncovered()
             t = int(m[i % m.size])
-            if cap.relevance(t) == m.size:
+            if cap.relevance_many([t])[0] == m.size:
                 break  # t would complete the cap; keep something to score
             cap.add_point(t)
         m = cap.uncovered()
@@ -556,27 +556,28 @@ def test_thin_ovoid_sizes_and_rigidity(q):
 
 def test_thin_ovoid_rolls_back_a_witness_short_of_coverers(model_q3, monkeypatch):
     # removing any member of an ovoid is safe, so the rollback never fires on
-    # its own: the wrapped removal_relevance refuses every coverer of the first
+    # its own: the wrapped removal read refuses every coverer of the first
     # witness after the first one, which thinning removes and must put back
     model, q = model_q3, model_q3.q
     ov = model.classical_ovoid_ids()
     on_ovoid = set(ov.tolist())
     witnesses, calls = [], []  # calls: (witnesses tried so far, z, members then)
-    pencil, removal_relevance = model.pencil, CapState.removal_relevance
+    pencil, removal_relevance_many = model.pencil, CapState.removal_relevance_many
 
     def tracking_pencil(pid):
         if pid not in on_ovoid:  # members are added and removed, witnesses are off the ovoid
             witnesses.append(pid)
         return pencil(pid)
 
-    def refusing(cap, z):
+    def refusing(cap, ids):
+        (z,) = ids  # thinning reads one coverer at a time
         calls.append((len(witnesses), z, set(cap.members)))
         if len(witnesses) == 1 and len(calls) > 1:
-            return 0
-        return removal_relevance(cap, z)
+            return np.zeros(1, dtype=np.int64)
+        return removal_relevance_many(cap, ids)
 
     monkeypatch.setattr(model, "pencil", tracking_pencil)
-    monkeypatch.setattr(CapState, "removal_relevance", refusing)
+    monkeypatch.setattr(CapState, "removal_relevance_many", refusing)
     kept, removed = thin_ovoid(model, ov, SplitMix64(17))
     first = [z for w, z, _ in calls if w == 1]
     second = [(z, members) for w, z, members in calls if w == 2]
